@@ -77,16 +77,21 @@ def _distances_to_all(coords: np.ndarray, point, metric: DistanceMetric) -> np.n
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
-def _select(dist: np.ndarray, exclude: int | None, cfg: CandidateConfig):
-    """Filter by max distance, sort by (distance, index), truncate to K."""
-    idx = np.arange(dist.size)
+def candidate_indices(
+    coords: np.ndarray, point, cfg: CandidateConfig, exclude: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of the K nearest rows of ``coords`` to ``point``.
+
+    Rows farther than the max distance and the ``exclude`` row are dropped;
+    the rest are sorted by (distance, index) and truncated to K.
+    """
+    dist = _distances_to_all(coords, point, cfg.metric)
     keep = dist <= cfg.max_dist
     if exclude is not None:
         keep[exclude] = False
-    idx = idx[keep]
-    order = np.lexsort((idx, dist[keep]))
-    chosen = idx[order][: cfg.k]
-    return [(int(i), float(dist[i])) for i in chosen]
+    idx = np.flatnonzero(keep)
+    chosen = idx[np.lexsort((idx, dist[idx]))][: cfg.k]
+    return chosen, dist[chosen]
 
 
 def candidates(
@@ -99,17 +104,16 @@ def candidates(
     """
     i = graph.index_of(node)
     coords = graph.features.coords()
-    dist = _distances_to_all(coords, coords[i], cfg.metric)
-    return [(graph.ids[j], d) for j, d in _select(dist, i, cfg)]
+    idx, dist = candidate_indices(coords, coords[i], cfg, exclude=i)
+    return [(graph.ids[j], d) for j, d in zip(idx.tolist(), dist.tolist())]
 
 
 def candidates_for_new(
     graph: RanGraph, coords_point, cfg: CandidateConfig
 ) -> list[tuple[CellId, float]]:
     """Candidate set for a query point that need not be a graph node."""
-    coords = graph.features.coords()
-    dist = _distances_to_all(coords, coords_point, cfg.metric)
-    return [(graph.ids[j], d) for j, d in _select(dist, None, cfg)]
+    idx, dist = candidate_indices(graph.features.coords(), coords_point, cfg)
+    return [(graph.ids[j], d) for j, d in zip(idx.tolist(), dist.tolist())]
 
 
 def evaluate_candidates(graph: RanGraph, eval_nodes, cfg: CandidateConfig) -> EvalReport:
@@ -125,14 +129,15 @@ def evaluate_candidates(graph: RanGraph, eval_nodes, cfg: CandidateConfig) -> Ev
     # Each eval node is scored against every other node; pairs between two
     # eval nodes are therefore counted once per direction, since each node
     # has its own candidate list.
+    coords = graph.features.coords()
     tp = fp = fn = 0
     n_pairs = 0
     for i in eval_idx:
-        predicted = {graph.index_of(c) for c, _ in candidates(graph, graph.ids[i], cfg)}
-        actual = set(graph.neighbor_indices(i))
-        tp += len(predicted & actual)
-        fp += len(predicted - actual)
-        fn += len(actual - predicted)
+        predicted, _ = candidate_indices(coords, coords[i], cfg, exclude=i)
+        hits = int(graph.has_edges(i, predicted).sum())
+        tp += hits
+        fp += len(predicted) - hits
+        fn += int(graph.degree[i]) - hits
         n_pairs += graph.n - 1
     tn = n_pairs - tp - fp - fn
     return EvalReport.from_counts(

@@ -26,6 +26,7 @@ from .errors import (
     DuplicateCellId,
     EmptyRowSet,
     MissingHeader,
+    ValidationError,
 )
 from .graph import CellId, FeatureMatrix
 
@@ -207,12 +208,35 @@ class NormParams:
 
     @classmethod
     def from_json(cls, text: str) -> "NormParams":
-        obj = json.loads(text)
-        return cls(
-            tuple(obj["columns"]),
-            np.asarray(obj["mean"], dtype=np.float64),
-            np.asarray(obj["std"], dtype=np.float64),
-        )
+        """Inverse of to_json; a malformed file raises ValidationError.
+
+        Needs string column names and one finite mean and one finite,
+        non-negative std per column (zscore_fit writes std 0 for a constant
+        column, which zscore_apply maps to zero).
+        """
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"norm params file is not valid JSON: {exc}") from None
+        columns = obj.get("columns") if isinstance(obj, dict) else None
+        if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
+            raise ValidationError("norm params need a list of column names")
+        stats = {}
+        for name in ("mean", "std"):
+            try:
+                values = np.asarray(obj.get(name), dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValidationError(f"norm params {name!r} is not a list of numbers") from None
+            if values.shape != (len(columns),):
+                raise ColumnMismatch(
+                    f"norm params {name!r} needs {len(columns)} values, one per column"
+                )
+            if not np.isfinite(values).all():
+                raise ValidationError(f"norm params {name!r} has non-finite values")
+            stats[name] = values
+        if (stats["std"] < 0).any():
+            raise ValidationError("norm params 'std' has negative values")
+        return cls(tuple(columns), stats["mean"], stats["std"])
 
 
 def zscore_fit(features: FeatureMatrix, rows) -> NormParams:

@@ -2,16 +2,24 @@
 
 Cells are nodes, mobility relations are undirected unweighted edges. A cell
 is identified externally by an opaque id (string or integer) and internally
-by a dense index in [0, N) assigned in input order. All operations that look
-like mutation return a new graph; instances are safe to share across
-threads.
+by a dense index in [0, N) assigned in input order.
+
+The topology is stored as arrays: a sorted (E, 2) int64 edge array with
+i < j, and CSR arrays (``indptr``, ``indices``, ``degree``) built from it
+once per graph. The sparse adjacency operator, the searchable edge keys and
+the ``edges`` frozenset and ``adjacency`` tuples are derived on first use
+and cached; the latter two are read-only views for callers that want Python
+sets. All operations that look like mutation return a new graph; instances
+are safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     BadRatios,
@@ -86,13 +94,42 @@ class FeatureMatrix:
 
 @dataclass(frozen=True, eq=False)
 class RanGraph:
-    """Undirected attributed graph over cells, immutable after construction."""
+    """Undirected attributed graph over cells, immutable after construction.
+
+    ``edge_array`` holds each edge once as an (i, j) index pair with i < j,
+    in ascending (i, j) order. The CSR arrays (``indptr``, ``indices``,
+    ``degree``) are derived from it in ``__post_init__``; row v of
+    ``indices`` lists v's neighbors above v ascending, then those below v
+    ascending. That is the order in which summing over the sorted edge list,
+    first at i then at j, visits them, and neighbor sums keep it so that
+    their floating-point results do not change with the storage.
+    """
 
     ids: tuple[CellId, ...]
-    edges: frozenset  # of (i, j) index pairs with i < j
-    adjacency: tuple[tuple[int, ...], ...]  # sorted neighbor indices per node
+    edge_array: np.ndarray  # (E, 2) int64, rows (i, j) with i < j, ascending
     features: FeatureMatrix
     _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    indptr: np.ndarray = field(init=False, repr=False)  # (N + 1,) int64
+    indices: np.ndarray = field(init=False, repr=False)  # (2E,) int64
+    degree: np.ndarray = field(init=False, repr=False)  # (N,) int64
+
+    def __post_init__(self):
+        n = len(self.ids)
+        edges = np.asarray(self.edge_array, dtype=np.int64).reshape(-1, 2)
+        rows = np.concatenate([edges[:, 0], edges[:, 1]])
+        cols = np.concatenate([edges[:, 1], edges[:, 0]])
+        # stable: a row's above-neighbors (first half) stay ahead of its
+        # below-neighbors (second half), each half already ascending
+        order = np.argsort(rows, kind="stable")
+        degree = np.bincount(rows, minlength=n).astype(np.int64)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        for name, arr in (
+            ("edge_array", edges), ("indptr", indptr),
+            ("indices", cols[order]), ("degree", degree),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -100,7 +137,56 @@ class RanGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """Edges as a frozenset of (i, j) index pairs with i < j."""
+        return frozenset(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor indices per node."""
+        return tuple(tuple(self.neighbor_indices(i).tolist()) for i in range(self.n))
+
+    @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """``i * N + j`` per edge, ascending: a searchable edge index."""
+        keys = self.edge_array[:, 0] * self.n + self.edge_array[:, 1]
+        keys.setflags(write=False)
+        return keys
+
+    @cached_property
+    def neighbor_operator(self) -> sparse.csr_array:
+        """N x N 0/1 adjacency matrix over the CSR arrays, row order kept."""
+        return self.neighbor_rows(np.arange(self.n))
+
+    def neighbor_rows(self, rows) -> sparse.csr_array:
+        """The adjacency matrix's rows for the given nodes, in the same order.
+
+        Built by hand rather than by scipy indexing, so nothing can re-sort
+        a row's neighbors.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        sub_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=sub_indptr[1:])
+        positions = np.repeat(starts - sub_indptr[:-1], counts) + np.arange(sub_indptr[-1])
+        return sparse.csr_array(
+            (np.ones(len(positions)), self.indices[positions], sub_indptr),
+            shape=(len(rows), self.n),
+        )
+
+    def has_edges(self, i, j) -> np.ndarray:
+        """Elementwise: is (i, j) an edge? Either endpoint order."""
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        keys = np.minimum(i, j) * self.n + np.maximum(i, j)
+        pos = np.searchsorted(self.edge_keys, keys)
+        found = np.zeros(keys.shape, dtype=bool)
+        inside = pos < len(self.edge_keys)
+        found[inside] = self.edge_keys[pos[inside]] == keys[inside]
+        return found
 
     def index_of(self, node: CellId) -> int:
         """Dense internal index for an external id or index."""
@@ -118,20 +204,23 @@ class RanGraph:
         return self.ids[index]
 
     def has_edge(self, a: CellId, b: CellId) -> bool:
-        i, j = self.index_of(a), self.index_of(b)
-        return (min(i, j), max(i, j)) in self.edges
+        return bool(self.has_edges(self.index_of(a), self.index_of(b)))
+
+    def neighbor_indices(self, index: int) -> np.ndarray:
+        """Neighbor indices of one node, ascending."""
+        return np.sort(self.indices[self.indptr[index] : self.indptr[index + 1]])
 
     def neighbors(self, node: CellId) -> list[CellId]:
         """Adjacent cells, sorted by internal index, as external ids."""
-        i = self.index_of(node)
-        return [self.ids[j] for j in self.adjacency[i]]
-
-    def neighbor_indices(self, index: int) -> tuple[int, ...]:
-        return self.adjacency[index]
+        return [self.ids[j] for j in self.neighbor_indices(self.index_of(node)).tolist()]
 
     def edge_list(self) -> list[tuple[CellId, CellId]]:
         """Edges as external-id pairs, sorted by index pair."""
-        return [(self.ids[i], self.ids[j]) for i, j in sorted(self.edges)]
+        return [(self.ids[i], self.ids[j]) for i, j in self.edge_array.tolist()]
+
+    def with_edges(self, keep: np.ndarray) -> "RanGraph":
+        """Same nodes and features, only the edges selected by a boolean mask."""
+        return RanGraph(self.ids, self.edge_array[keep], self.features, self._index)
 
     def with_features(self, features: FeatureMatrix) -> "RanGraph":
         """Same topology with a replacement feature matrix."""
@@ -139,7 +228,7 @@ class RanGraph:
             raise FeatureRowMismatch(
                 f"{features.n_rows} feature rows for {self.n} nodes"
             )
-        return RanGraph(self.ids, self.edges, self.adjacency, features, self._index)
+        return RanGraph(self.ids, self.edge_array, features, self._index)
 
 
 def build_graph(
@@ -150,7 +239,7 @@ def build_graph(
     """Construct a canonical RanGraph.
 
     Duplicate and reversed-duplicate edges collapse to one; self-loops and
-    unknown endpoints are rejected.
+    unknown endpoints are rejected, the first offending edge named.
     """
     ids = tuple(nodes)
     index = {}
@@ -163,24 +252,21 @@ def build_graph(
             f"{features.n_rows} feature rows for {len(ids)} nodes"
         )
 
-    edge_set = set()
-    for edge in edges:
-        a, b = tuple(edge)
-        if a not in index:
-            raise UnknownEndpoint(f"edge endpoint {a!r} is not a node")
-        if b not in index:
-            raise UnknownEndpoint(f"edge endpoint {b!r} is not a node")
-        i, j = index[a], index[b]
-        if i == j:
-            raise SelfLoop(f"self-loop on node {a!r}")
-        edge_set.add((min(i, j), max(i, j)))
+    named = [tuple(edge) for edge in edges]
+    ends = np.array(
+        [(index.get(a, -1), index.get(b, -1)) for a, b in named], dtype=np.int64
+    ).reshape(-1, 2)
+    bad = (ends < 0).any(axis=1) | (ends[:, 0] == ends[:, 1])
+    if bad.any():
+        a, b = named[int(np.argmax(bad))]
+        for node in (a, b):
+            if node not in index:
+                raise UnknownEndpoint(f"edge endpoint {node!r} is not a node")
+        raise SelfLoop(f"self-loop on node {a!r}")
 
-    adj = [[] for _ in ids]
-    for i, j in edge_set:
-        adj[i].append(j)
-        adj[j].append(i)
-    adjacency = tuple(tuple(sorted(neigh)) for neigh in adj)
-    return RanGraph(ids, frozenset(edge_set), adjacency, features, index)
+    n = len(ids)
+    keys = np.unique(ends.min(axis=1) * n + ends.max(axis=1))
+    return RanGraph(ids, np.column_stack([keys // n, keys % n]), features, index)
 
 
 def remove_nodes(graph: RanGraph, removed) -> RanGraph:
@@ -189,16 +275,19 @@ def remove_nodes(graph: RanGraph, removed) -> RanGraph:
     Surviving nodes keep their relative order and get fresh dense indices;
     the input graph is untouched.
     """
-    removed_idx = {graph.index_of(node) for node in removed}
-    keep = [i for i in range(graph.n) if i not in removed_idx]
-    kept_ids = [graph.ids[i] for i in keep]
-    old_to_new = {old: new for new, old in enumerate(keep)}
-    kept_edges = [
-        (kept_ids[old_to_new[i]], kept_ids[old_to_new[j]])
-        for i, j in graph.edges
-        if i in old_to_new and j in old_to_new
-    ]
-    return build_graph(kept_ids, kept_edges, graph.features.take_rows(keep))
+    keep = np.ones(graph.n, dtype=bool)
+    keep[np.array([graph.index_of(node) for node in removed], dtype=np.int64)] = False
+    new_index = np.cumsum(keep) - 1
+    kept = np.flatnonzero(keep)
+    kept_ids = tuple(graph.ids[i] for i in kept.tolist())
+    edges = graph.edge_array[keep[graph.edge_array].all(axis=1)]
+    # the renumbering is monotone, so kept edges stay canonical and sorted
+    return RanGraph(
+        kept_ids,
+        new_index[edges],
+        graph.features.take_rows(kept),
+        {node_id: i for i, node_id in enumerate(kept_ids)},
+    )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,13 @@ Both score an ordered cell pair with a probability in (0, 1):
 A node with no neighbors aggregates the zero vector, which is also how a
 brand-new cell (edges unknown) is embedded.
 
+The neighbor mean is one sparse product with the graph's cached adjacency
+operator, divided by max(degree, 1). The operator's rows list neighbors in
+the order the original per-edge summation visited them, so the sums, and
+with them trained parameters and report bundles, are bit-for-bit what they
+were. An embedding reads only its node's 1-hop neighborhood, so scoring a
+few cells embeds only those rows.
+
 Parameters live in dataclasses for the public API and in flat name->array
 dicts for the optimizer and gradient checker.
 """
@@ -176,30 +183,32 @@ def _head_backward(d: dict[str, np.ndarray], cache, dlogit: np.ndarray):
     return grads, dinput
 
 
-def neighbor_mean(graph: RanGraph, x: np.ndarray) -> np.ndarray:
-    """Row v = mean of x over v's neighbors; zero vector if none."""
-    n = graph.n
-    sums = np.zeros((n, x.shape[1]))
-    deg = np.zeros(n)
-    if graph.edges:
-        edge_arr = np.array(sorted(graph.edges))
-        i, j = edge_arr[:, 0], edge_arr[:, 1]
-        np.add.at(sums, i, x[j])
-        np.add.at(sums, j, x[i])
-        np.add.at(deg, i, 1.0)
-        np.add.at(deg, j, 1.0)
-    safe = np.maximum(deg, 1.0)
-    return sums / safe[:, None]
+def neighbor_mean(graph: RanGraph, x: np.ndarray, rows=None) -> np.ndarray:
+    """Row v = mean of x over v's neighbors; zero vector if none.
+
+    One sparse product with the graph's cached adjacency operator, for every
+    node or, given ``rows``, only for those nodes (their 1-hop neighborhood
+    is all the mean reads).
+    """
+    if rows is None:
+        sums, deg = graph.neighbor_operator @ x, graph.degree
+    else:
+        sums, deg = graph.neighbor_rows(rows) @ x, graph.degree[rows]
+    return sums / np.maximum(deg, 1.0)[:, None]
 
 
-def _sage_forward(d: dict[str, np.ndarray], x: np.ndarray, graph: RanGraph):
-    h = np.concatenate([x, neighbor_mean(graph, x)], axis=1)
+def _sage_forward(d: dict[str, np.ndarray], x: np.ndarray, graph: RanGraph, rows=None):
+    own = x if rows is None else x[rows]
+    h = np.concatenate([own, neighbor_mean(graph, x, rows)], axis=1)
     pre = h @ d["ws"].T + d["bs"]
     return np.maximum(pre, 0.0), (h, pre)
 
 
-def sage_embed(params: GnnParams, features: FeatureMatrix | np.ndarray, graph: RanGraph) -> np.ndarray:
-    """Embeddings for every graph node: relu(W_s concat(x, nbr mean) + b_s)."""
+def sage_embed(
+    params: GnnParams, features: FeatureMatrix | np.ndarray, graph: RanGraph, rows=None
+) -> np.ndarray:
+    """Embeddings relu(W_s concat(x, nbr mean) + b_s) for every graph node,
+    or, given ``rows``, for those nodes only, in that order."""
     x = features.values if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     if x.shape[0] != graph.n:
         raise ShapeMismatch(f"{x.shape[0]} feature rows for {graph.n} nodes")
@@ -207,7 +216,7 @@ def sage_embed(params: GnnParams, features: FeatureMatrix | np.ndarray, graph: R
         raise ShapeMismatch(
             f"feature dim {x.shape[1]} != SAGE feature dim {params.feature_dim}"
         )
-    embeddings, _ = _sage_forward(params_to_dict(params), x, graph)
+    embeddings, _ = _sage_forward(params_to_dict(params), x, graph, rows)
     return embeddings
 
 
@@ -355,13 +364,54 @@ def params_to_json(params: ModelParams) -> str:
     return json.dumps({"kind": kind, "dims": dims, "arrays": arrays}, indent=2)
 
 
+# array names each kind's params file must hold
+_PARAM_ARRAYS = {
+    MLP_KIND: ("w1", "b1", "w2", "b2", "w3", "b3"),
+    GNN_KIND: ("ws", "bs", "w1", "b1", "w2", "b2", "w3", "b3"),
+}
+
+
+def _array_from_spec(name: str, spec) -> np.ndarray:
+    shape = spec.get("shape") if isinstance(spec, dict) else None
+    if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
+        raise ValidationError(f"params array {name!r} needs a shape of non-negative ints")
+    try:
+        data = np.asarray(spec.get("data"), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"params array {name!r} data is not a list of numbers") from None
+    if data.ndim != 1:
+        raise ValidationError(f"params array {name!r} data must be a flat list")
+    if data.size != math.prod(shape):
+        raise ValidationError(
+            f"params array {name!r} declares shape {shape} but holds {data.size} values"
+        )
+    if not np.isfinite(data).all():
+        raise ValidationError(f"params array {name!r} has non-finite values")
+    return data.reshape(shape)
+
+
 def params_from_json(text: str) -> ModelParams:
-    obj = json.loads(text)
-    arrays = {
-        name: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-        for name, spec in obj["arrays"].items()
-    }
-    return params_from_dict(obj["kind"], arrays)
+    """Inverse of params_to_json; a malformed file raises ValidationError.
+
+    Checks the kind, that every array the kind needs is present, that each
+    declared shape matches its data, that the values are finite, and that
+    the layer shapes chain.
+    """
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"params file is not valid JSON: {exc}") from None
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind not in _PARAM_ARRAYS:
+        raise ValidationError(f"params kind must be {MLP_KIND!r} or {GNN_KIND!r}, got {kind!r}")
+    specs = obj.get("arrays")
+    if not isinstance(specs, dict):
+        raise ValidationError("params file needs an 'arrays' object")
+    missing = [name for name in _PARAM_ARRAYS[kind] if name not in specs]
+    if missing:
+        raise ValidationError(f"{kind} params file is missing arrays {missing}")
+    arrays = {name: _array_from_spec(name, specs[name]) for name in _PARAM_ARRAYS[kind]}
+    return params_from_dict(kind, arrays)
 
 
 def make_loss_fn(
@@ -373,9 +423,13 @@ def make_loss_fn(
 ):
     """Dict -> scalar loss closure for the finite-difference gradient checker.
 
-    The checker calls this once per perturbed coordinate, so the parts that
-    do not depend on the parameters (neighbor means, pair gathers) are
-    precomputed here instead of redone on every call.
+    The parts that do not depend on the parameters (neighbor means, pair
+    gathers) are precomputed here. The closure also carries
+    ``coordinate_losses(d, name, delta)``: the losses with each coordinate of
+    ``d[name]`` moved by ``delta``, one coordinate at a time. Moving weight
+    W[r, c] of a layer adds ``delta * input[:, c]`` to that layer's output
+    column r (a bias entry adds ``delta``), so the layers below it run once
+    and only the layers above run per coordinate, as batched products.
     """
     pairs = np.asarray(pairs)
     labels = np.asarray(labels, dtype=np.float64)
@@ -386,28 +440,55 @@ def make_loss_fn(
     sign = 1.0 - 2.0 * labels
     cap = -math.log(1e-12)
 
-    def head_mean_bce(d: dict[str, np.ndarray], inp: np.ndarray) -> float:
-        a1 = np.maximum(inp @ d["w1"].T + d["b1"], 0.0)
-        a2 = np.maximum(a1 @ d["w2"].T + d["b2"], 0.0)
-        z3 = (a2 @ d["w3"].T + d["b3"])[:, 0]
-        losses = np.minimum(np.logaddexp(0.0, sign * z3), cap)
-        return float(np.mean(losses))
-
     if kind == GNN_KIND:
         if graph is None:
             raise ValidationError("GNN loss needs the graph for the SAGE layer")
-        xcat = np.concatenate([x, neighbor_mean(graph, x)], axis=1)
-        left, right = pairs[:, 0], pairs[:, 1]
-
-        def loss_fn(d: dict[str, np.ndarray]) -> float:
-            rows = np.maximum(xcat @ d["ws"].T + d["bs"], 0.0)
-            inp = np.concatenate([rows[left], rows[right]], axis=1)
-            return head_mean_bce(d, inp)
-
+        layers = ("s", "1", "2", "3")
+        first_input = np.concatenate([x, neighbor_mean(graph, x)], axis=1)
     else:
-        inp = _pair_input(x, pairs)
+        layers = ("1", "2", "3")
+        first_input = _pair_input(x, pairs)
+    left, right = pairs[:, 0], pairs[:, 1]
 
-        def loss_fn(d: dict[str, np.ndarray]) -> float:
-            return head_mean_bce(d, inp)
+    def affine(d, layer, a):
+        """Layer pre-activation for inputs (..., M, in), as one matrix product."""
+        w, b = d["w" + layer], d["b" + layer]
+        return (a.reshape(-1, a.shape[-1]) @ w.T + b).reshape(*a.shape[:-1], w.shape[0])
 
+    def activate(layer, z):
+        a = np.maximum(z, 0.0)
+        if layer == "s":  # node embeddings -> concatenated pair rows
+            a = np.concatenate([a[..., left, :], a[..., right, :]], axis=-1)
+        return a
+
+    def mean_bce_from(d, i, z):
+        """Mean BCE from layer i's pre-activation; leading batch axes are kept."""
+        for lower, upper in zip(layers[i:], layers[i + 1 :]):
+            z = affine(d, upper, activate(lower, z))
+        return np.minimum(np.logaddexp(0.0, sign * z[..., 0]), cap).mean(axis=-1)
+
+    def loss_fn(d: dict[str, np.ndarray]) -> float:
+        return float(mean_bce_from(d, 0, affine(d, layers[0], first_input)))
+
+    def coordinate_losses(d: dict[str, np.ndarray], name: str, delta: float) -> np.ndarray:
+        i = layers.index(name[1:])
+        a = first_input
+        for layer in layers[:i]:
+            a = activate(layer, affine(d, layer, a))
+        z = affine(d, layers[i], a)
+        if name[0] == "w":
+            rows, cols = np.divmod(np.arange(d[name].size), d[name].shape[1])
+            shifts = delta * a[:, cols].T  # (coordinates, M)
+        else:
+            rows, shifts = np.arange(z.shape[1]), np.full((z.shape[1], 1), delta)
+        losses = np.empty(len(rows))
+        chunk = max(1, 2**20 // max(z.size, 1))  # bounds the batched activations' memory
+        for lo in range(0, len(rows), chunk):
+            part = slice(lo, lo + chunk)
+            zs = np.repeat(z[None], len(rows[part]), axis=0)
+            zs[np.arange(len(rows[part])), :, rows[part]] += shifts[part]
+            losses[part] = mean_bce_from(d, i, zs)
+        return losses
+
+    loss_fn.coordinate_losses = coordinate_losses
     return loss_fn

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import models
-from .candidate import CandidateConfig, candidates, candidates_for_new, evaluate_candidates
+from .candidate import CandidateConfig, candidate_indices, evaluate_candidates
 from .data_io import MissingPolicy, NormParams, apply_missing_policy, parse_cells_csv, parse_edges_csv, zscore_apply, zscore_fit
 from .errors import (
     BadConfig,
@@ -85,14 +85,55 @@ class PairSet:
     labels: np.ndarray  # (B,) int
 
 
-def _positive_pairs(graph: RanGraph, eval_idx: list[int]) -> list[tuple[int, int]]:
-    eval_set = set(eval_idx)
-    seen = set()
-    for e in eval_idx:
-        for nb in graph.neighbor_indices(e):
-            seen.add((min(e, nb), max(e, nb)))
-    _ = eval_set  # pairs between two eval nodes are naturally deduplicated
-    return sorted(seen)
+def _labeled(graph: RanGraph, keys: np.ndarray) -> PairSet:
+    """PairSet for canonical pair keys ``i * N + j`` (i < j), in the given order."""
+    pairs = np.column_stack([keys // graph.n, keys % graph.n])
+    return PairSet(pairs, graph.has_edges(pairs[:, 0], pairs[:, 1]).astype(np.int64))
+
+
+def _incident_keys(graph: RanGraph, eval_idx: np.ndarray) -> np.ndarray:
+    """Sorted keys of every (eval node, other node) pair; a pair of two eval
+    nodes is taken once, from its lower index."""
+    n = graph.n
+    is_eval = np.zeros(n, dtype=bool)
+    is_eval[eval_idx] = True
+    e = np.repeat(eval_idx, n)
+    j = np.tile(np.arange(n, dtype=np.int64), len(eval_idx))
+    keep = (j != e) & ~(is_eval[j] & (j < e))
+    e, j = e[keep], j[keep]
+    return np.sort(np.minimum(e, j) * n + np.maximum(e, j))
+
+
+def _positive_keys(graph: RanGraph, eval_idx: np.ndarray) -> np.ndarray:
+    """Sorted keys of every edge with an eval-node endpoint."""
+    is_eval = np.zeros(graph.n, dtype=bool)
+    is_eval[eval_idx] = True
+    incident = is_eval[graph.edge_array].any(axis=1)
+    return graph.edge_keys[incident]
+
+
+def _rejection_negatives(
+    graph: RanGraph, eval_idx: np.ndarray, needed: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``needed`` distinct non-edge eval-incident pair keys, by rejection.
+
+    Each round draws a batch of (eval node, any node) pairs and keeps, in
+    draw order, those that are no self-pair, no edge, not yet chosen and not
+    a repeat within the batch, up to the number still needed.
+    """
+    n = graph.n
+    chosen = np.empty(0, dtype=np.int64)
+    while len(chosen) < needed:
+        batch = max(64, 2 * (needed - len(chosen)))
+        es = eval_idx[rng.integers(0, len(eval_idx), size=batch)]
+        js = rng.integers(0, n, size=batch)
+        keys = np.minimum(es, js) * n + np.maximum(es, js)
+        valid = (js != es) & ~graph.has_edges(es, js) & ~np.isin(keys, chosen)
+        keys = keys[valid]
+        _, first = np.unique(keys, return_index=True)
+        fresh = keys[np.sort(first)][: needed - len(chosen)]
+        chosen = np.concatenate([chosen, fresh])
+    return chosen
 
 
 def sample_pairs(
@@ -102,81 +143,42 @@ def sample_pairs(
 
     Pairs are canonical: a pair between two eval nodes appears once.
     """
-    eval_idx = sorted(graph.index_of(node) for node in eval_nodes)
-    if not eval_idx:
+    eval_idx = np.sort(np.array([graph.index_of(node) for node in eval_nodes], dtype=np.int64))
+    if not len(eval_idx):
         raise EmptyEvalSet("no evaluation nodes given")
-    eval_set = set(eval_idx)
     n = graph.n
 
     if isinstance(mode, CandidateFiltered):
-        seen = set()
-        for e in eval_idx:
-            for cand_id, _ in candidates(graph, graph.ids[e], mode.config):
-                j = graph.index_of(cand_id)
-                seen.add((min(e, j), max(e, j)))
-        chosen = sorted(seen)
-        pairs = np.array(chosen, dtype=np.int64).reshape(-1, 2)
-        labels = np.array([1 if (i, j) in graph.edges else 0 for i, j in chosen])
-        return PairSet(pairs, labels.astype(np.int64))
+        coords = graph.features.coords()
+        keys = [np.empty(0, dtype=np.int64)]
+        for e in eval_idx.tolist():
+            cand, _ = candidate_indices(coords, coords[e], mode.config, exclude=e)
+            keys.append(np.minimum(e, cand) * n + np.maximum(e, cand))
+        return _labeled(graph, np.unique(np.concatenate(keys)))
 
     if isinstance(mode, AllPairs):
-        out = []
-        for e in eval_idx:
-            for j in range(n):
-                if j == e or (j in eval_set and j < e):
-                    continue  # eval-eval pairs only from the lower index
-                out.append((min(e, j), max(e, j)))
-        pairs = np.array(sorted(out), dtype=np.int64)
-        labels = np.array([1 if (i, j) in graph.edges else 0 for i, j in pairs])
-        return PairSet(pairs, labels.astype(np.int64))
+        return _labeled(graph, _incident_keys(graph, eval_idx))
 
-    positives = _positive_pairs(graph, eval_idx)
+    positives = _positive_keys(graph, eval_idx)
     needed = len(positives)
     n_eval = len(eval_idx)
     total_incident = n_eval * (n - n_eval) + n_eval * (n_eval - 1) // 2
-    available = total_incident - len(positives)
+    available = total_incident - needed
     if needed > available:
         raise NotEnoughNegatives(
             f"need {needed} negative pairs but only {available} exist"
         )
 
     rng = np.random.default_rng(seed)
-    negatives: set[tuple[int, int]] = set()
     if needed > available // 2:
         # dense case: enumerate everything and choose without replacement
-        pool = []
-        for e in eval_idx:
-            for j in range(n):
-                if j == e or (j in eval_set and j < e):
-                    continue
-                pair = (min(e, j), max(e, j))
-                if pair not in graph.edges:
-                    pool.append(pair)
-        pool = sorted(set(pool))
-        chosen_idx = rng.choice(len(pool), size=needed, replace=False)
-        negatives = {pool[i] for i in chosen_idx}
+        pool = np.unique(_incident_keys(graph, eval_idx))
+        pool = pool[~np.isin(pool, graph.edge_keys)]
+        negatives = pool[rng.choice(len(pool), size=needed, replace=False)]
     else:
-        eval_arr = np.array(eval_idx)
-        while len(negatives) < needed:
-            batch = max(64, 2 * (needed - len(negatives)))
-            es = eval_arr[rng.integers(0, n_eval, size=batch)]
-            js = rng.integers(0, n, size=batch)
-            for e, j in zip(es.tolist(), js.tolist()):
-                if j == e:
-                    continue
-                pair = (min(e, j), max(e, j))
-                if pair in graph.edges or pair in negatives:
-                    continue
-                negatives.add(pair)
-                if len(negatives) == needed:
-                    break
+        negatives = _rejection_negatives(graph, eval_idx, needed, rng)
 
-    all_pairs = positives + sorted(negatives)
-    pairs = np.array(all_pairs, dtype=np.int64).reshape(-1, 2)
-    labels = np.concatenate(
-        [np.ones(len(positives), dtype=np.int64), np.zeros(needed, dtype=np.int64)]
-    )
-    return PairSet(pairs, labels)
+    return _labeled(graph, np.concatenate([positives, np.sort(negatives)]))
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +302,9 @@ def mask_to_train_edges(graph: RanGraph, train_nodes) -> RanGraph:
     Keeps val/test edges out of anything the optimizer can see while still
     covering every node index.
     """
-    train_idx = {graph.index_of(node) for node in train_nodes}
-    kept = [
-        (graph.ids[i], graph.ids[j])
-        for i, j in graph.edges
-        if i in train_idx and j in train_idx
-    ]
-    return build_graph(list(graph.ids), kept, graph.features)
+    is_train = np.zeros(graph.n, dtype=bool)
+    is_train[np.array([graph.index_of(node) for node in train_nodes], dtype=np.int64)] = True
+    return graph.with_edges(is_train[graph.edge_array].all(axis=1))
 
 
 def train(
@@ -330,7 +328,7 @@ def train(
     if not split.train_nodes:
         raise EmptyTrainSet("no training nodes")
     train_graph = split.train_graph
-    if not train_graph.edges:
+    if not train_graph.num_edges:
         raise DegenerateGraph("training graph has no edges")
 
     # features aligned with the train graph's dense indices
@@ -434,24 +432,26 @@ def predict_new_node(
 
     The new cell's features must already be normalized with the stored
     normalization parameters; ``coords`` are its raw (lat, lon). For the
-    GNN the new cell embeds with an empty neighborhood while existing cells
-    embed over the full deployed graph.
+    GNN the new cell embeds with an empty neighborhood while each candidate
+    embeds over its neighbors in the deployed graph; an embedding reads
+    only its own 1-hop neighborhood, so only the candidates are embedded.
     """
-    cands = candidates_for_new(graph, coords, cand_cfg)
-    if not cands:
+    cand_idx, _ = candidate_indices(graph.features.coords(), coords, cand_cfg)
+    if not len(cand_idx):
         return Prediction(neighbors=[], no_candidates=True)
 
+    # row 0 is the new cell, rows 1..K its candidates
     new_x = np.asarray(new_features_norm, dtype=np.float64)
     if isinstance(params, models.GnnParams):
-        base_rows = models.sage_embed(params, features_norm, graph)
+        cand_rows = models.sage_embed(params, features_norm, graph, rows=cand_idx)
         new_row = models.new_node_embedding(params, new_x)
     else:
-        base_rows = np.asarray(features_norm, dtype=np.float64)
+        cand_rows = np.asarray(features_norm, dtype=np.float64)[cand_idx]
         new_row = new_x
-    rows = np.vstack([base_rows, new_row[None, :]])
-    new_idx = graph.n
-    cand_idx = np.array([graph.index_of(c) for c, _ in cands], dtype=np.int64)
-    pairs = np.column_stack([np.full(len(cand_idx), new_idx, dtype=np.int64), cand_idx])
+    rows = np.vstack([new_row[None, :], cand_rows])
+    pairs = np.column_stack(
+        [np.zeros(len(cand_idx), dtype=np.int64), np.arange(1, len(cand_idx) + 1)]
+    )
     scores = models.symmetric_score_batch(params, rows, pairs)
 
     keep = scores >= cutoff

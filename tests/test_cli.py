@@ -284,3 +284,97 @@ class TestTrainEvalPredict:
             "--new-cell", cell_path,
         ])
         assert code == 2
+
+
+def _drop_b1(obj):
+    del obj["arrays"]["b1"]
+
+
+def _shape_not_data(obj):
+    obj["arrays"]["w2"]["shape"] = [3, 3]
+
+
+def _broken_layer_chain(obj):
+    rows = obj["arrays"]["w2"]["shape"][0]
+    obj["arrays"]["w2"] = {"shape": [rows, rows + 1], "data": [0.0] * (rows * (rows + 1))}
+
+
+def _non_finite(obj):
+    obj["arrays"]["w1"]["data"][0] = float("nan")
+
+
+PARAM_DEFECTS = {
+    "missing_array": _drop_b1,
+    "shape_not_data": _shape_not_data,
+    "broken_layer_chain": _broken_layer_chain,
+    "non_finite": _non_finite,
+}
+
+
+class TestMalformedModelFiles:
+    """A broken params or norm-params file is a validation error: exit 2, one error line."""
+
+    @pytest.fixture
+    def trained(self, tmp_path):
+        cfg = write_json(tmp_path / "exp.json", EXPERIMENT_CFG)
+        out = tmp_path / "model"
+        assert main(["train", "--config", cfg, "--out", str(out), "--model", "mlp"]) == 0
+        return cfg, out
+
+    @staticmethod
+    def broken_copy(path, defect, tmp_path):
+        obj = json.loads(path.read_text())
+        defect(obj)
+        return write_json(tmp_path / f"broken_{path.name}", obj)
+
+    @staticmethod
+    def predict(out, tmp_path, params, norm_params):
+        data_dir = out / "data"
+        with open(data_dir / "cells.csv") as fh:
+            header = fh.readline().strip().split(",")
+            first_row = fh.readline().strip().split(",")
+        cell_path = write_json(tmp_path / "new.json", dict(zip(header[1:], map(float, first_row[1:]))))
+        return main([
+            "predict", "--params", params, "--norm-params", norm_params,
+            "--cells", str(data_dir / "cells.csv"), "--edges", str(data_dir / "edges.csv"),
+            "--new-cell", cell_path, "--k", "10",
+        ])
+
+    @staticmethod
+    def assert_refused(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert [line for line in err.splitlines() if line.startswith("error: ")], err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("defect", sorted(PARAM_DEFECTS))
+    def test_eval_refuses_params(self, trained, tmp_path, capsys, defect):
+        cfg, out = trained
+        params = self.broken_copy(out / "params_mlp.json", PARAM_DEFECTS[defect], tmp_path)
+        code = main(["eval", "--params", params, "--config", cfg, "--out", str(tmp_path / "eval")])
+        self.assert_refused(code, capsys)
+
+    @pytest.mark.parametrize("defect", sorted(PARAM_DEFECTS))
+    def test_predict_refuses_params(self, trained, tmp_path, capsys, defect):
+        _, out = trained
+        params = self.broken_copy(out / "params_mlp.json", PARAM_DEFECTS[defect], tmp_path)
+        code = self.predict(out, tmp_path, params, str(out / "norm_params.json"))
+        self.assert_refused(code, capsys)
+
+    @pytest.mark.parametrize("defect", ["short_std", "non_finite_mean", "negative_std", "not_json"])
+    def test_predict_refuses_norm_params(self, trained, tmp_path, capsys, defect):
+        _, out = trained
+        path = tmp_path / "broken_norm.json"
+        if defect == "not_json":
+            path.write_text("{")
+        else:
+            obj = json.loads((out / "norm_params.json").read_text())
+            if defect == "short_std":
+                obj["std"] = obj["std"][:-1]
+            elif defect == "non_finite_mean":
+                obj["mean"][0] = float("inf")
+            else:
+                obj["std"][0] = -1.0
+            write_json(path, obj)
+        code = self.predict(out, tmp_path, str(out / "params_mlp.json"), str(path))
+        self.assert_refused(code, capsys)

@@ -255,3 +255,27 @@ class TestSerialization:
             assert models.kind_of(back) == kind
             for name, arr in models.params_to_dict(params).items():
                 assert np.array_equal(arr, models.params_to_dict(back)[name])
+
+
+class TestLossFn:
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_coordinate_losses_match_one_at_a_time(self, kind):
+        # the batched perturbation path of the gradient checker against the
+        # scalar loss with each coordinate actually moved
+        rng = np.random.default_rng(8)
+        graph = make_graph(5, [(0, 1), (1, 2), (3, 4)])
+        x = rng.normal(size=(5, 3))
+        pairs = np.array([[0, 1], [2, 4], [3, 0]])
+        labels = np.array([1.0, 0.0, 1.0])
+        loss_fn = models.make_loss_fn(kind, x, pairs, labels, graph=graph if kind == "gnn" else None)
+        init = models.init_params(kind, k=3, hidden=4, embed=4, seed=2)
+        d = {name: arr + rng.normal(scale=0.1, size=arr.shape) for name, arr in models.params_to_dict(init).items()}
+        for name, arr in d.items():
+            for delta in (1e-3, -1e-3):
+                batched = loss_fn.coordinate_losses(d, name, delta)
+                one_at_a_time = []
+                for idx in range(arr.size):
+                    moved = arr.copy()
+                    moved.flat[idx] += delta
+                    one_at_a_time.append(loss_fn({**d, name: moved}))
+                np.testing.assert_allclose(batched, one_at_a_time, rtol=0, atol=1e-12)

@@ -153,6 +153,11 @@ class TestGradCheck:
         assert not report.passed
         assert report.worst_param == "w[0]"
 
+    def test_nan_loss_fails(self):
+        _, params, grads = self.quadratic()
+        report = grad_check(lambda d: float("nan"), params, grads, tolerance=1e-4)
+        assert not report.passed
+
     def test_zero_parameter_model_vacuous_pass(self):
         report = grad_check(lambda d: 0.0, {}, {}, tolerance=1e-4)
         assert report.passed

@@ -5,7 +5,7 @@ neighbor candidates, and trains two inductive link predictors (a concat-MLP
 baseline and a GraphSAGE-based GNN) to score cell pairs.
 """
 
-from .candidate import CandidateConfig, DistanceMetric, candidates, candidates_for_new, geo_distance
+from .candidate import CandidateConfig, candidates, candidates_for_new, geo_distance
 from .graph import CellId, FeatureMatrix, NodeSplit, RanGraph, build_graph, remove_nodes, split_nodes
 from .report import EvalReport
 
@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CandidateConfig",
     "CellId",
-    "DistanceMetric",
     "EvalReport",
     "FeatureMatrix",
     "NodeSplit",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,18 +22,12 @@ from .report import EvalReport
 EARTH_RADIUS_KM = 6371.0
 
 
-class DistanceMetric(Enum):
-    HAVERSINE_KM = "haversine_km"
-    EUCLIDEAN_DEGREES = "euclidean_degrees"
-
-
 @dataclass(frozen=True)
 class CandidateConfig:
-    """K = max number of candidates, m = max distance (km by default)."""
+    """K = max number of candidates, m = max haversine distance in km."""
 
     k: int
     max_dist: float = math.inf
-    metric: DistanceMetric = DistanceMetric.HAVERSINE_KM
 
     def __post_init__(self):
         if self.k < 0:
@@ -42,15 +35,16 @@ class CandidateConfig:
         if self.max_dist < 0:
             raise ValidationError("max distance must be >= 0")
 
+    @classmethod
+    def from_dict(cls, obj: dict) -> "CandidateConfig":
+        """From ``{"k": ..., "max_dist_km": ...}``; a null distance means no cap."""
+        max_dist = obj.get("max_dist_km")
+        return cls(k=int(obj["k"]), max_dist=math.inf if max_dist is None else float(max_dist))
 
-def geo_distance(a, b, metric: DistanceMetric = DistanceMetric.HAVERSINE_KM) -> float:
-    """Distance between two (lat, lon) points in degrees.
 
-    Haversine returns kilometers on a sphere of radius 6371 km; the
-    Euclidean variant returns plain degrees.
-    """
-    if metric is DistanceMetric.EUCLIDEAN_DEGREES:
-        return math.hypot(a[0] - b[0], a[1] - b[1])
+def geo_distance(a, b) -> float:
+    """Haversine distance in km, on a sphere of radius 6371 km, between two
+    (lat, lon) points in degrees."""
     lat1, lon1, lat2, lon2 = map(math.radians, (a[0], a[1], b[0], b[1]))
     s = (
         math.sin((lat2 - lat1) / 2) ** 2
@@ -59,13 +53,10 @@ def geo_distance(a, b, metric: DistanceMetric = DistanceMetric.HAVERSINE_KM) -> 
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
 
 
-def _distances_to_all(coords: np.ndarray, point, metric: DistanceMetric) -> np.ndarray:
+def _distances_to_all(coords: np.ndarray, point) -> np.ndarray:
     """Vectorized distances from one (lat, lon) point to every row of coords."""
     if coords.size == 0:
         return np.empty(0)
-    if metric is DistanceMetric.EUCLIDEAN_DEGREES:
-        diff = coords - np.asarray(point)
-        return np.hypot(diff[:, 0], diff[:, 1])
     lat1 = math.radians(point[0])
     lon1 = math.radians(point[1])
     lat2 = np.radians(coords[:, 0])
@@ -85,7 +76,7 @@ def candidate_indices(
     Rows farther than the max distance and the ``exclude`` row are dropped;
     the rest are sorted by (distance, index) and truncated to K.
     """
-    dist = _distances_to_all(coords, point, cfg.metric)
+    dist = _distances_to_all(coords, point)
     keep = dist <= cfg.max_dist
     if exclude is not None:
         keep[exclude] = False

@@ -10,15 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 
 from . import models, pipeline
-from .candidate import CandidateConfig
-from .data_io import NormParams, parse_cells_csv, parse_edges_csv, zscore_apply, zscore_fit
+from .candidate import CandidateConfig, evaluate_candidates
+from .data_io import NormParams, parse_cells_csv, parse_edges_csv, parse_new_cell, zscore_apply
 from .errors import InternalError, IoError, RanTopoError, StageError, ValidationError
-from .graph import FeatureMatrix, build_graph, split_nodes
+from .graph import build_graph, split_nodes
 from .synth import SynthConfig, export, generate
 
 log = logging.getLogger("ran_topo")
@@ -60,43 +59,36 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         cfg = SynthConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
     gt = generate(cfg)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        export(gt, args.out)
-        meta = {
-            "config": cfg.to_dict(),
-            "nodes": gt.graph.n,
-            "edges": gt.graph.num_edges,
-        }
-        with open(os.path.join(args.out, "groundtruth-meta.json"), "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    os.makedirs(args.out, exist_ok=True)
+    export(gt, args.out)
+    meta = {
+        "config": cfg.to_dict(),
+        "nodes": gt.graph.n,
+        "edges": gt.graph.num_edges,
+    }
+    with open(os.path.join(args.out, "groundtruth-meta.json"), "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     log.info("wrote %d cells, %d edges to %s", gt.graph.n, gt.graph.num_edges, args.out)
     return EXIT_OK
 
 
+def _candidate_config(args) -> CandidateConfig:
+    return CandidateConfig.from_dict({"k": args.k, "max_dist_km": args.max_dist_km})
+
+
 def cmd_candidates(args) -> int:
     graph = _load_graph(args.cells, args.edges)
-    cfg = CandidateConfig(
-        k=args.k,
-        max_dist=math.inf if args.max_dist_km is None else args.max_dist_km,
-    )
+    cfg = _candidate_config(args)
     ratios = tuple(float(r) for r in args.eval_split.split(","))
     split = split_nodes(graph, ratios, seed=pipeline.subseed(args.seed, "split"))
-    from .candidate import evaluate_candidates
-
     report = evaluate_candidates(graph, split.val_nodes, cfg)
     text = report.to_json()
     print(text)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-                fh.write("\n")
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+        with open(args.out, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
     return EXIT_OK
 
 
@@ -110,111 +102,42 @@ def _experiment_config(args) -> dict:
 def cmd_train(args) -> int:
     config = _experiment_config(args)
     data = pipeline.prepare_experiment(config, args.out)
-    os.makedirs(args.out, exist_ok=True)
-    train_obj = dict(config.get("train", {}))
-    dims = config.get("dims", {})
     kinds = [args.model] if args.model != "both" else [models.MLP_KIND, models.GNN_KIND]
-    seed = int(config.get("seed", 0))
+    results = {}
     for kind in kinds:
-        cfg = pipeline.TrainConfig(
-            epochs=int(train_obj.get("epochs", 150)),
-            batch_size=int(train_obj.get("batch_size", 512)),
-            learning_rate=float(train_obj.get("learning_rate", 1e-3)),
-            seed=pipeline.subseed(seed, f"train_{kind}"),
-            resample_negatives=bool(train_obj.get("resample_negatives", True)),
-            patience=train_obj.get("patience"),
-        )
-        result = pipeline.train(
-            kind, data.graph, data.features_norm, data.split, cfg,
-            hidden=int(dims.get("h", models.DEFAULT_HIDDEN)),
-            embed=int(dims.get("d", models.DEFAULT_EMBED)),
-        )
-        try:
-            with open(os.path.join(args.out, f"params_{kind}.json"), "w") as fh:
-                fh.write(models.params_to_json(result.params))
-                fh.write("\n")
-            pipeline._write_history_csv(
-                os.path.join(args.out, f"history_{kind}.csv"), result.history
-            )
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+        results[kind] = result = pipeline.train_model(kind, data, config)
         log.info(
             "%s: best val accuracy %.4f at epoch %d",
             kind, result.best_val_accuracy, result.best_epoch,
         )
-    try:
-        with open(os.path.join(args.out, "norm_params.json"), "w") as fh:
-            fh.write(data.norm_params.to_json())
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    pipeline.write_models(args.out, results, data.norm_params)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     config = _experiment_config(args)
-    try:
-        with open(args.params) as fh:
-            params = models.params_from_json(fh.read())
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    with open(args.params) as fh:
+        params = models.params_from_json(fh.read())
     data = pipeline.prepare_experiment(config)
-    seed = int(config.get("seed", 0))
-    cutoff = float(config.get("cutoff", pipeline.DEFAULT_CUTOFF))
-    filter_cfg = pipeline._candidate_config_from_dict(
-        config.get("filter", {"k": 60, "max_dist_km": None})
-    )
-    scorer = pipeline.make_scorer(params, data.features_norm, embed_graph=data.graph)
-    kind = models.kind_of(params)
-    os.makedirs(args.out, exist_ok=True)
-    for mode in (
-        pipeline.Balanced(),
-        pipeline.AllPairs(),
-        pipeline.CandidateFiltered(filter_cfg),
-    ):
-        name = pipeline.mode_name(mode)
-        report = pipeline.evaluate(
-            scorer, data.graph, data.split.val_nodes, mode, cutoff=cutoff,
-            seed=pipeline.subseed(seed, f"eval_{kind}_{name}"),
-        )
+    reports = pipeline.evaluate_model(params, data, config)
+    for (kind, name), report in reports.items():
         print(f"{kind} {name}: acc={report.accuracy:.4f} precision={report.precision:.4f} "
               f"recall={report.recall:.4f} auc={report.auc}")
-        try:
-            with open(os.path.join(args.out, f"{kind}_{name}.json"), "w") as fh:
-                fh.write(report.to_json())
-                fh.write("\n")
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+    pipeline.write_reports(args.out, reports)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    try:
-        with open(args.params) as fh:
-            params = models.params_from_json(fh.read())
-        with open(args.norm_params) as fh:
-            norm = NormParams.from_json(fh.read())
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    with open(args.params) as fh:
+        params = models.params_from_json(fh.read())
+    with open(args.norm_params) as fh:
+        norm = NormParams.from_json(fh.read())
     graph = _load_graph(args.cells, args.edges)
-    new_cell = _load_json(args.new_cell)
-
-    try:
-        coords = (float(new_cell["lat"]), float(new_cell["lon"]))
-        raw = [float(new_cell[name]) for name in graph.features.columns]
-    except KeyError as exc:
-        raise ValidationError(f"new cell is missing feature {exc}") from exc
-
+    new_cell = parse_new_cell(_load_json(args.new_cell), graph.features)
     features_norm = zscore_apply(norm, graph.features).values
-    new_fm = FeatureMatrix(graph.features.columns, [raw], graph.features.coord_cols)
-    new_norm = zscore_apply(norm, new_fm).values[0]
-
-    cand_cfg = CandidateConfig(
-        k=args.k,
-        max_dist=math.inf if args.max_dist_km is None else args.max_dist_km,
-    )
+    new_norm = zscore_apply(norm, new_cell).values[0]
     prediction = pipeline.predict_new_node(
-        params, graph, features_norm, new_norm, coords, cand_cfg,
+        params, graph, features_norm, new_norm, new_cell.coords()[0], _candidate_config(args),
         cutoff=args.cutoff, max_neighbors=args.max_neighbors,
     )
     if prediction.no_candidates:

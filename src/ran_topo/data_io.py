@@ -3,7 +3,8 @@ z-score normalization with train-only statistics.
 
 File formats:
   cells.csv  header ``cell_id,lat,lon,<feature names...>``, UTF-8, ``.``
-             decimal separator, empty field = missing value.
+             decimal separator; an empty, non-numeric or non-finite
+             field is a missing value.
   edges.csv  header ``cell_id_a,cell_id_b``.
   norm_params.json  ``{"columns": [...], "mean": [...], "std": [...]}``.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,11 +49,29 @@ def _as_text_lines(source):
     return source  # assume an open text file
 
 
+def _number(value) -> float:
+    """float(value), or NaN where that fails or is not finite: a missing value."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+    return number if math.isfinite(number) else math.nan
+
+
+def _check_coordinates(lat: float, lon: float, where: str) -> None:
+    """Latitude in [-90, 90], longitude in [-180, 180]; a missing (NaN) one passes."""
+    if lat < -90.0 or lat > 90.0:
+        raise BadCoordinate(f"{where}latitude {lat} outside [-90, 90]")
+    if lon < -180.0 or lon > 180.0:
+        raise BadCoordinate(f"{where}longitude {lon} outside [-180, 180]")
+
+
 def parse_cells_csv(source) -> tuple[list[CellId], FeatureMatrix, np.ndarray]:
     """Read cells.csv into (ids, features, missing mask).
 
-    Row order is preserved. The mask is True where a field was empty or
-    non-numeric. Coordinates must parse and lie in valid ranges.
+    Row order is preserved. The mask is True where a field was empty,
+    non-numeric or not finite (``nan``, ``inf``, ``1e400``); such values
+    read as NaN. Present coordinates must lie in valid ranges.
     """
     reader = csv.reader(_as_text_lines(source))
     header = next(reader, None)
@@ -64,7 +84,6 @@ def parse_cells_csv(source) -> tuple[list[CellId], FeatureMatrix, np.ndarray]:
     ids: list[CellId] = []
     seen = set()
     rows = []
-    mask_rows = []
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -76,26 +95,33 @@ def parse_cells_csv(source) -> tuple[list[CellId], FeatureMatrix, np.ndarray]:
         seen.add(cell_id)
         ids.append(cell_id)
 
-        values = np.empty(len(columns))
-        missing = np.zeros(len(columns), dtype=bool)
-        for k, field in enumerate(row[1:]):
-            field = field.strip()
-            try:
-                values[k] = float(field)
-            except ValueError:
-                values[k] = np.nan
-                missing[k] = True
-        lat, lon = values[0], values[1]
-        if not missing[0] and not -90.0 <= lat <= 90.0:
-            raise BadCoordinate(f"line {line_no}: latitude {lat} outside [-90, 90]")
-        if not missing[1] and not -180.0 <= lon <= 180.0:
-            raise BadCoordinate(f"line {line_no}: longitude {lon} outside [-180, 180]")
+        values = np.array([_number(field) for field in row[1:]])
+        _check_coordinates(values[0], values[1], f"line {line_no}: ")
         rows.append(values)
-        mask_rows.append(missing)
 
     values = np.array(rows) if rows else np.empty((0, len(columns)))
-    mask = np.array(mask_rows) if mask_rows else np.empty((0, len(columns)), dtype=bool)
-    return ids, FeatureMatrix(columns, values), mask
+    return ids, FeatureMatrix(columns, values), np.isnan(values)
+
+
+def parse_new_cell(obj, features: FeatureMatrix) -> FeatureMatrix:
+    """The raw features of a not-yet-deployed cell, given as a JSON object
+    keyed like ``features``' columns, as a one-row matrix in their order.
+
+    Anything but an object holding every column as a finite number, with
+    coordinates in range, raises ValidationError.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"new cell must be a JSON object, got {type(obj).__name__}")
+    missing = [name for name in features.columns if name not in obj]
+    if missing:
+        raise ValidationError(f"new cell is missing features {missing}")
+    row = np.array([_number(obj[name]) for name in features.columns])
+    bad = [name for name, value in zip(features.columns, row) if math.isnan(value)]
+    if bad:
+        raise ValidationError(f"new cell features {bad} are not finite numbers")
+    lat, lon = row[list(features.coord_cols)]
+    _check_coordinates(lat, lon, "new cell: ")
+    return FeatureMatrix(features.columns, row[None, :], features.coord_cols)
 
 
 def parse_edges_csv(source) -> list[tuple[CellId, CellId]]:

@@ -90,10 +90,6 @@ class BadDims(ValidationError):
     pass
 
 
-class IndexOutOfRange(ValidationError):
-    pass
-
-
 # pipeline
 class EmptyEvalSet(ValidationError):
     pass

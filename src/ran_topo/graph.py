@@ -200,12 +200,6 @@ class RanGraph:
         except KeyError:
             raise UnknownNode(f"unknown cell id {node!r}") from None
 
-    def id_of(self, index: int) -> CellId:
-        return self.ids[index]
-
-    def has_edge(self, a: CellId, b: CellId) -> bool:
-        return bool(self.has_edges(self.index_of(a), self.index_of(b)))
-
     def neighbor_indices(self, index: int) -> np.ndarray:
         """Neighbor indices of one node, ascending."""
         return np.sort(self.indices[self.indptr[index] : self.indptr[index + 1]])

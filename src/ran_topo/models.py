@@ -17,21 +17,23 @@ with them trained parameters and report bundles, are bit-for-bit what they
 were. An embedding reads only its node's 1-hop neighborhood, so scoring a
 few cells embeds only those rows.
 
-Parameters live in dataclasses for the public API and in flat name->array
-dicts for the optimizer and gradient checker.
+Parameters are one plain dict of float64 arrays: ``w1, b1, w2, b2, w3, b3``
+for the head, plus ``ws, bs`` for the GNN's SAGE layer, so the key set names
+the kind. ``params_from_dict`` is the one constructor and validator. Scoring,
+the loss, the optimizer, the gradient checker and the params file all take
+the same dict.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDims, IndexOutOfRange, ShapeMismatch, ValidationError
+from .errors import BadDims, ShapeMismatch, ValidationError
 from .graph import FeatureMatrix, RanGraph
-from .neural import LinearLayer, bce_loss, glorot_uniform, relu, sigmoid
+from .neural import bce_loss, glorot_uniform, relu, sigmoid
 
 MLP_KIND = "mlp"
 GNN_KIND = "gnn"
@@ -40,56 +42,52 @@ DEFAULT_K = 8
 DEFAULT_HIDDEN = 64
 DEFAULT_EMBED = 64
 
-
-@dataclass(frozen=True, eq=False)
-class MlpParams:
-    """Three-layer head: (h x 2k) -> (h x h) -> (1 x h)."""
-
-    layer1: LinearLayer
-    layer2: LinearLayer
-    layer3: LinearLayer
-
-    def __post_init__(self):
-        if self.layer1.in_dim % 2 != 0:
-            raise ShapeMismatch("first layer input must be a concatenated pair")
-        if self.layer2.in_dim != self.layer1.out_dim:
-            raise ShapeMismatch("layer1 -> layer2 shape chain broken")
-        if self.layer3.in_dim != self.layer2.out_dim or self.layer3.out_dim != 1:
-            raise ShapeMismatch("layer3 must map hidden dim to a single logit")
-
-    @property
-    def input_dim(self) -> int:
-        """Per-node input size (half the concatenated pair)."""
-        return self.layer1.in_dim // 2
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.layer1.out_dim
+# array names of each kind, in params-file order
+_PARAM_ARRAYS = {
+    MLP_KIND: ("w1", "b1", "w2", "b2", "w3", "b3"),
+    GNN_KIND: ("ws", "bs", "w1", "b1", "w2", "b2", "w3", "b3"),
+}
 
 
-@dataclass(frozen=True, eq=False)
-class GnnParams:
-    """SAGE layer (d x 2k) plus an MLP head over concatenated embeddings."""
-
-    sage: LinearLayer
-    head: MlpParams
-
-    def __post_init__(self):
-        if self.sage.in_dim % 2 != 0:
-            raise ShapeMismatch("SAGE input must be concat(own, neighbor mean)")
-        if self.head.input_dim != self.sage.out_dim:
-            raise ShapeMismatch("head input dim must equal embedding dim")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.sage.in_dim // 2
-
-    @property
-    def embed_dim(self) -> int:
-        return self.sage.out_dim
+def kind_of(params: dict[str, np.ndarray]) -> str:
+    """The key set names the kind: only GNN params hold the SAGE layer."""
+    return GNN_KIND if "ws" in params else MLP_KIND
 
 
-ModelParams = MlpParams | GnnParams
+def feature_width(params: dict[str, np.ndarray]) -> int:
+    """Features per cell the params take: half the first layer's input."""
+    return params["ws" if kind_of(params) == GNN_KIND else "w1"].shape[1] // 2
+
+
+def params_from_dict(kind: str, arrays: dict) -> dict[str, np.ndarray]:
+    """Validated parameters of a model kind, in ``_PARAM_ARRAYS`` order.
+
+    The names must be exactly the kind's. Arrays are cast to float64;
+    weights must be 2-D, biases 1-D and as long as their weight's rows, and
+    the layers must chain: (h x 2k) -> (h x h) -> (1 x h) for the head, and
+    for the GNN a (d x 2k) SAGE layer whose pair of embeddings is the
+    head's 2d-wide input.
+    """
+    if kind not in _PARAM_ARRAYS:
+        raise BadDims(f"unknown model kind {kind!r}")
+    names = _PARAM_ARRAYS[kind]
+    if set(arrays) != set(names):
+        raise ShapeMismatch(f"{kind} params need arrays {list(names)}, got {sorted(arrays)}")
+    params = {name: np.asarray(arrays[name], dtype=np.float64) for name in names}
+    layers = [name[1:] for name in names[::2]]
+    for layer in layers:
+        w, b = params["w" + layer], params["b" + layer]
+        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
+            raise ShapeMismatch(f"layer {layer} shapes W{w.shape} b{b.shape}")
+    if params["w" + layers[0]].shape[1] % 2:
+        raise ShapeMismatch("first layer input must be a concatenated pair")
+    for lower, upper in zip(layers, layers[1:]):
+        width = params["w" + lower].shape[0] * (2 if lower == "s" else 1)
+        if params["w" + upper].shape[1] != width:
+            raise ShapeMismatch(f"layer {lower} -> layer {upper} shape chain broken")
+    if params["w3"].shape[0] != 1:
+        raise ShapeMismatch("layer 3 must map hidden dim to a single logit")
+    return params
 
 
 def init_params(
@@ -98,57 +96,25 @@ def init_params(
     hidden: int = DEFAULT_HIDDEN,
     embed: int = DEFAULT_EMBED,
     seed: int = 0,
-) -> ModelParams:
+) -> dict[str, np.ndarray]:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     if min(k, hidden, embed) <= 0:
         raise BadDims(f"dims must be positive, got k={k} h={hidden} d={embed}")
     rng = np.random.default_rng(seed)
-
-    def linear(out_dim, in_dim):
-        return LinearLayer(glorot_uniform(rng, out_dim, in_dim), np.zeros(out_dim))
-
-    if kind == MLP_KIND:
-        return MlpParams(linear(hidden, 2 * k), linear(hidden, hidden), linear(1, hidden))
     if kind == GNN_KIND:
-        sage = linear(embed, 2 * k)
-        head = MlpParams(
-            linear(hidden, 2 * embed), linear(hidden, hidden), linear(1, hidden)
-        )
-        return GnnParams(sage, head)
-    raise BadDims(f"unknown model kind {kind!r}")
+        first = {"s": (embed, 2 * k), "1": (hidden, 2 * embed)}
+    else:
+        first = {"1": (hidden, 2 * k)}
+    arrays = {}
+    for layer, (out_dim, in_dim) in {**first, "2": (hidden, hidden), "3": (1, hidden)}.items():
+        arrays["w" + layer] = glorot_uniform(rng, out_dim, in_dim)
+        arrays["b" + layer] = np.zeros(out_dim)
+    return params_from_dict(kind, arrays)
 
 
-# ---------------------------------------------------------------------------
-# flat dict representation (optimizer / gradient-checker currency)
-
-def params_to_dict(params: ModelParams) -> dict[str, np.ndarray]:
-    if isinstance(params, MlpParams):
-        return {
-            "w1": params.layer1.w, "b1": params.layer1.b,
-            "w2": params.layer2.w, "b2": params.layer2.b,
-            "w3": params.layer3.w, "b3": params.layer3.b,
-        }
-    return {
-        "ws": params.sage.w, "bs": params.sage.b,
-        **params_to_dict(params.head),
-    }
-
-
-def params_from_dict(kind: str, arrays: dict[str, np.ndarray]) -> ModelParams:
-    head = MlpParams(
-        LinearLayer(arrays["w1"], arrays["b1"]),
-        LinearLayer(arrays["w2"], arrays["b2"]),
-        LinearLayer(arrays["w3"], arrays["b3"]),
-    )
-    if kind == MLP_KIND:
-        return head
-    if kind == GNN_KIND:
-        return GnnParams(LinearLayer(arrays["ws"], arrays["bs"]), head)
-    raise BadDims(f"unknown model kind {kind!r}")
-
-
-def kind_of(params: ModelParams) -> str:
-    return GNN_KIND if isinstance(params, GnnParams) else MLP_KIND
+def params_to_dict(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """A shallow copy; the parameters already are a name -> array dict."""
+    return dict(params)
 
 
 # ---------------------------------------------------------------------------
@@ -205,28 +171,28 @@ def _sage_forward(d: dict[str, np.ndarray], x: np.ndarray, graph: RanGraph, rows
 
 
 def sage_embed(
-    params: GnnParams, features: FeatureMatrix | np.ndarray, graph: RanGraph, rows=None
+    params: dict[str, np.ndarray], features: FeatureMatrix | np.ndarray, graph: RanGraph, rows=None
 ) -> np.ndarray:
     """Embeddings relu(W_s concat(x, nbr mean) + b_s) for every graph node,
     or, given ``rows``, for those nodes only, in that order."""
     x = features.values if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     if x.shape[0] != graph.n:
         raise ShapeMismatch(f"{x.shape[0]} feature rows for {graph.n} nodes")
-    if x.shape[1] != params.feature_dim:
+    if x.shape[1] != feature_width(params):
         raise ShapeMismatch(
-            f"feature dim {x.shape[1]} != SAGE feature dim {params.feature_dim}"
+            f"feature dim {x.shape[1]} != SAGE feature dim {feature_width(params)}"
         )
-    embeddings, _ = _sage_forward(params_to_dict(params), x, graph, rows)
+    embeddings, _ = _sage_forward(params, x, graph, rows)
     return embeddings
 
 
-def new_node_embedding(params: GnnParams, features_vec: np.ndarray) -> np.ndarray:
+def new_node_embedding(params: dict[str, np.ndarray], features_vec: np.ndarray) -> np.ndarray:
     """Embedding of a cell whose edges are not yet known (empty neighborhood)."""
     x = np.asarray(features_vec, dtype=np.float64)
-    if x.shape != (params.feature_dim,):
-        raise ShapeMismatch(f"expected feature vector of length {params.feature_dim}")
+    if x.shape != (feature_width(params),):
+        raise ShapeMismatch(f"expected feature vector of length {feature_width(params)}")
     h = np.concatenate([x, np.zeros_like(x)])
-    return relu(params.sage.w @ h + params.sage.b)
+    return relu(params["ws"] @ h + params["bs"])
 
 
 # ---------------------------------------------------------------------------
@@ -236,81 +202,24 @@ def _pair_input(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return np.concatenate([x[pairs[:, 0]], x[pairs[:, 1]]], axis=1)
 
 
-def mlp_score_batch(params: MlpParams, x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Raw ordered-pair probabilities for index pairs into feature rows x."""
+def symmetric_score_batch(
+    params: dict[str, np.ndarray], rows: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """Probabilities of index pairs into ``rows`` (normalized features for
+    the MLP, embeddings for the GNN): the mean of both concat orders, so
+    score(a, b) = score(b, a) exactly. Evaluation and prediction use this."""
     pairs = np.asarray(pairs)
-    probs, _ = _head_forward(params_to_dict(params), _pair_input(x, pairs))
-    return probs
-
-
-def mlp_score(params: MlpParams, x_i, x_j) -> float:
-    x_i = np.asarray(x_i, dtype=np.float64)
-    x_j = np.asarray(x_j, dtype=np.float64)
-    if x_i.shape != (params.input_dim,) or x_j.shape != (params.input_dim,):
-        raise ShapeMismatch(
-            f"expected two vectors of length {params.input_dim}"
-        )
-    probs, _ = _head_forward(
-        params_to_dict(params), np.concatenate([x_i, x_j])[None, :]
-    )
-    return float(probs[0])
-
-
-def gnn_score_batch(params: GnnParams, embeddings: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    pairs = np.asarray(pairs)
-    probs, _ = _head_forward(params_to_dict(params.head), _pair_input(embeddings, pairs))
-    return probs
-
-
-def gnn_score(params: GnnParams, embeddings: np.ndarray, i: int, j: int) -> float:
-    n = embeddings.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexOutOfRange(f"pair ({i}, {j}) outside [0, {n})")
-    return float(gnn_score_batch(params, embeddings, np.array([[i, j]]))[0])
-
-
-def symmetric_score(score_fn, a, b) -> float:
-    """Average of the two concat orders; evaluation always uses this."""
-    return 0.5 * (score_fn(a, b) + score_fn(b, a))
-
-
-def symmetric_score_batch(params: ModelParams, x_or_e: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    pairs = np.asarray(pairs)
-    flipped = pairs[:, ::-1]
-    if isinstance(params, GnnParams):
-        return 0.5 * (
-            gnn_score_batch(params, x_or_e, pairs)
-            + gnn_score_batch(params, x_or_e, flipped)
-        )
-    return 0.5 * (
-        mlp_score_batch(params, x_or_e, pairs) + mlp_score_batch(params, x_or_e, flipped)
-    )
+    # [0] drops each pass's activation cache before the next pass allocates its own
+    forward = _head_forward(params, _pair_input(rows, pairs))[0]
+    backward = _head_forward(params, _pair_input(rows, pairs[:, ::-1]))[0]
+    return 0.5 * (forward + backward)
 
 
 # ---------------------------------------------------------------------------
 # loss and gradients (mean BCE over a batch of ordered labeled pairs)
 
-def _mean_bce_from_dict(
-    kind: str,
-    d: dict[str, np.ndarray],
-    x: np.ndarray,
-    pairs: np.ndarray,
-    labels: np.ndarray,
-    graph: RanGraph | None,
-):
-    if kind == GNN_KIND:
-        embeddings, sage_cache = _sage_forward(d, x, graph)
-        rows = embeddings
-    else:
-        sage_cache = None
-        rows = x
-    probs, head_cache = _head_forward(d, _pair_input(rows, pairs))
-    loss = float(np.mean(bce_loss(probs, labels)))
-    return loss, probs, rows, sage_cache, head_cache
-
-
 def loss_and_grads(
-    params: ModelParams,
+    params: dict[str, np.ndarray],
     x: np.ndarray,
     pairs: np.ndarray,
     labels: np.ndarray,
@@ -324,16 +233,17 @@ def loss_and_grads(
     kind = kind_of(params)
     if kind == GNN_KIND and graph is None:
         raise ValidationError("GNN loss needs the graph for the SAGE layer")
-    d = params_to_dict(params)
     pairs = np.asarray(pairs)
     labels = np.asarray(labels, dtype=np.float64)
-    loss, probs, rows, sage_cache, head_cache = _mean_bce_from_dict(
-        kind, d, x, pairs, labels, graph
-    )
+    rows = x
+    if kind == GNN_KIND:
+        rows, sage_cache = _sage_forward(params, x, graph)
+    probs, head_cache = _head_forward(params, _pair_input(rows, pairs))
+    loss = float(np.mean(bce_loss(probs, labels)))
     # d(mean BCE)/d(logit) with the sigmoid folded in; clamping almost never
     # binds and is ignored in the gradient
     dlogit = (probs - labels) / labels.size
-    grads, dinput = _head_backward(d, head_cache, dlogit)
+    grads, dinput = _head_backward(params, head_cache, dlogit)
     if kind == GNN_KIND:
         embed_dim = rows.shape[1]
         dembed = np.zeros_like(rows)
@@ -346,29 +256,18 @@ def loss_and_grads(
     return loss, grads
 
 
-def params_to_json(params: ModelParams) -> str:
+def params_to_json(params: dict[str, np.ndarray]) -> str:
     """JSON with shape metadata and row-major arrays; exact round-trip."""
     kind = kind_of(params)
-    if kind == MLP_KIND:
-        dims = {"k": params.input_dim, "h": params.hidden_dim}
-    else:
-        dims = {
-            "k": params.feature_dim,
-            "d": params.embed_dim,
-            "h": params.head.hidden_dim,
-        }
+    dims = {"k": feature_width(params)}
+    if kind == GNN_KIND:
+        dims["d"] = params["ws"].shape[0]
+    dims["h"] = params["w1"].shape[0]
     arrays = {
-        name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-        for name, arr in params_to_dict(params).items()
+        name: {"shape": list(params[name].shape), "data": params[name].ravel().tolist()}
+        for name in _PARAM_ARRAYS[kind]
     }
     return json.dumps({"kind": kind, "dims": dims, "arrays": arrays}, indent=2)
-
-
-# array names each kind's params file must hold
-_PARAM_ARRAYS = {
-    MLP_KIND: ("w1", "b1", "w2", "b2", "w3", "b3"),
-    GNN_KIND: ("ws", "bs", "w1", "b1", "w2", "b2", "w3", "b3"),
-}
 
 
 def _array_from_spec(name: str, spec) -> np.ndarray:
@@ -390,12 +289,12 @@ def _array_from_spec(name: str, spec) -> np.ndarray:
     return data.reshape(shape)
 
 
-def params_from_json(text: str) -> ModelParams:
+def params_from_json(text: str) -> dict[str, np.ndarray]:
     """Inverse of params_to_json; a malformed file raises ValidationError.
 
-    Checks the kind, that every array the kind needs is present, that each
-    declared shape matches its data, that the values are finite, and that
-    the layer shapes chain.
+    Checks the kind, that each declared shape matches its data and that the
+    values are finite; ``params_from_dict`` then checks that the arrays are
+    exactly the kind's and that the layer shapes chain.
     """
     try:
         obj = json.loads(text)
@@ -407,10 +306,7 @@ def params_from_json(text: str) -> ModelParams:
     specs = obj.get("arrays")
     if not isinstance(specs, dict):
         raise ValidationError("params file needs an 'arrays' object")
-    missing = [name for name in _PARAM_ARRAYS[kind] if name not in specs]
-    if missing:
-        raise ValidationError(f"{kind} params file is missing arrays {missing}")
-    arrays = {name: _array_from_spec(name, specs[name]) for name in _PARAM_ARRAYS[kind]}
+    arrays = {name: _array_from_spec(name, spec) for name, spec in specs.items()}
     return params_from_dict(kind, arrays)
 
 

@@ -1,9 +1,9 @@
 """Minimal dense neural-network engine.
 
-Everything is float64 numpy: linear layers, ReLU, sigmoid, binary
-cross-entropy, Adam, Glorot initialization, and a central-difference
-gradient checker. The two model architectures in ran_topo.models own their
-backward passes; this module provides the shared pieces.
+Everything is float64 numpy: ReLU, sigmoid, binary cross-entropy, Adam,
+Glorot initialization, and a central-difference gradient checker. The two
+model architectures in ran_topo.models own their backward passes; this
+module provides the shared pieces.
 """
 
 from __future__ import annotations
@@ -18,50 +18,8 @@ BCE_EPS = 1e-12
 FD_STEP = 1e-5
 
 
-@dataclass(frozen=True, eq=False)
-class LinearLayer:
-    """Affine map y = W x + b with W of shape (out, in)."""
-
-    w: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", b)
-        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-            raise ShapeMismatch(f"linear layer shapes W{w.shape} b{b.shape}")
-
-    @property
-    def out_dim(self) -> int:
-        return self.w.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.w.shape[1]
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Apply to a vector (in,) or a batch (B, in)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.in_dim:
-            raise ShapeMismatch(
-                f"input dim {x.shape[-1]} != layer in-dim {self.in_dim}"
-            )
-        return x @ self.w.T + self.b
-
-
-def linear_forward(layer: LinearLayer, x: np.ndarray) -> np.ndarray:
-    return layer.forward(x)
-
-
 def relu(x):
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def relu_grad(pre):
-    # subgradient at exactly 0 is 0
-    return (np.asarray(pre) > 0).astype(np.float64)
 
 
 def sigmoid(x):

@@ -2,6 +2,11 @@
 (balanced, all-pairs, candidate-filtered), AUC, new-node prediction, and the
 end-to-end experiment runner.
 
+``train_model``, ``evaluate_model`` and ``write_models`` are the one
+config -> train -> evaluate -> write path: ``run_experiment`` and the
+``train`` and ``eval`` subcommands all go through them, so both model kinds
+are trained, scored and written by the same code.
+
 Everything is seeded: one experiment seed fans out into named stage
 sub-seeds, so any stage can be reproduced on its own and a full run is
 byte-identical when repeated.
@@ -12,7 +17,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -27,7 +31,9 @@ from .errors import (
     DegenerateGraph,
     EmptyEvalSet,
     EmptyTrainSet,
+    IoError,
     NotEnoughNegatives,
+    ShapeMismatch,
     SingleClassOnly,
     StageError,
     ValidationError,
@@ -200,37 +206,41 @@ def auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 # scoring
 
-@dataclass(frozen=True, eq=False)
-class PairScorer:
-    """Symmetric pair scorer over a fixed row matrix.
+def _check_width(params: dict[str, np.ndarray], features_norm: np.ndarray) -> None:
+    width = models.feature_width(params)
+    if features_norm.shape[1] != width:
+        raise ShapeMismatch(
+            f"the params take {width} features per cell, the data has {features_norm.shape[1]}"
+        )
 
-    For the MLP the rows are normalized features; for the GNN they are
-    embeddings computed once from the graph snapshot this scorer was built
-    with.
-    """
 
-    params: models.ModelParams
-    rows: np.ndarray
-
-    def __call__(self, pairs: np.ndarray) -> np.ndarray:
-        return models.symmetric_score_batch(self.params, self.rows, pairs)
+def _node_rows(
+    params: dict[str, np.ndarray], features_norm: np.ndarray, graph: RanGraph, rows=None
+) -> np.ndarray:
+    """What the head scores pairs of: normalized features for the MLP, SAGE
+    embeddings over ``graph`` for the GNN; every node's, or those of ``rows``."""
+    if models.kind_of(params) == models.GNN_KIND:
+        return models.sage_embed(params, features_norm, graph, rows)
+    return features_norm if rows is None else features_norm[rows]
 
 
 def make_scorer(
-    params: models.ModelParams,
+    params: dict[str, np.ndarray],
     features_norm: np.ndarray,
     embed_graph: RanGraph | None = None,
-) -> PairScorer:
-    """Build a PairScorer; the GNN needs the graph whose edges the SAGE
-    layer may aggregate over (the masked graph during evaluation of unseen
-    nodes, the deployed graph in production)."""
-    if isinstance(params, models.GnnParams):
-        if embed_graph is None:
-            raise ValidationError("GNN scorer needs a graph for embeddings")
-        rows = models.sage_embed(params, features_norm, embed_graph)
-    else:
-        rows = np.asarray(features_norm, dtype=np.float64)
-    return PairScorer(params, rows)
+):
+    """Symmetric pair scorer: maps an (B, 2) index-pair array to probabilities.
+
+    The rows it scores are computed once. The GNN needs the graph whose
+    edges the SAGE layer may aggregate over (the masked graph during
+    evaluation of unseen nodes, the deployed graph in production).
+    """
+    features_norm = np.asarray(features_norm, dtype=np.float64)
+    _check_width(params, features_norm)
+    if models.kind_of(params) == models.GNN_KIND and embed_graph is None:
+        raise ValidationError("GNN scorer needs a graph for embeddings")
+    rows = _node_rows(params, features_norm, embed_graph)
+    return lambda pairs: models.symmetric_score_batch(params, rows, pairs)
 
 
 def evaluate(
@@ -244,7 +254,7 @@ def evaluate(
     """Score sampled pairs, threshold at the cutoff, report counts and AUC.
 
     ``scorer`` is any callable mapping an (B, 2) index-pair array to
-    probabilities; pairs are scored symmetrically by PairScorer.
+    probabilities, such as the symmetric one ``make_scorer`` builds.
     """
     pair_set = sample_pairs(graph, eval_nodes, mode, seed=seed)
     if pair_set.pairs.size == 0:
@@ -290,7 +300,7 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrainResult:
-    params: models.ModelParams
+    params: dict[str, np.ndarray]
     history: list[dict]  # epoch, train_loss, val_accuracy
     best_epoch: int
     best_val_accuracy: float
@@ -339,7 +349,6 @@ def train(
     params = models.init_params(
         kind, k=k, hidden=hidden, embed=embed, seed=subseed(cfg.seed, "init")
     )
-    param_dict = {name: arr.copy() for name, arr in models.params_to_dict(params).items()}
     adam = AdamState(lr=cfg.learning_rate)
 
     # fixed balanced validation pair set; embeddings for validation come from
@@ -347,7 +356,6 @@ def train(
     val_pairs = sample_pairs(
         graph, split.val_nodes, Balanced(), seed=subseed(cfg.seed, "val_pairs")
     )
-    eval_graph = graph
 
     sample_rng_seed = subseed(cfg.seed, "negatives")
     shuffle_rng = np.random.default_rng(subseed(cfg.seed, "shuffle"))
@@ -355,7 +363,7 @@ def train(
     history: list[dict] = []
     best_acc = -1.0
     best_epoch = -1
-    best_params_dict = {name: arr.copy() for name, arr in param_dict.items()}
+    best_params = params  # adam_step returns new arrays: a reference is a snapshot
     since_best = 0
 
     for epoch in range(cfg.epochs):
@@ -372,17 +380,15 @@ def train(
         total_loss = 0.0
         for start in range(0, len(ordered), cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            current = models.params_from_dict(kind, param_dict)
             loss, grads = models.loss_and_grads(
-                current, x_train, ordered[batch], labels[batch],
+                params, x_train, ordered[batch], labels[batch],
                 graph=train_graph if kind == models.GNN_KIND else None,
             )
             total_loss += loss * len(labels[batch])
-            param_dict, adam = adam_step(param_dict, grads, adam)
+            params, adam = adam_step(params, grads, adam)
         train_loss = total_loss / len(labels)
 
-        current = models.params_from_dict(kind, param_dict)
-        scorer = make_scorer(current, features_norm, embed_graph=eval_graph)
+        scorer = make_scorer(params, features_norm, embed_graph=graph)
         val_scores = scorer(val_pairs.pairs)
         val_acc = float(np.mean((val_scores >= DEFAULT_CUTOFF) == (val_pairs.labels == 1)))
 
@@ -392,7 +398,7 @@ def train(
         if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
-            best_params_dict = {name: arr.copy() for name, arr in param_dict.items()}
+            best_params = params
             since_best = 0
         else:
             since_best += 1
@@ -400,7 +406,7 @@ def train(
                 break
 
     return TrainResult(
-        params=models.params_from_dict(kind, best_params_dict),
+        params=best_params,
         history=history,
         best_epoch=best_epoch,
         best_val_accuracy=best_acc,
@@ -419,7 +425,7 @@ class Prediction:
 
 
 def predict_new_node(
-    params: models.ModelParams,
+    params: dict[str, np.ndarray],
     graph: RanGraph,
     features_norm: np.ndarray,
     new_features_norm: np.ndarray,
@@ -436,19 +442,17 @@ def predict_new_node(
     embeds over its neighbors in the deployed graph; an embedding reads
     only its own 1-hop neighborhood, so only the candidates are embedded.
     """
+    features_norm = np.asarray(features_norm, dtype=np.float64)
+    _check_width(params, features_norm)
     cand_idx, _ = candidate_indices(graph.features.coords(), coords, cand_cfg)
     if not len(cand_idx):
         return Prediction(neighbors=[], no_candidates=True)
 
     # row 0 is the new cell, rows 1..K its candidates
-    new_x = np.asarray(new_features_norm, dtype=np.float64)
-    if isinstance(params, models.GnnParams):
-        cand_rows = models.sage_embed(params, features_norm, graph, rows=cand_idx)
-        new_row = models.new_node_embedding(params, new_x)
-    else:
-        cand_rows = np.asarray(features_norm, dtype=np.float64)[cand_idx]
-        new_row = new_x
-    rows = np.vstack([new_row[None, :], cand_rows])
+    new_row = np.asarray(new_features_norm, dtype=np.float64)
+    if models.kind_of(params) == models.GNN_KIND:
+        new_row = models.new_node_embedding(params, new_row)
+    rows = np.vstack([new_row[None, :], _node_rows(params, features_norm, graph, cand_idx)])
     pairs = np.column_stack(
         [np.zeros(len(cand_idx), dtype=np.int64), np.arange(1, len(cand_idx) + 1)]
     )
@@ -491,14 +495,6 @@ def default_config() -> dict:
         },
         "cutoff": DEFAULT_CUTOFF,
     }
-
-
-def _candidate_config_from_dict(obj: dict) -> CandidateConfig:
-    max_dist = obj.get("max_dist_km")
-    return CandidateConfig(
-        k=int(obj["k"]),
-        max_dist=math.inf if max_dist is None else float(max_dist),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,8 +543,6 @@ def prepare_experiment(config: dict, out_dir: str | None = None) -> ExperimentDa
         else:
             raise BadConfig("config.data needs 'synthetic' or 'cells_csv'/'edges_csv'")
     except OSError as exc:
-        from .errors import IoError
-
         raise StageError("data", IoError(str(exc))) from exc
     except StageError:
         raise
@@ -585,69 +579,72 @@ class ExperimentResult:
     model_reports: dict  # (kind, mode name) -> EvalReport
 
 
+def train_model(kind: str, data: ExperimentData, config: dict) -> TrainResult:
+    """Train one model kind as the experiment config's ``train`` and
+    ``dims`` sections say; a failure carries the stage ``train_<kind>``."""
+    try:
+        train_obj = config.get("train", {})
+        dims = config.get("dims", {})
+        cfg = TrainConfig(
+            epochs=int(train_obj.get("epochs", 150)),
+            batch_size=int(train_obj.get("batch_size", 512)),
+            learning_rate=float(train_obj.get("learning_rate", 1e-3)),
+            seed=subseed(int(config.get("seed", 0)), f"train_{kind}"),
+            resample_negatives=bool(train_obj.get("resample_negatives", True)),
+            patience=train_obj.get("patience"),
+        )
+        return train(
+            kind, data.graph, data.features_norm, data.split, cfg,
+            hidden=int(dims.get("h", models.DEFAULT_HIDDEN)),
+            embed=int(dims.get("d", models.DEFAULT_EMBED)),
+        )
+    except Exception as exc:
+        raise StageError(f"train_{kind}", exc) from exc
+
+
+def evaluate_model(params: dict[str, np.ndarray], data: ExperimentData, config: dict) -> dict:
+    """(kind, mode name) -> EvalReport for the three evaluation modes over
+    the validation cells, with the config's cutoff and candidate ``filter``.
+
+    Scores use the deployed graph; edges are only masked while training. A
+    failure carries the stage ``eval_<kind>``.
+    """
+    kind = models.kind_of(params)
+    seed = int(config.get("seed", 0))
+    try:
+        cutoff = float(config.get("cutoff", DEFAULT_CUTOFF))
+        filter_cfg = CandidateConfig.from_dict(config.get("filter", {"k": 60, "max_dist_km": None}))
+        scorer = make_scorer(params, data.features_norm, embed_graph=data.graph)
+        reports = {}
+        for mode in (Balanced(), AllPairs(), CandidateFiltered(filter_cfg)):
+            name = mode_name(mode)
+            reports[(kind, name)] = evaluate(
+                scorer, data.graph, data.split.val_nodes, mode, cutoff=cutoff,
+                seed=subseed(seed, f"eval_{kind}_{name}"),
+            )
+        return reports
+    except Exception as exc:
+        raise StageError(f"eval_{kind}", exc) from exc
+
+
 def run_experiment(config: dict, out_dir: str | None = None) -> ExperimentResult:
     """Execute the full pipeline and optionally write the report bundle."""
-    seed = int(config.get("seed", 0))
-    cutoff = float(config.get("cutoff", DEFAULT_CUTOFF))
     data = prepare_experiment(config, out_dir)
-    graph, split = data.graph, data.split
-
     try:
         cand_reports = []
         for cand_obj in config.get("candidate_configs", []):
-            cand_cfg = _candidate_config_from_dict(cand_obj)
+            cand_cfg = CandidateConfig.from_dict(cand_obj)
             cand_reports.append(
-                (cand_cfg, evaluate_candidates(graph, split.val_nodes, cand_cfg))
+                (cand_cfg, evaluate_candidates(data.graph, data.split.val_nodes, cand_cfg))
             )
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError("candidate", exc) from exc
 
-    train_obj = dict(config.get("train", {}))
-    dims = config.get("dims", {})
-    hidden = int(dims.get("h", models.DEFAULT_HIDDEN))
-    embed = int(dims.get("d", models.DEFAULT_EMBED))
-
     model_results: dict = {}
     model_reports: dict = {}
-    filter_cfg = _candidate_config_from_dict(
-        config.get("filter", {"k": 60, "max_dist_km": None})
-    )
-    # edges are only masked while training; scoring uses the deployed graph
-    eval_graph = graph
     for kind in (models.MLP_KIND, models.GNN_KIND):
-        try:
-            cfg = TrainConfig(
-                epochs=int(train_obj.get("epochs", 150)),
-                batch_size=int(train_obj.get("batch_size", 512)),
-                learning_rate=float(train_obj.get("learning_rate", 1e-3)),
-                seed=subseed(seed, f"train_{kind}"),
-                resample_negatives=bool(train_obj.get("resample_negatives", True)),
-                patience=train_obj.get("patience"),
-            )
-            result = train(
-                kind, graph, data.features_norm, split, cfg,
-                hidden=hidden, embed=embed,
-            )
-            model_results[kind] = result
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(f"train_{kind}", exc) from exc
-
-        try:
-            scorer = make_scorer(result.params, data.features_norm, embed_graph=eval_graph)
-            for mode in (Balanced(), AllPairs(), CandidateFiltered(filter_cfg)):
-                report = evaluate(
-                    scorer, graph, split.val_nodes, mode, cutoff=cutoff,
-                    seed=subseed(seed, f"eval_{kind}_{mode_name(mode)}"),
-                )
-                model_reports[(kind, mode_name(mode))] = report
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(f"eval_{kind}", exc) from exc
+        model_results[kind] = train_model(kind, data, config)
+        model_reports.update(evaluate_model(model_results[kind].params, data, config))
 
     result = ExperimentResult(
         data=data,
@@ -659,10 +656,14 @@ def run_experiment(config: dict, out_dir: str | None = None) -> ExperimentResult
         try:
             write_bundle(result, config, out_dir)
         except OSError as exc:
-            from .errors import IoError
-
             raise StageError("write", IoError(str(exc))) from exc
     return result
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def _write_history_csv(path: str, history: list[dict]) -> None:
@@ -675,50 +676,52 @@ def _write_history_csv(path: str, history: list[dict]) -> None:
             )
 
 
+def write_models(out_dir: str, model_results: dict, norm_params: NormParams) -> None:
+    """Write what ``eval`` and ``predict`` read back: ``params_<kind>.json``
+    and ``history_<kind>.csv`` per trained kind, and ``norm_params.json``."""
+    os.makedirs(out_dir, exist_ok=True)
+    _write_text(os.path.join(out_dir, "norm_params.json"), norm_params.to_json())
+    for kind, train_result in model_results.items():
+        params_text = models.params_to_json(train_result.params)
+        _write_text(os.path.join(out_dir, f"params_{kind}.json"), params_text)
+        _write_history_csv(os.path.join(out_dir, f"history_{kind}.csv"), train_result.history)
+
+
+def write_reports(out_dir: str, model_reports: dict) -> None:
+    """One ``<kind>_<mode>.json`` per (kind, mode) -> EvalReport entry."""
+    os.makedirs(out_dir, exist_ok=True)
+    for (kind, mode), report in model_reports.items():
+        _write_text(os.path.join(out_dir, f"{kind}_{mode}.json"), report.to_json())
+
+
+def summary_rows(result: ExperimentResult) -> list[tuple[str, str, EvalReport]]:
+    """(model, mode, report) per summary line: candidate baselines first."""
+    return [
+        (f"candidate(k={cfg.k},m={cfg.max_dist})", "all_pairs", report)
+        for cfg, report in result.candidate_reports
+    ] + [(kind, mode, report) for (kind, mode), report in result.model_reports.items()]
+
+
 def write_bundle(result: ExperimentResult, config: dict, out_dir: str) -> None:
     """Write reports, parameters, histories, and summary.csv for a run.
 
     Output is a pure function of the config, so repeated runs are
     byte-identical.
     """
-    os.makedirs(out_dir, exist_ok=True)
     reports_dir = os.path.join(out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
-
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(out_dir, "norm_params.json"), "w") as fh:
-        fh.write(result.data.norm_params.to_json())
-        fh.write("\n")
-
-    summary_rows = []
-    for idx, (cand_cfg, report) in enumerate(result.candidate_reports):
-        with open(os.path.join(reports_dir, f"candidate_{idx}.json"), "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        summary_rows.append(
-            (f"candidate(k={cand_cfg.k},m={cand_cfg.max_dist})", "all_pairs", report)
-        )
-
-    for kind, train_result in result.model_results.items():
-        with open(os.path.join(out_dir, f"params_{kind}.json"), "w") as fh:
-            fh.write(models.params_to_json(train_result.params))
-            fh.write("\n")
-        _write_history_csv(
-            os.path.join(out_dir, f"history_{kind}.csv"), train_result.history
-        )
-
-    for (kind, mode), report in result.model_reports.items():
-        with open(os.path.join(reports_dir, f"{kind}_{mode}.json"), "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        summary_rows.append((kind, mode, report))
+    write_models(out_dir, result.model_results, result.data.norm_params)
+    for idx, (_, report) in enumerate(result.candidate_reports):
+        _write_text(os.path.join(reports_dir, f"candidate_{idx}.json"), report.to_json())
+    write_reports(reports_dir, result.model_reports)
 
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", "mode", "acc_pct", "precision_pct", "recall_pct", "auc"])
-        for model_name, mode, report in summary_rows:
+        for model_name, mode, report in summary_rows(result):
             writer.writerow(
                 [
                     model_name,
@@ -734,11 +737,7 @@ def write_bundle(result: ExperimentResult, config: dict, out_dir: str) -> None:
 def format_summary(result: ExperimentResult) -> str:
     """Human-readable table mirroring the report columns."""
     lines = [f"{'model':<34} {'mode':<20} {'ACC %':>7} {'Prec %':>7} {'Rec %':>7} {'AUC':>7}"]
-    rows = [
-        (f"candidate(k={cfg.k},m={cfg.max_dist})", "all_pairs", rep)
-        for cfg, rep in result.candidate_reports
-    ] + [(kind, mode, rep) for (kind, mode), rep in result.model_reports.items()]
-    for model_name, mode, rep in rows:
+    for model_name, mode, rep in summary_rows(result):
         auc_text = "-" if rep.auc is None else f"{rep.auc:.4f}"
         lines.append(
             f"{model_name:<34} {mode:<20} {100 * rep.accuracy:>7.2f}"

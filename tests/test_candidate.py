@@ -6,7 +6,6 @@ import pytest
 from conftest import make_graph
 from ran_topo.candidate import (
     CandidateConfig,
-    DistanceMetric,
     candidates,
     candidates_for_new,
     evaluate_candidates,
@@ -25,7 +24,7 @@ def brute_force_candidates(graph, query_idx, cfg):
     for j in range(graph.n):
         if j == query_idx:
             continue
-        d = geo_distance(coords[query_idx], coords[j], cfg.metric)
+        d = geo_distance(coords[query_idx], coords[j])
         if d <= cfg.max_dist:
             scored.append((d, j))
     scored.sort()
@@ -48,20 +47,15 @@ class TestGeoDistance:
         assert d == pytest.approx(KM_PER_DEGREE, abs=1e-9)
         assert d == pytest.approx(111.195, abs=1e-3)
 
-    def test_euclidean_345(self):
-        d = geo_distance((0.0, 0.0), (3.0, 4.0), DistanceMetric.EUCLIDEAN_DEGREES)
-        assert d == 5.0
-
     def test_symmetry_and_nonnegativity(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             a = (rng.uniform(-90, 90), rng.uniform(-180, 180))
             b = (rng.uniform(-90, 90), rng.uniform(-180, 180))
-            for metric in DistanceMetric:
-                ab = geo_distance(a, b, metric)
-                ba = geo_distance(b, a, metric)
-                assert ab >= 0
-                assert ab == pytest.approx(ba, rel=1e-12)
+            ab = geo_distance(a, b)
+            ba = geo_distance(b, a)
+            assert ab >= 0
+            assert ab == pytest.approx(ba, rel=1e-12)
 
 
 class TestCandidates:

@@ -102,6 +102,19 @@ class TestCandidates:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "1e400"])
+    def test_non_finite_feature_exit_2(self, synth_dir, tmp_path, capsys, field):
+        header, first, *rest = (synth_dir / "cells.csv").read_text().splitlines()
+        values = first.split(",")
+        values[-1] = field
+        cells = tmp_path / "cells.csv"
+        cells.write_text("\n".join([header, ",".join(values), *rest]) + "\n")
+        code = main([
+            "candidates", "--cells", str(cells), "--edges", str(synth_dir / "edges.csv"), "--k", "5",
+        ])
+        assert code == 2
+        assert "missing feature values" in capsys.readouterr().err
+
     def test_report_written_to_out(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "cand.json"
         code = main([
@@ -133,6 +146,50 @@ class TestExperiment:
     def test_bad_experiment_config_exit_2(self, tmp_path):
         cfg = write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, "data": {}})
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+
+
+# --new-cell file text made from a valid cell's raw features
+NEW_CELL_DEFECTS = {
+    "missing_feature": lambda cell: json.dumps({"lat": cell["lat"], "lon": cell["lon"]}),
+    "not_an_object": lambda cell: json.dumps([1, 2]),
+    "non_numeric": lambda cell: json.dumps({**cell, "tx_power": "abc"}),
+    "null_value": lambda cell: json.dumps({**cell, "tx_power": None}),
+    "nan_value": lambda cell: json.dumps({**cell, "tx_power": float("nan")}),
+    "infinite_value": lambda cell: json.dumps({**cell, "tx_power": "big"}).replace('"big"', "1e400"),
+    "huge_integer": lambda cell: json.dumps({**cell, "tx_power": "big"}).replace('"big"', "9" * 400),
+    "latitude_out_of_range": lambda cell: json.dumps({**cell, "lat": 95.0}),
+    "longitude_out_of_range": lambda cell: json.dumps({**cell, "lon": -181.0}),
+}
+
+
+@pytest.fixture(scope="module")
+def experiment_bundle(tmp_path_factory):
+    base = tmp_path_factory.mktemp("one_path")
+    cfg = write_json(base / "exp.json", EXPERIMENT_CFG)
+    assert main(["experiment", "--config", cfg, "--out", str(base / "bundle")]) == 0
+    return cfg, base / "bundle"
+
+
+class TestOnePath:
+    """``train`` and ``eval`` run the experiment's own code: same files, byte for byte."""
+
+    def test_train_writes_the_experiment_files(self, experiment_bundle, tmp_path):
+        cfg, bundle = experiment_bundle
+        out = tmp_path / "model"
+        assert main(["train", "--config", cfg, "--out", str(out), "--model", "both"]) == 0
+        for name in ("norm_params.json", "params_mlp.json", "params_gnn.json", "history_mlp.csv", "history_gnn.csv"):
+            assert (out / name).read_bytes() == (bundle / name).read_bytes(), name
+
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_eval_reproduces_the_experiment_reports(self, experiment_bundle, tmp_path, kind):
+        cfg, bundle = experiment_bundle
+        out = tmp_path / "eval"
+        assert main(["eval", "--params", str(bundle / f"params_{kind}.json"), "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            p.name for p in (bundle / "reports").glob(f"{kind}_*.json")
+        )
+        for path in out.iterdir():
+            assert path.read_bytes() == (bundle / "reports" / path.name).read_bytes(), path.name
 
 
 class TestTrainEvalPredict:
@@ -271,19 +328,27 @@ class TestTrainEvalPredict:
         ranked = json.loads(capsys.readouterr().out)
         assert sorted(r["cell_id"] for r in ranked) == true_neighbors
 
-    def test_predict_missing_feature_exit_2(self, trained, tmp_path):
+    @pytest.mark.parametrize("new_cell", sorted(NEW_CELL_DEFECTS))
+    def test_predict_missing_feature_exit_2(self, trained, tmp_path, capsys, new_cell):
         _, out = trained
         data_dir = out / "data"
-        cell_path = write_json(tmp_path / "new.json", {"lat": 57.0, "lon": 11.6})
+        with open(data_dir / "cells.csv") as fh:
+            header = fh.readline().strip().split(",")
+            first_row = fh.readline().strip().split(",")
+        cell_path = tmp_path / "new.json"
+        cell_path.write_text(NEW_CELL_DEFECTS[new_cell](dict(zip(header[1:], map(float, first_row[1:])))))
         code = main([
             "predict",
             "--params", str(out / "params_mlp.json"),
             "--norm-params", str(out / "norm_params.json"),
             "--cells", str(data_dir / "cells.csv"),
             "--edges", str(data_dir / "edges.csv"),
-            "--new-cell", cell_path,
+            "--new-cell", str(cell_path),
         ])
+        err = capsys.readouterr().err
         assert code == 2
+        assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1, err
+        assert "Traceback" not in err
 
 
 def _drop_b1(obj):
@@ -303,11 +368,18 @@ def _non_finite(obj):
     obj["arrays"]["w1"]["data"][0] = float("nan")
 
 
+def _wrong_feature_width(obj):
+    # a consistent first layer for two more features per cell than the data has
+    rows, cols = obj["arrays"]["w1"]["shape"]
+    obj["arrays"]["w1"] = {"shape": [rows, cols + 2], "data": [0.0] * (rows * (cols + 2))}
+
+
 PARAM_DEFECTS = {
     "missing_array": _drop_b1,
     "shape_not_data": _shape_not_data,
     "broken_layer_chain": _broken_layer_chain,
     "non_finite": _non_finite,
+    "wrong_feature_width": _wrong_feature_width,
 }
 
 

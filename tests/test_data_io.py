@@ -11,6 +11,7 @@ from ran_topo.data_io import (
     apply_missing_policy,
     parse_cells_csv,
     parse_edges_csv,
+    parse_new_cell,
     write_cells_csv,
     write_edges_csv,
     zscore_apply,
@@ -55,9 +56,34 @@ class TestParseCells:
         ids, fm, mask = parse_cells_csv("cell_id,lat,lon,f1\na,0,0,\nb,1,1,2\n")
         assert mask.tolist() == [[False, False, True], [False, False, False]]
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400", "abc"])
+    def test_non_finite_values_masked(self, field):
+        ids, fm, mask = parse_cells_csv(f"cell_id,lat,lon,f1\na,0,0,{field}\nb,{field},1,2\n")
+        assert mask.tolist() == [[False, False, True], [True, False, False]]
+        assert np.isnan(fm.values[mask]).all()
+        # a missing value follows the missing-data policy like an empty field
+        filled, _ = apply_missing_policy(fm, mask, MissingPolicy.FILL_COLUMN_MEAN)
+        assert filled.values.tolist() == [[0.0, 0.0, 2.0], [0.0, 1.0, 2.0]]
+        _, kept = apply_missing_policy(fm, mask, MissingPolicy.DROP_ROW)
+        assert kept == []
+
     def test_bytes_input(self):
         ids, fm, _ = parse_cells_csv(b"cell_id,lat,lon,f1\na,0,0,1\n")
         assert ids == ["a"]
+
+
+class TestParseNewCell:
+    FEATURES = FeatureMatrix(("lat", "lon", "f1"), np.zeros((1, 3)))
+
+    def test_row_in_column_order(self):
+        fm = parse_new_cell({"f1": 2, "lon": 11.5, "lat": "57.25", "extra": "ignored"}, self.FEATURES)
+        assert fm.columns == ("lat", "lon", "f1")
+        assert fm.values.tolist() == [[57.25, 11.5, 2.0]]
+        assert fm.coords().tolist() == [[57.25, 11.5]]
+
+    def test_coordinate_range_is_the_csv_check(self):
+        with pytest.raises(BadCoordinate, match="latitude 95.0 outside"):
+            parse_new_cell({"lat": 95.0, "lon": 11.5, "f1": 1.0}, self.FEATURES)
 
 
 class TestParseEdges:

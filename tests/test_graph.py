@@ -18,7 +18,7 @@ class TestBuildGraph:
         fm = make_features([(0, 0), (0, 1), (0, 2)])
         g = build_graph(["a", "b", "c"], [("a", "b"), ("b", "a")], fm)
         assert g.num_edges == 1
-        assert g.has_edge("a", "b")
+        assert g.has_edges(g.index_of("a"), g.index_of("b"))
 
     def test_self_loop_rejected(self):
         fm = make_features([(0, 0)])
@@ -39,7 +39,7 @@ class TestBuildGraph:
         fm = make_features([(0, 0), (0, 1)])
         g = build_graph([10, 20], [(10, 20)], fm)
         assert g.neighbors(10) == [20]
-        assert g.id_of(g.index_of(20)) == 20
+        assert g.ids[g.index_of(20)] == 20
 
 
 class TestRemoveNodes:

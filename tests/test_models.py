@@ -5,38 +5,44 @@ import pytest
 
 from conftest import make_graph
 from ran_topo import models
-from ran_topo.errors import BadDims, IndexOutOfRange, ShapeMismatch
-from ran_topo.neural import LinearLayer, sigmoid
+from ran_topo.errors import BadDims, ShapeMismatch
+from ran_topo.neural import sigmoid
+from ran_topo.pipeline import make_scorer
 
 
 def tiny_mlp(w1, w2, w3, b1=None, b2=None, b3=None):
-    w1 = np.atleast_2d(np.asarray(w1, dtype=float))
-    w2 = np.atleast_2d(np.asarray(w2, dtype=float))
-    w3 = np.atleast_2d(np.asarray(w3, dtype=float))
-    return models.MlpParams(
-        LinearLayer(w1, np.zeros(w1.shape[0]) if b1 is None else np.asarray(b1, float)),
-        LinearLayer(w2, np.zeros(w2.shape[0]) if b2 is None else np.asarray(b2, float)),
-        LinearLayer(w3, np.zeros(w3.shape[0]) if b3 is None else np.asarray(b3, float)),
-    )
+    arrays = {}
+    for layer, w, b in (("1", w1, b1), ("2", w2, b2), ("3", w3, b3)):
+        w = np.atleast_2d(np.asarray(w, dtype=float))
+        arrays["w" + layer] = w
+        arrays["b" + layer] = np.zeros(w.shape[0]) if b is None else np.asarray(b, float)
+    return models.params_from_dict("mlp", arrays)
 
 
 def zero_mlp(k=2, h=3):
-    return models.MlpParams(
-        LinearLayer(np.zeros((h, 2 * k)), np.zeros(h)),
-        LinearLayer(np.zeros((h, h)), np.zeros(h)),
-        LinearLayer(np.zeros((1, h)), np.zeros(1)),
-    )
+    return tiny_mlp(np.zeros((h, 2 * k)), np.zeros((h, h)), np.zeros((1, h)))
+
+
+def with_sage(ws, head):
+    """GNN params: SAGE weights ``ws`` (zero bias) in front of an MLP head."""
+    ws = np.asarray(ws, dtype=float)
+    return models.params_from_dict("gnn", {"ws": ws, "bs": np.zeros(ws.shape[0]), **head})
+
+
+def pair_score(params, a, b):
+    """Symmetric score of one pair of rows."""
+    return models.symmetric_score_batch(params, np.array([a, b], dtype=float), np.array([[0, 1]]))[0]
 
 
 class TestMlpScore:
     def test_zero_params_give_half(self):
         params = zero_mlp()
-        assert models.mlp_score(params, [1.0, -2.0], [0.3, 4.0]) == 0.5
+        assert pair_score(params, [1.0, -2.0], [0.3, 4.0]) == 0.5
 
     def test_hand_composition(self):
-        # k=1, h=1: W1=[[1,1]], W2=[[1]], W3=[[1]] -> sigmoid(1 + 2)
+        # k=1, h=1: W1=[[1,1]], W2=[[1]], W3=[[1]] -> sigmoid(1 + 2) in both orders
         params = tiny_mlp([[1.0, 1.0]], [[1.0]], [[1.0]])
-        score = models.mlp_score(params, [1.0], [2.0])
+        score = pair_score(params, [1.0], [2.0])
         assert score == pytest.approx(sigmoid(3.0), rel=1e-15)
         assert score == pytest.approx(0.952574, abs=1e-6)
 
@@ -44,28 +50,28 @@ class TestMlpScore:
         # negative first-layer weights and positive inputs: everything dies
         # at the first relu, so the output is sigmoid(b3)
         params = tiny_mlp([[-1.0, -1.0]], [[1.0]], [[1.0]], b3=[0.7])
-        score = models.mlp_score(params, [2.0], [3.0])
+        score = pair_score(params, [2.0], [3.0])
         assert score == pytest.approx(sigmoid(0.7), rel=1e-15)
 
     def test_shape_mismatch(self):
+        # params for 2 features per cell, data with 1: refused before scoring
         params = zero_mlp(k=2)
         with pytest.raises(ShapeMismatch):
-            models.mlp_score(params, [1.0], [2.0])
+            make_scorer(params, np.array([[1.0], [2.0]]))
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
         for seed in range(50):
             params = models.init_params("mlp", k=3, hidden=4, seed=seed)
             x_i, x_j = rng.normal(size=3) * 100, rng.normal(size=3) * 100
-            s = models.mlp_score(params, x_i, x_j)
+            s = pair_score(params, x_i, x_j)
             assert 0.0 < s < 1.0
 
 
 class TestSageEmbed:
     def test_isolated_node_zero_neighborhood(self):
         g = make_graph(1, [])
-        sage = LinearLayer(np.array([[1.0, 1.0, 2.0, 2.0]]), np.zeros(1))
-        params = models.GnnParams(sage, zero_mlp(k=1, h=2))
+        params = with_sage([[1.0, 1.0, 2.0, 2.0]], zero_mlp(k=1, h=2))
         x = np.array([[3.0, 4.0]])
         emb = models.sage_embed(params, x, g)
         # concat(x, 0): 1*3 + 1*4 + 0 + 0
@@ -82,8 +88,7 @@ class TestSageEmbed:
         # 3-node path, k=1 features [1,2,3], W=[[1,1]]:
         # node0: 1 + 2 = 3, node1: 2 + (1+3)/2 = 4, node2: 3 + 2 = 5
         g = make_graph(3, [(0, 1), (1, 2)])
-        sage = LinearLayer(np.array([[1.0, 1.0]]), np.zeros(1))
-        params = models.GnnParams(sage, zero_mlp(k=1, h=2))
+        params = with_sage([[1.0, 1.0]], zero_mlp(k=1, h=2))
         emb = models.sage_embed(params, np.array([[1.0], [2.0], [3.0]]), g)
         assert emb[:, 0].tolist() == [3.0, 4.0, 5.0]
 
@@ -126,29 +131,13 @@ class TestSageEmbed:
 
 class TestGnnScore:
     def test_zero_head_gives_half(self):
-        emb = np.array([[1.0, 2.0], [3.0, 4.0]])
-        params = models.GnnParams(
-            LinearLayer(np.zeros((2, 4)), np.zeros(2)), zero_mlp(k=2, h=3)
-        )
-        assert models.gnn_score(params, emb, 0, 1) == 0.5
+        params = with_sage(np.zeros((2, 4)), zero_mlp(k=2, h=3))
+        assert pair_score(params, [1.0, 2.0], [3.0, 4.0]) == 0.5
 
     def test_tiny_hand_value(self):
         # d=1, h=1 head: sigmoid(e_i + e_j)
-        params = models.GnnParams(
-            LinearLayer(np.zeros((1, 2)), np.zeros(1)),
-            tiny_mlp([[1.0, 1.0]], [[1.0]], [[1.0]]),
-        )
-        emb = np.array([[0.5], [1.5]])
-        assert models.gnn_score(params, emb, 0, 1) == pytest.approx(
-            sigmoid(2.0), rel=1e-15
-        )
-
-    def test_index_out_of_range(self):
-        params = models.GnnParams(
-            LinearLayer(np.zeros((1, 2)), np.zeros(1)), zero_mlp(k=1, h=2)
-        )
-        with pytest.raises(IndexOutOfRange):
-            models.gnn_score(params, np.zeros((2, 1)), 0, 5)
+        params = with_sage(np.zeros((1, 2)), tiny_mlp([[1.0, 1.0]], [[1.0]], [[1.0]]))
+        assert pair_score(params, [0.5], [1.5]) == pytest.approx(sigmoid(2.0), rel=1e-15)
 
     def test_no_edges_degenerates_to_feature_mlp(self):
         # with every edge removed the embedding uses only own features
@@ -172,23 +161,11 @@ class TestSymmetricScore:
                 assert a == b
 
     def test_mean_of_both_orders(self):
-        params = tiny_mlp([[1.0, 2.0]], [[1.0]], [[1.0]])  # asymmetric in inputs
-        x = np.array([[1.0], [3.0]])
-        raw_ij = models.mlp_score(params, x[0], x[1])
-        raw_ji = models.mlp_score(params, x[1], x[0])
-        sym = models.symmetric_score_batch(params, x, np.array([[0, 1]]))[0]
-        assert sym == pytest.approx((raw_ij + raw_ji) / 2.0, rel=1e-15)
-        assert raw_ij != raw_ji
-
-    def test_generic_helper(self):
-        calls = []
-
-        def score(a, b):
-            calls.append((a, b))
-            return 0.25 if (a, b) == (0, 1) else 0.75
-
-        assert models.symmetric_score(score, 0, 1) == 0.5
-        assert calls == [(0, 1), (1, 0)]
+        # asymmetric first layer: the order (1, 3) gives sigmoid(1 + 2*3),
+        # the order (3, 1) gives sigmoid(3 + 2*1)
+        params = tiny_mlp([[1.0, 2.0]], [[1.0]], [[1.0]])
+        sym = pair_score(params, [1.0], [3.0])
+        assert sym == pytest.approx((sigmoid(7.0) + sigmoid(5.0)) / 2.0, rel=1e-15)
 
 
 class TestInitParams:
@@ -201,24 +178,25 @@ class TestInitParams:
     def test_different_seeds_differ(self):
         a = models.init_params("mlp", seed=1)
         b = models.init_params("mlp", seed=2)
-        assert not np.array_equal(a.layer1.w, b.layer1.w)
+        assert not np.array_equal(a["w1"], b["w1"])
 
     def test_glorot_bounds(self):
         params = models.init_params("mlp", k=8, hidden=64, seed=3)
-        for layer in (params.layer1, params.layer2, params.layer3):
-            bound = math.sqrt(6.0 / (layer.in_dim + layer.out_dim))
-            assert np.all(np.abs(layer.w) <= bound)
-            assert np.all(layer.b == 0.0)
+        for layer in "123":
+            w = params["w" + layer]
+            bound = math.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+            assert np.all(np.abs(w) <= bound)
+            assert np.all(params["b" + layer] == 0.0)
 
     def test_default_paper_shapes(self):
         mlp = models.init_params("mlp")
-        assert mlp.layer1.w.shape == (64, 16)
-        assert mlp.layer2.w.shape == (64, 64)
-        assert mlp.layer3.w.shape == (1, 64)
+        assert mlp["w1"].shape == (64, 16)
+        assert mlp["w2"].shape == (64, 64)
+        assert mlp["w3"].shape == (1, 64)
         gnn = models.init_params("gnn")
-        assert gnn.sage.w.shape == (64, 16)
+        assert gnn["ws"].shape == (64, 16)
         # concat of two 64-dim embeddings: the head widens to 128 inputs
-        assert gnn.head.layer1.w.shape == (64, 128)
+        assert gnn["w1"].shape == (64, 128)
 
     def test_bad_dims(self):
         with pytest.raises(BadDims):
@@ -233,18 +211,82 @@ class TestConstructionEquivalence:
         # GNN head IS the MLP
         k = 3
         mlp = models.init_params("mlp", k=k, hidden=4, seed=8)
-        sage = LinearLayer(
-            np.hstack([np.eye(k), np.zeros((k, k))]), np.zeros(k)
-        )
-        gnn = models.GnnParams(sage, mlp)
-        g = make_graph(5, [(0, 1), (2, 3)])
+        gnn = with_sage(np.hstack([np.eye(k), np.zeros((k, k))]), mlp)
         x = np.abs(np.random.default_rng(9).normal(size=(5, k)))
         emb = models.sage_embed(gnn, x, make_graph(5, []))  # no edges: e = x
-        for i, j in [(0, 1), (2, 4), (3, 0)]:
-            assert models.gnn_score(gnn, emb, i, j) == pytest.approx(
-                models.mlp_score(mlp, x[i], x[j]), rel=1e-15
-            )
-        _ = g
+        pairs = np.array([(0, 1), (2, 4), (3, 0)])
+        np.testing.assert_allclose(
+            models.symmetric_score_batch(gnn, emb, pairs),
+            models.symmetric_score_batch(mlp, x, pairs),
+            rtol=1e-15,
+        )
+
+
+def _wide_w2(d):
+    d["w2"] = np.zeros((d["w2"].shape[0], d["w2"].shape[1] + 1))
+
+
+def _two_logits(d):
+    d["w3"], d["b3"] = np.zeros((2, d["w3"].shape[1])), np.zeros(2)
+
+
+def _short_bias(d):
+    d["b1"] = d["b1"][:-1]
+
+
+def _odd_first_layer(d):
+    d["w1"] = np.zeros((d["w1"].shape[0], 3))
+
+
+def _flat_weight(d):
+    d["w2"] = d["w2"].ravel()
+
+
+def _head_not_embedding_pair(d):
+    d["ws"], d["bs"] = np.zeros((5, d["ws"].shape[1])), np.zeros(5)
+
+
+def _missing_array(d):
+    del d["b3"]
+
+
+def _extra_array(d):
+    d["w4"] = np.zeros((1, 1))
+
+
+BROKEN_CHAINS = {
+    "mlp": [_wide_w2, _two_logits, _short_bias, _odd_first_layer, _flat_weight, _missing_array, _extra_array],
+    "gnn": [_wide_w2, _head_not_embedding_pair, _missing_array],
+}
+
+
+class TestParamsFromDict:
+    @pytest.mark.parametrize(
+        "kind,defect",
+        [(kind, defect) for kind, defects in BROKEN_CHAINS.items() for defect in defects],
+        ids=lambda v: v if isinstance(v, str) else v.__name__.strip("_"),
+    )
+    def test_broken_layer_chain(self, kind, defect):
+        d = dict(models.init_params(kind, k=3, hidden=4, embed=2, seed=0))
+        defect(d)
+        with pytest.raises(ShapeMismatch):
+            models.params_from_dict(kind, d)
+
+    def test_gnn_arrays_are_not_mlp_params(self):
+        gnn = models.init_params("gnn", k=3, hidden=4, embed=2, seed=0)
+        with pytest.raises(ShapeMismatch):
+            models.params_from_dict("mlp", gnn)
+
+    def test_cast_and_ordered(self):
+        d = models.init_params("gnn", k=1, hidden=1, embed=1, seed=0)
+        ints = {name: arr.astype(np.int64) for name, arr in reversed(list(d.items()))}
+        params = models.params_from_dict("gnn", ints)
+        assert list(params) == ["ws", "bs", "w1", "b1", "w2", "b2", "w3", "b3"]
+        assert all(arr.dtype == np.float64 for arr in params.values())
+
+    def test_kind_is_read_from_the_keys(self):
+        assert models.kind_of(models.init_params("mlp", seed=0)) == "mlp"
+        assert models.kind_of(models.init_params("gnn", seed=0)) == "gnn"
 
 
 class TestSerialization:

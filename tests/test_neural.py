@@ -4,38 +4,25 @@ import numpy as np
 import pytest
 
 from ran_topo.errors import BadLabel, ShapeMismatch
+from ran_topo import models
 from ran_topo.neural import (
     AdamState,
-    LinearLayer,
     adam_step,
     bce_loss,
     glorot_uniform,
     grad_check,
-    linear_forward,
     relu,
-    relu_grad,
     sigmoid,
 )
 
 
-class TestLinear:
-    def test_identity(self):
-        layer = LinearLayer(np.eye(2), np.zeros(2))
-        assert linear_forward(layer, [3.0, 4.0]).tolist() == [3.0, 4.0]
-
-    def test_hand_value(self):
-        layer = LinearLayer(np.array([[1.0, 1.0]]), np.array([0.5]))
-        assert linear_forward(layer, [1.0, 2.0]).tolist() == [3.5]
-
-    def test_shape_mismatch(self):
-        layer = LinearLayer(np.ones((2, 3)), np.zeros(2))
-        with pytest.raises(ShapeMismatch):
-            linear_forward(layer, [1.0, 2.0])
-
-    def test_batched(self):
-        layer = LinearLayer(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, -1.0]))
-        out = linear_forward(layer, np.array([[1.0, 1.0], [0.0, 2.0]]))
-        assert out.tolist() == [[3.0, 2.0], [1.0, 5.0]]
+def mlp_params(w1, w2, w3):
+    """k=1, h=1 MLP params with zero biases."""
+    arrays = {}
+    for layer, w in (("1", w1), ("2", w2), ("3", w3)):
+        arrays["w" + layer] = np.array(w, dtype=float)
+        arrays["b" + layer] = np.zeros(1)
+    return models.params_from_dict("mlp", arrays)
 
 
 class TestActivations:
@@ -43,7 +30,13 @@ class TestActivations:
         assert relu([-1.0, 0.0, 2.0]).tolist() == [0.0, 0.0, 2.0]
 
     def test_relu_grad_at_zero(self):
-        assert relu_grad([-1.0, 0.0, 2.0]).tolist() == [0.0, 0.0, 1.0]
+        # the backward pass takes the relu subgradient at exactly 0 to be 0:
+        # with W1 = 0 the first pre-activation is 0, so no gradient reaches W1
+        params = mlp_params([[0.0, 0.0]], [[1.0]], [[1.0]])
+        x = np.array([[1.0], [2.0]])
+        _, grads = models.loss_and_grads(params, x, np.array([[0, 1]]), np.array([1.0]))
+        assert grads["w1"].tolist() == [[0.0, 0.0]]
+        assert grads["b1"].tolist() == [0.0]
 
     def test_sigmoid_zero(self):
         assert sigmoid(0.0) == 0.5
@@ -168,16 +161,9 @@ class TestBackwardComposition:
     def test_logistic_regression_gradient(self):
         # loss = bce(sigmoid(w * x), y); dloss/dw = (sigmoid(w x) - y) x
         # at w = 0, x = 1, y = 1 the gradient is -0.5
-        from ran_topo import models
-
-        w = np.array([[0.0]])
         # pass-through MLP: relu is identity on the positive path, so the
         # only active parameter is the last layer weight
-        params = models.MlpParams(
-            LinearLayer(np.array([[1.0, 0.0]]), np.zeros(1)),
-            LinearLayer(np.array([[1.0]]), np.zeros(1)),
-            LinearLayer(w, np.zeros(1)),
-        )
+        params = mlp_params([[1.0, 0.0]], [[1.0]], [[0.0]])
         x = np.array([[1.0], [0.0]])  # x_i = 1, x_j unused
         loss, grads = models.loss_and_grads(
             params, x, np.array([[0, 1]]), np.array([1.0])
@@ -185,13 +171,7 @@ class TestBackwardComposition:
         assert grads["w3"][0, 0] == pytest.approx(-0.5, rel=1e-12)
 
     def test_unused_parameter_zero_gradient(self):
-        from ran_topo import models
-
-        params = models.MlpParams(
-            LinearLayer(np.array([[1.0, 0.0]]), np.zeros(1)),
-            LinearLayer(np.array([[1.0]]), np.zeros(1)),
-            LinearLayer(np.array([[1.0]]), np.zeros(1)),
-        )
+        params = mlp_params([[1.0, 0.0]], [[1.0]], [[1.0]])
         # x_j only feeds through W1's second column, which is zero; its
         # gradient entry is driven by the input value 0 here
         x = np.array([[1.0], [0.0]])

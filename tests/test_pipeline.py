@@ -294,6 +294,23 @@ class TestTrain:
         for name, arr in models.params_to_dict(result.params).items():
             assert np.array_equal(arr, models.params_to_dict(init)[name])
 
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_params_validated_once(self, kind, monkeypatch):
+        # the optimizer steps on the validated dict; only init builds params
+        graph, split, x, _ = experiment_fixture()
+        calls = []
+        original = models.params_from_dict
+
+        def counting(kind, arrays):
+            calls.append(kind)
+            return original(kind, arrays)
+
+        monkeypatch.setattr(models, "params_from_dict", counting)
+        cfg = TrainConfig(epochs=2, batch_size=64, seed=3)
+        result = train(kind, graph, x, split, cfg, hidden=8, embed=8)
+        assert calls == [kind]
+        assert models.kind_of(result.params) == kind
+
     def test_deterministic(self):
         graph, split, x, _ = experiment_fixture()
         cfg = TrainConfig(epochs=3, batch_size=128, seed=5)

@@ -80,7 +80,10 @@ def _candidate_config(args) -> CandidateConfig:
 def cmd_candidates(args) -> int:
     graph = _load_graph(args.cells, args.edges)
     cfg = _candidate_config(args)
-    ratios = tuple(float(r) for r in args.eval_split.split(","))
+    try:
+        ratios = tuple(float(r) for r in args.eval_split.split(","))
+    except ValueError:
+        raise ValidationError(f"--eval-split {args.eval_split!r} is not a list of numbers") from None
     split = split_nodes(graph, ratios, seed=pipeline.subseed(args.seed, "split"))
     report = evaluate_candidates(graph, split.val_nodes, cfg)
     text = report.to_json()
@@ -94,6 +97,8 @@ def cmd_candidates(args) -> int:
 
 def _experiment_config(args) -> dict:
     config = _load_json(args.config) if args.config else pipeline.default_config()
+    if not isinstance(config, dict):
+        raise ValidationError(f"config must be a JSON object, not {type(config).__name__}")
     if args.seed is not None:
         config = {**config, "seed": args.seed}
     return config

@@ -83,14 +83,6 @@ class FeatureMatrix:
     def take_rows(self, rows) -> "FeatureMatrix":
         return FeatureMatrix(self.columns, self.values[np.asarray(rows)], self.coord_cols)
 
-    def validate_coordinates(self) -> None:
-        """Check lat/lon ranges; only meaningful before normalization."""
-        lat, lon = self.coords()[:, 0], self.coords()[:, 1]
-        if lat.size and (np.any(lat < -90) or np.any(lat > 90)):
-            raise ValidationError("latitude outside [-90, 90]")
-        if lon.size and (np.any(lon < -180) or np.any(lon > 180)):
-            raise ValidationError("longitude outside [-180, 180]")
-
 
 @dataclass(frozen=True, eq=False)
 class RanGraph:
@@ -216,14 +208,6 @@ class RanGraph:
         """Same nodes and features, only the edges selected by a boolean mask."""
         return RanGraph(self.ids, self.edge_array[keep], self.features, self._index)
 
-    def with_features(self, features: FeatureMatrix) -> "RanGraph":
-        """Same topology with a replacement feature matrix."""
-        if features.n_rows != self.n:
-            raise FeatureRowMismatch(
-                f"{features.n_rows} feature rows for {self.n} nodes"
-            )
-        return RanGraph(self.ids, self.edge_array, features, self._index)
-
 
 def build_graph(
     nodes: list[CellId],
@@ -300,8 +284,10 @@ def split_nodes(graph: RanGraph, ratios, seed: int) -> NodeSplit:
     Val/test sizes are floor(N * ratio); remainder nodes go to train. The
     training graph keeps only edges with both endpoints in the train set.
     """
+    if len(ratios) != 3:
+        raise BadRatios(f"need 3 split ratios (train, val, test), got {len(ratios)}")
     train_r, val_r, test_r = ratios
-    if min(train_r, val_r, test_r) <= 0:
+    if not all(r > 0 for r in ratios):
         raise BadRatios("split ratios must be positive")
     if abs(train_r + val_r + test_r - 1.0) > 1e-9:
         raise BadRatios(f"split ratios sum to {train_r + val_r + test_r}, not 1")

@@ -514,9 +514,9 @@ def prepare_experiment(config: dict, out_dir: str | None = None) -> ExperimentDa
     With a synthetic data source and an out_dir, the generated network is
     exported as cells.csv / edges.csv for inspection and reuse.
     """
-    seed = int(config.get("seed", 0))
-    data_cfg = config.get("data", {})
     try:
+        seed = int(config.get("seed", 0))
+        data_cfg = config.get("data", {})
         if "synthetic" in data_cfg:
             synth_cfg = SynthConfig.from_dict(data_cfg["synthetic"])
             gt = generate(synth_cfg)

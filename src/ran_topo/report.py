@@ -74,8 +74,3 @@ class EvalReport:
             },
             indent=2,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        obj = json.loads(text)
-        return cls(**obj)

@@ -21,11 +21,13 @@ models that can aggregate over the graph.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candidate import geo_distance
+from .candidate import CandidateConfig, candidate_indices
+from .data_io import write_cells_csv, write_edges_csv
 from .errors import BadConfig
 from .graph import FeatureMatrix, RanGraph, build_graph
 
@@ -46,6 +48,31 @@ SITE_MEAN_RULE = "site_mean"
 TX_POWER_RANGE = (10.0, 50.0)
 ANTENNA_HEIGHT_RANGE = (10.0, 60.0)
 CAPACITY_RANGE = (50.0, 500.0)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_list_of(value, length: int, ok) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == length and all(map(ok, value))
+
+
+# SynthConfig field -> (JSON type check, what the message says it must be)
+_FIELD_TYPES = {
+    "sites": (_is_int, "an integer"),
+    "bands": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "cells_per_site": (lambda v: _is_list_of(v, 2, _is_int), "two integers"),
+    "bbox": (lambda v: _is_list_of(v, 4, _is_number), "four numbers"),
+    "radius_km": (_is_number, "a number"),
+    "feature_noise": (_is_number, "a number"),
+    "site_mean_threshold": (_is_number, "a number"),
+}
 
 
 @dataclass(frozen=True)
@@ -69,21 +96,29 @@ class SynthConfig:
         lo, hi = self.cells_per_site
         if not 1 <= lo <= hi:
             raise BadConfig("cells_per_site must be a range with 1 <= lo <= hi")
-        if self.radius_km <= 0:
+        if not self.radius_km > 0:
             raise BadConfig("radius_km must be > 0")
         if self.bands < 1:
             raise BadConfig("bands must be >= 1")
-        if self.feature_noise < 0:
-            raise BadConfig("feature_noise must be >= 0")
+        if not 0 <= self.feature_noise < math.inf:
+            raise BadConfig("feature_noise must be finite and >= 0")
         if not (lat_min < lat_max and lon_min < lon_max):
             raise BadConfig("bbox must have positive extent")
         if max(abs(lat_min), abs(lat_max)) > 60 or max(abs(lon_min), abs(lon_max)) > 180:
             raise BadConfig("bbox must lie within |lat| <= 60, |lon| <= 180")
+        if self.seed < 0:
+            raise BadConfig("seed must be >= 0")
         if self.edge_rule not in (BAND_RULE, SITE_MEAN_RULE):
             raise BadConfig(f"unknown edge rule {self.edge_rule!r}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SynthConfig":
+        """From a JSON object; a field of the wrong JSON type raises BadConfig."""
+        if not isinstance(obj, dict):
+            raise BadConfig(f"synthetic config must be a JSON object, not {type(obj).__name__}")
+        for name, (ok, what) in _FIELD_TYPES.items():
+            if name in obj and not ok(obj[name]):
+                raise BadConfig(f"{name} must be {what}, got {obj[name]!r}")
         kwargs = dict(obj)
         if "cells_per_site" in kwargs:
             kwargs["cells_per_site"] = tuple(kwargs["cells_per_site"])
@@ -119,37 +154,12 @@ class GroundTruth:
     site_of: tuple[int, ...] = field(repr=False)  # site index per cell
 
 
-def _site_mate_mean_tx(x: np.ndarray, site_of: np.ndarray) -> np.ndarray:
-    """Per cell: mean tx_power over same-site cells excluding itself."""
-    tx = x[:, FEATURE_COLUMNS.index("tx_power")]
-    out = np.zeros(len(tx))
-    for site in np.unique(site_of):
-        members = np.flatnonzero(site_of == site)
-        if len(members) < 2:
-            continue
-        total = tx[members].sum()
-        out[members] = (total - tx[members]) / (len(members) - 1)
-    return out
-
-
-def oracle_edge(
-    cfg: SynthConfig,
-    site_a: int,
-    site_b: int,
-    dist_km: float,
-    band_a: float,
-    band_b: float,
-    mate_mean_a: float,
-    mate_mean_b: float,
-) -> bool:
-    """The ground-truth relation rule for one cell pair."""
-    if site_a == site_b:
-        return True
-    if dist_km > cfg.radius_km:
-        return False
-    if cfg.edge_rule == BAND_RULE:
-        return abs(band_a - band_b) <= 1
-    return mate_mean_a + mate_mean_b >= cfg.site_mean_threshold
+def _site_mate_mean_tx(tx: np.ndarray, site_of: np.ndarray) -> np.ndarray:
+    """Per cell: mean tx_power over same-site cells excluding itself (0 for
+    a cell alone at its site)."""
+    total = np.bincount(site_of, weights=tx)[site_of]
+    mates = np.bincount(site_of)[site_of] - 1
+    return np.where(mates > 0, (total - tx) / np.maximum(mates, 1), 0.0)
 
 
 def generate(cfg: SynthConfig) -> GroundTruth:
@@ -165,9 +175,9 @@ def generate(cfg: SynthConfig) -> GroundTruth:
 
     n = int(cells_per_site.sum())
     site_of = np.repeat(np.arange(cfg.sites), cells_per_site)
-    ids = []
-    for site, count in enumerate(cells_per_site):
-        ids.extend(f"S{site:04d}C{c}" for c in range(count))
+    first_cell = np.cumsum(cells_per_site) - cells_per_site  # a site's cells are contiguous
+    cell_no = np.arange(n) - first_cell[site_of]
+    ids = [f"S{s:04d}C{c}" for s, c in zip(site_of.tolist(), cell_no.tolist())]
 
     x = np.empty((n, len(FEATURE_COLUMNS)))
     x[:, 0] = site_lat[site_of]
@@ -179,53 +189,41 @@ def generate(cfg: SynthConfig) -> GroundTruth:
     x[:, 6] = rng.uniform(*CAPACITY_RANGE, size=n)
     x[:, 7] = rng.normal(0.0, cfg.feature_noise, size=n)
 
-    mate_mean = _site_mate_mean_tx(x, site_of)
+    # site pairs (s, t), s <= t, within the radius: one scan per site over
+    # sites s.., so the scan stays at S^2 and not N^2
+    site_coords = np.column_stack([site_lat, site_lon])
+    near = CandidateConfig(k=cfg.sites, max_dist=cfg.radius_km)
+    site_t = [
+        s + candidate_indices(site_coords[s:], site_coords[s], near)[0] for s in range(cfg.sites)
+    ]
+    site_s = np.repeat(np.arange(cfg.sites), [len(t) for t in site_t])
+    site_t = np.concatenate(site_t)
 
-    # site-level distance matrix keeps the pair scan at S^2, not N^2
-    site_dist = np.empty((cfg.sites, cfg.sites))
-    for s in range(cfg.sites):
-        site_dist[s, s] = 0.0
-        for t in range(s + 1, cfg.sites):
-            d = geo_distance((site_lat[s], site_lon[s]), (site_lat[t], site_lon[t]))
-            site_dist[s, t] = site_dist[t, s] = d
+    # every cell pair (a, b) those site pairs span, a < b
+    width = cells_per_site[site_t]
+    spans = cells_per_site[site_s] * width
+    pair = np.repeat(np.arange(len(spans)), spans)
+    within = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans, spans)
+    a = first_cell[site_s][pair] + within // width[pair]
+    b = first_cell[site_t][pair] + within % width[pair]
 
-    cells_by_site = [np.flatnonzero(site_of == s) for s in range(cfg.sites)]
-    edges = []
-    band = x[:, 2]
-    for s in range(cfg.sites):
-        members = cells_by_site[s]
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                edges.append((ids[members[ai]], ids[members[bi]]))
-        for t in range(s + 1, cfg.sites):
-            if site_dist[s, t] > cfg.radius_km:
-                continue
-            for a in members:
-                for b in cells_by_site[t]:
-                    if oracle_edge(
-                        cfg, s, t, site_dist[s, t],
-                        band[a], band[b], mate_mean[a], mate_mean[b],
-                    ):
-                        edges.append((ids[a], ids[b]))
+    if cfg.edge_rule == BAND_RULE:
+        related = np.abs(x[a, 2] - x[b, 2]) <= 1
+    else:
+        mate_mean = _site_mate_mean_tx(x[:, 4], site_of)
+        related = mate_mean[a] + mate_mean[b] >= cfg.site_mean_threshold
+    keep = (a < b) & ((site_of[a] == site_of[b]) | related)
 
-    features = FeatureMatrix(FEATURE_COLUMNS, x)
-    features.validate_coordinates()
-    graph = build_graph(ids, edges, features)
+    id_of = np.array(ids, dtype=object)
+    edges = zip(id_of[a[keep]].tolist(), id_of[b[keep]].tolist())
+    graph = build_graph(ids, edges, FeatureMatrix(FEATURE_COLUMNS, x))
     return GroundTruth(graph=graph, config=cfg, site_of=tuple(site_of.tolist()))
 
 
 def export(gt: GroundTruth, out_dir) -> tuple[str, str]:
     """Write cells.csv and edges.csv; re-ingestion reproduces the graph."""
-    import os
-
-    from .data_io import write_cells_csv, write_edges_csv
-    from .errors import IoError
-
     cells_path = os.path.join(out_dir, "cells.csv")
     edges_path = os.path.join(out_dir, "edges.csv")
-    try:
-        write_cells_csv(cells_path, gt.graph.ids, gt.graph.features)
-        write_edges_csv(edges_path, gt.graph.edge_list())
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_cells_csv(cells_path, gt.graph.ids, gt.graph.features)
+    write_edges_csv(edges_path, gt.graph.edge_list())
     return cells_path, edges_path

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ran_topo import models
 from ran_topo.cli import main
 
 SYNTH_CFG = {
@@ -115,6 +116,18 @@ class TestCandidates:
         assert code == 2
         assert "missing feature values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("split", ["a,b", "0.9,0.1", "0.9,0.05,0.05,0"])
+    def test_bad_eval_split_exit_2(self, synth_dir, capsys, split):
+        code = main([
+            "candidates",
+            "--cells", str(synth_dir / "cells.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--k", "10",
+            "--eval-split", split,
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_report_written_to_out(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "cand.json"
         code = main([
@@ -146,6 +159,32 @@ class TestExperiment:
     def test_bad_experiment_config_exit_2(self, tmp_path):
         cfg = write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, "data": {}})
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+
+
+# (subcommand, --config file text) pairs that used to end in a traceback
+MALFORMED_CONFIGS = [
+    ("synth", "[1, 2]"),
+    ("synth", '{"sites": "ten"}'),
+    ("synth", '{"bbox": [1, 2]}'),
+    ("synth", '{"sites": 1e9}'),
+    ("synth", '{"seed": -1}'),
+    ("experiment", "[1]"),
+    ("train", "[1]"),
+    ("eval", "[1]"),
+]
+
+
+@pytest.mark.parametrize("command, text", MALFORMED_CONFIGS)
+def test_malformed_config_exit_2(tmp_path, capsys, command, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    if command == "eval":
+        params = tmp_path / "params.json"
+        params.write_text(models.params_to_json(models.init_params(models.MLP_KIND, seed=0)))
+        argv += ["--params", str(params)]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # --new-cell file text made from a valid cell's raw features

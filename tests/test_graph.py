@@ -93,6 +93,12 @@ class TestSplitNodes:
             split_nodes(triangle, (0.5, 0.4, 0.2), seed=0)
         with pytest.raises(BadRatios):
             split_nodes(triangle, (1.0, 0.0, 0.0), seed=0)
+        with pytest.raises(BadRatios):
+            split_nodes(triangle, (0.9, 0.1), seed=0)
+        with pytest.raises(BadRatios):
+            split_nodes(triangle, (0.9, 0.05, 0.05, 0.0), seed=0)
+        with pytest.raises(BadRatios):
+            split_nodes(triangle, (float("nan"), 0.5, 0.5), seed=0)
 
     def test_too_small(self):
         g = make_graph(2, [])

@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +69,23 @@ def small_config(**overrides):
     return SynthConfig(**base)
 
 
+def _shipped_synthetic(name):
+    path = Path(__file__).resolve().parent.parent / "configs" / name
+    return SynthConfig.from_dict(json.loads(path.read_text())["data"]["synthetic"])
+
+
+# SynthConfig fields per case; each brute-force test sets the edge rule
+BRUTE_FORCE_CASES = {
+    **{f"seed_{seed}": vars(small_config(seed=seed)) for seed in (21, 22, 23, 24)},
+    # the site-mate mean of a cell alone at its site is 0
+    "one_cell_sites": vars(small_config(cells_per_site=(1, 3), sites=20, seed=25)),
+    # every site pair is within the radius
+    "all_sites_near": vars(small_config(bbox=(57.0, 57.01, 11.5, 11.51), seed=26)),
+    # the criterion-5 network: 60 sites, about 300 cells
+    "site_mean_variant": vars(_shipped_synthetic("site-mean-variant.json")),
+}
+
+
 class TestRules:
     def test_far_sites_only_intra_edges(self):
         cfg = small_config(sites=2, bbox=(50.0, 59.0, 5.0, 25.0), radius_km=5.0, seed=8)
@@ -89,13 +108,15 @@ class TestRules:
         n = gt.graph.n
         assert gt.graph.num_edges == n * (n - 1) // 2
 
-    def test_band_rule_brute_force(self):
-        gt = generate(small_config(seed=21))
+    @pytest.mark.parametrize("case", sorted(BRUTE_FORCE_CASES))
+    def test_band_rule_brute_force(self, case):
+        gt = generate(SynthConfig(**{**BRUTE_FORCE_CASES[case], "edge_rule": BAND_RULE}))
         assert set(gt.graph.edges) == brute_force_edges(gt)
         assert gt.graph.num_edges > 0
 
-    def test_site_mean_rule_brute_force(self):
-        gt = generate(small_config(edge_rule=SITE_MEAN_RULE, seed=22))
+    @pytest.mark.parametrize("case", sorted(BRUTE_FORCE_CASES))
+    def test_site_mean_rule_brute_force(self, case):
+        gt = generate(SynthConfig(**{**BRUTE_FORCE_CASES[case], "edge_rule": SITE_MEAN_RULE}))
         assert set(gt.graph.edges) == brute_force_edges(gt)
 
     def test_small_radius_gives_site_cliques(self):
@@ -160,6 +181,18 @@ class TestGeneration:
             SynthConfig.from_dict({"edge_rule": "magic"})
         with pytest.raises(BadConfig):
             SynthConfig.from_dict({"unknown_field": 1})
+        # not an object, or a field of the wrong JSON type
+        for obj in (
+            [1, 2], "sites", None,
+            {"sites": "ten"}, {"sites": 1e9}, {"sites": 300.0}, {"sites": True},
+            {"bands": 2.5}, {"seed": "0"}, {"seed": -1},
+            {"bbox": [1, 2]}, {"bbox": [56.8, 57.8, 11.0, "13"]}, {"bbox": "box"},
+            {"cells_per_site": [3]}, {"cells_per_site": [3, 7.5]}, {"cells_per_site": 3},
+            {"radius_km": "4"}, {"radius_km": float("nan")},
+            {"feature_noise": [1.0]}, {"feature_noise": float("inf")}, {"site_mean_threshold": None},
+        ):
+            with pytest.raises(BadConfig):
+                SynthConfig.from_dict(obj)
 
 
 class TestExport:

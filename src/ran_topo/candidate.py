@@ -32,8 +32,8 @@ class CandidateConfig:
     def __post_init__(self):
         if self.k < 0:
             raise ValidationError("K must be >= 0")
-        if self.max_dist < 0:
-            raise ValidationError("max distance must be >= 0")
+        if not self.max_dist >= 0:  # also refuses NaN
+            raise ValidationError(f"max distance must be >= 0, got {self.max_dist!r}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CandidateConfig":

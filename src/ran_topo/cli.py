@@ -1,8 +1,10 @@
 """Command-line surface: ``ran-topo <subcommand>``.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 I/O error,
-4 internal invariant violation. Log level comes from the RAN_TOPO_LOG
-environment variable.
+4 internal invariant violation. ``main`` is the one place that maps a
+failure to its code: a StageError by its cause, an OSError to 3, an
+InternalError to 4, any other package error to 2. Log level comes from the
+RAN_TOPO_LOG environment variable.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import sys
 
 from . import models, pipeline
 from .candidate import CandidateConfig, evaluate_candidates
-from .data_io import NormParams, parse_cells_csv, parse_edges_csv, parse_new_cell, zscore_apply
-from .errors import InternalError, IoError, RanTopoError, StageError, ValidationError
-from .graph import build_graph, split_nodes
+from .data_io import NormParams, parse_new_cell, read_network, zscore_apply
+from .errors import InternalError, RanTopoError, StageError, ValidationError
+from .graph import split_nodes
 from .synth import SynthConfig, export, generate
 
 log = logging.getLogger("ran_topo")
@@ -29,29 +31,15 @@ EXIT_INTERNAL = 4
 
 
 def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             return json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _load_graph(cells_path: str, edges_path: str):
-    try:
-        with open(cells_path) as fh:
-            ids, features, mask = parse_cells_csv(fh)
-        with open(edges_path) as fh:
-            edge_pairs = parse_edges_csv(fh)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    if mask.any():
-        raise ValidationError(
-            "input has missing feature values; run them through an experiment "
-            "config with a missing_policy instead"
-        )
-    return build_graph(ids, edge_pairs, features)
+# the subcommands' network reader, under the name perfbench/workloads.py calls
+_load_graph = read_network
 
 
 def cmd_synth(args) -> int:
@@ -78,7 +66,7 @@ def _candidate_config(args) -> CandidateConfig:
 
 
 def cmd_candidates(args) -> int:
-    graph = _load_graph(args.cells, args.edges)
+    graph = read_network(args.cells, args.edges)
     cfg = _candidate_config(args)
     try:
         ratios = tuple(float(r) for r in args.eval_split.split(","))
@@ -137,7 +125,7 @@ def cmd_predict(args) -> int:
         params = models.params_from_json(fh.read())
     with open(args.norm_params) as fh:
         norm = NormParams.from_json(fh.read())
-    graph = _load_graph(args.cells, args.edges)
+    graph = read_network(args.cells, args.edges)
     new_cell = parse_new_cell(_load_json(args.new_cell), graph.features)
     features_norm = zscore_apply(norm, graph.features).values
     new_norm = zscore_apply(norm, new_cell).values[0]
@@ -228,26 +216,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StageError as exc:
-        cause = exc.cause
+    except (RanTopoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(cause, IoError) or isinstance(cause, OSError):
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        if isinstance(cause, OSError):
             return EXIT_IO
         if isinstance(cause, InternalError):
             return EXIT_INTERNAL
         return EXIT_CONFIG
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except InternalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except RanTopoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """CSV/JSON ingestion of cells and relations, missing-data handling, and
-z-score normalization with train-only statistics.
+z-score normalization with train-only statistics. ``read_network`` is the
+one reader of a network's files and ``write_csv`` the one CSV writer.
 
 File formats:
   cells.csv  header ``cell_id,lat,lon,<feature names...>``, UTF-8, ``.``
@@ -30,7 +31,7 @@ from .errors import (
     MissingHeader,
     ValidationError,
 )
-from .graph import CellId, FeatureMatrix
+from .graph import CellId, FeatureMatrix, RanGraph, build_graph
 
 # std below this is treated as a constant column and normalizes to zero
 DEGENERATE_STD = 1e-12
@@ -145,41 +146,26 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_cells_csv(path_or_file, ids, features: FeatureMatrix) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` then ``rows`` to a new CSV file at ``path``, with
+    "\n" line endings: the one CSV writer of the package."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_cells_csv(path, ids, features: FeatureMatrix) -> None:
     """Serialize cells to CSV; floats round-trip exactly."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        fh = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell_id", *features.columns])
-        for i, cell_id in enumerate(ids):
-            writer.writerow(
-                [cell_id, *(_format_float(v) for v in features.values[i])]
-            )
-    finally:
-        if close:
-            fh.close()
+    write_csv(
+        path,
+        ["cell_id", *features.columns],
+        ([cell_id, *map(_format_float, row)] for cell_id, row in zip(ids, features.values)),
+    )
 
 
-def write_edges_csv(path_or_file, edges) -> None:
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        fh = open(path_or_file, "w", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell_id_a", "cell_id_b"])
-        for a, b in edges:
-            writer.writerow([a, b])
-    finally:
-        if close:
-            fh.close()
+def write_edges_csv(path, edges) -> None:
+    write_csv(path, ["cell_id_a", "cell_id_b"], edges)
 
 
 def apply_missing_policy(
@@ -212,6 +198,31 @@ def apply_missing_policy(
         FeatureMatrix(features.columns, values, features.coord_cols),
         list(range(features.n_rows)),
     )
+
+
+def read_network(cells_path, edges_path, policy: MissingPolicy | None = None) -> RanGraph:
+    """The network in a cells.csv and an edges.csv file: the one reader.
+
+    With no policy a missing feature value raises ValidationError. With a
+    policy it is resolved by ``apply_missing_policy``, and the edges of
+    dropped rows are dropped with them.
+    """
+    with open(cells_path) as fh:
+        ids, features, mask = parse_cells_csv(fh)
+    with open(edges_path) as fh:
+        edge_pairs = parse_edges_csv(fh)
+    if policy is None:
+        if mask.any():
+            raise ValidationError(
+                "input has missing feature values; run them through an experiment "
+                "config with a missing_policy instead"
+            )
+        return build_graph(ids, edge_pairs, features)
+    features, kept = apply_missing_policy(features, mask, policy)
+    kept_ids = [ids[i] for i in kept]
+    kept_set = set(kept_ids)
+    edge_pairs = [(a, b) for a, b in edge_pairs if a in kept_set and b in kept_set]
+    return build_graph(kept_ids, edge_pairs, features)
 
 
 @dataclass(frozen=True)

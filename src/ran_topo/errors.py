@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Three broad families matter for the CLI exit codes: configuration /
-validation problems (exit 2), I/O problems (exit 3), and violated internal
-invariants (exit 4). Everything raised by this package derives from
-RanTopoError so callers can catch one type.
+Two families matter for the CLI exit codes: configuration / validation
+problems (exit 2) and violated internal invariants (exit 4). I/O problems
+stay the OSError they are (exit 3). Everything raised by this package
+derives from RanTopoError so callers can catch one type.
 """
 
 
@@ -13,10 +13,6 @@ class RanTopoError(Exception):
 
 class ValidationError(RanTopoError):
     """Bad input data or configuration (CLI exit code 2)."""
-
-
-class IoError(RanTopoError):
-    """Filesystem or stream failure (CLI exit code 3)."""
 
 
 class InternalError(RanTopoError):

@@ -100,6 +100,7 @@ class RanGraph:
     ids: tuple[CellId, ...]
     edge_array: np.ndarray  # (E, 2) int64, rows (i, j) with i < j, ascending
     features: FeatureMatrix
+    # id -> index; built from ids when not given
     _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
     indptr: np.ndarray = field(init=False, repr=False)  # (N + 1,) int64
     indices: np.ndarray = field(init=False, repr=False)  # (2E,) int64
@@ -107,6 +108,8 @@ class RanGraph:
 
     def __post_init__(self):
         n = len(self.ids)
+        if len(self._index) != n:
+            object.__setattr__(self, "_index", {node: i for i, node in enumerate(self.ids)})
         edges = np.asarray(self.edge_array, dtype=np.int64).reshape(-1, 2)
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
         cols = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -181,15 +184,11 @@ class RanGraph:
         return found
 
     def index_of(self, node: CellId) -> int:
-        """Dense internal index for an external id or index."""
-        if isinstance(node, (int, np.integer)) and node not in self._index:
-            i = int(node)
-            if 0 <= i < self.n:
-                return i
-            raise UnknownNode(f"node index {i} out of range")
+        """Dense internal index of an external cell id. Only ids resolve: an
+        integer that is not an id raises UnknownNode, even if in [0, N)."""
         try:
             return self._index[node]
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownNode(f"unknown cell id {node!r}") from None
 
     def neighbor_indices(self, index: int) -> np.ndarray:
@@ -260,12 +259,7 @@ def remove_nodes(graph: RanGraph, removed) -> RanGraph:
     kept_ids = tuple(graph.ids[i] for i in kept.tolist())
     edges = graph.edge_array[keep[graph.edge_array].all(axis=1)]
     # the renumbering is monotone, so kept edges stay canonical and sorted
-    return RanGraph(
-        kept_ids,
-        new_index[edges],
-        graph.features.take_rows(kept),
-        {node_id: i for i, node_id in enumerate(kept_ids)},
-    )
+    return RanGraph(kept_ids, new_index[edges], graph.features.take_rows(kept))
 
 
 @dataclass(frozen=True)

@@ -14,31 +14,31 @@ byte-identical when repeated.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
 from . import models
 from .candidate import CandidateConfig, candidate_indices, evaluate_candidates
-from .data_io import MissingPolicy, NormParams, apply_missing_policy, parse_cells_csv, parse_edges_csv, zscore_apply, zscore_fit
+from .data_io import MissingPolicy, NormParams, read_network, write_csv, zscore_apply, zscore_fit
 from .errors import (
     BadConfig,
     DegenerateGraph,
     EmptyEvalSet,
     EmptyTrainSet,
-    IoError,
     NotEnoughNegatives,
     ShapeMismatch,
     SingleClassOnly,
     StageError,
     ValidationError,
 )
-from .graph import FeatureMatrix, NodeSplit, RanGraph, build_graph, split_nodes
+from .graph import NodeSplit, RanGraph, split_nodes
 from .report import EvalReport
 from .synth import SynthConfig, export, generate
 
@@ -49,6 +49,17 @@ def subseed(seed: int, name: str) -> int:
     """Stable named sub-seed derived from the experiment seed."""
     digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+@contextmanager
+def stage(name: str):
+    """Run a block as the named pipeline stage: any exception it raises
+    leaves as ``StageError(name, cause)``. This is the only place a
+    StageError is raised; the CLI maps its cause to the exit code."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +217,11 @@ def auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 # scoring
 
+def _check_cutoff(cutoff: float) -> None:
+    if not 0.0 <= cutoff <= 1.0:  # also refuses NaN
+        raise ValidationError(f"cutoff must be in [0, 1], got {cutoff!r}")
+
+
 def _check_width(params: dict[str, np.ndarray], features_norm: np.ndarray) -> None:
     width = models.feature_width(params)
     if features_norm.shape[1] != width:
@@ -256,6 +272,7 @@ def evaluate(
     ``scorer`` is any callable mapping an (B, 2) index-pair array to
     probabilities, such as the symmetric one ``make_scorer`` builds.
     """
+    _check_cutoff(cutoff)
     pair_set = sample_pairs(graph, eval_nodes, mode, seed=seed)
     if pair_set.pairs.size == 0:
         return EvalReport(
@@ -292,10 +309,11 @@ class TrainConfig:
     patience: int | None = None
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0 or self.learning_rate < 0:
-            raise BadConfig("epochs and batch size must be positive, lr >= 0")
-        if self.patience is not None and self.patience <= 0:
-            raise BadConfig("patience must be positive when set")
+        counts = (self.epochs, self.batch_size) + (() if self.patience is None else (self.patience,))
+        if not all(isinstance(c, int) and not isinstance(c, bool) and c > 0 for c in counts):
+            raise BadConfig("epochs, batch_size and patience (when set) must be positive integers")
+        if not (isinstance(self.learning_rate, (int, float)) and 0 <= self.learning_rate < math.inf):
+            raise BadConfig(f"learning_rate must be a finite number >= 0, got {self.learning_rate!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,6 +460,7 @@ def predict_new_node(
     embeds over its neighbors in the deployed graph; an embedding reads
     only its own 1-hop neighborhood, so only the candidates are embedded.
     """
+    _check_cutoff(cutoff)
     features_norm = np.asarray(features_norm, dtype=np.float64)
     _check_width(params, features_norm)
     cand_idx, _ = candidate_indices(graph.features.coords(), coords, cand_cfg)
@@ -505,7 +524,12 @@ class ExperimentData:
     split: NodeSplit
     norm_params: NormParams
     features_norm: np.ndarray  # (N, k) aligned with graph indices
-    synthetic: bool
+
+
+def _check_keys(section: dict, known, where: str) -> None:
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise BadConfig(f"unknown {where} keys {unknown}")
 
 
 def prepare_experiment(config: dict, out_dir: str | None = None) -> ExperimentData:
@@ -514,60 +538,35 @@ def prepare_experiment(config: dict, out_dir: str | None = None) -> ExperimentDa
     With a synthetic data source and an out_dir, the generated network is
     exported as cells.csv / edges.csv for inspection and reuse.
     """
-    try:
+    with stage("data"):
+        # the default config names every top-level key there is
+        _check_keys(config, default_config(), "config")
         seed = int(config.get("seed", 0))
         data_cfg = config.get("data", {})
         if "synthetic" in data_cfg:
-            synth_cfg = SynthConfig.from_dict(data_cfg["synthetic"])
-            gt = generate(synth_cfg)
+            gt = generate(SynthConfig.from_dict(data_cfg["synthetic"]))
             graph = gt.graph
             if out_dir is not None:
                 data_dir = os.path.join(out_dir, "data")
                 os.makedirs(data_dir, exist_ok=True)
                 export(gt, data_dir)
-            synthetic = True
         elif "cells_csv" in data_cfg:
-            with open(data_cfg["cells_csv"]) as fh:
-                ids, features, mask = parse_cells_csv(fh)
-            with open(data_cfg["edges_csv"]) as fh:
-                edge_pairs = parse_edges_csv(fh)
             policy = MissingPolicy(data_cfg.get("missing_policy", "drop_row"))
-            features, kept = apply_missing_policy(features, mask, policy)
-            kept_ids = [ids[i] for i in kept]
-            kept_set = set(kept_ids)
-            edge_pairs = [
-                (a, b) for a, b in edge_pairs if a in kept_set and b in kept_set
-            ]
-            graph = build_graph(kept_ids, edge_pairs, features)
-            synthetic = False
+            graph = read_network(data_cfg["cells_csv"], data_cfg["edges_csv"], policy)
         else:
             raise BadConfig("config.data needs 'synthetic' or 'cells_csv'/'edges_csv'")
-    except OSError as exc:
-        raise StageError("data", IoError(str(exc))) from exc
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError("data", exc) from exc
 
-    try:
+    with stage("split"):
         ratios = tuple(config.get("split", {}).get("ratios", (0.9, 0.05, 0.05)))
         split = split_nodes(graph, ratios, seed=subseed(seed, "split"))
-    except Exception as exc:
-        raise StageError("split", exc) from exc
 
-    try:
+    with stage("normalize"):
         train_rows = [graph.index_of(node) for node in split.train_nodes]
         norm_params = zscore_fit(graph.features, train_rows)
         features_norm = zscore_apply(norm_params, graph.features).values
-    except Exception as exc:
-        raise StageError("normalize", exc) from exc
 
     return ExperimentData(
-        graph=graph,
-        split=split,
-        norm_params=norm_params,
-        features_norm=features_norm,
-        synthetic=synthetic,
+        graph=graph, split=split, norm_params=norm_params, features_norm=features_norm
     )
 
 
@@ -581,25 +580,22 @@ class ExperimentResult:
 
 def train_model(kind: str, data: ExperimentData, config: dict) -> TrainResult:
     """Train one model kind as the experiment config's ``train`` and
-    ``dims`` sections say; a failure carries the stage ``train_<kind>``."""
-    try:
-        train_obj = config.get("train", {})
+    ``dims`` sections say; a failure carries the stage ``train_<kind>``.
+
+    The ``train`` section holds TrainConfig fields other than the seed,
+    which comes from the config's top-level seed; an unknown key fails.
+    """
+    with stage(f"train_{kind}"):
         dims = config.get("dims", {})
+        _check_keys(dims, ("h", "d"), "dims")
         cfg = TrainConfig(
-            epochs=int(train_obj.get("epochs", 150)),
-            batch_size=int(train_obj.get("batch_size", 512)),
-            learning_rate=float(train_obj.get("learning_rate", 1e-3)),
-            seed=subseed(int(config.get("seed", 0)), f"train_{kind}"),
-            resample_negatives=bool(train_obj.get("resample_negatives", True)),
-            patience=train_obj.get("patience"),
+            **config.get("train", {}), seed=subseed(int(config.get("seed", 0)), f"train_{kind}")
         )
         return train(
             kind, data.graph, data.features_norm, data.split, cfg,
             hidden=int(dims.get("h", models.DEFAULT_HIDDEN)),
             embed=int(dims.get("d", models.DEFAULT_EMBED)),
         )
-    except Exception as exc:
-        raise StageError(f"train_{kind}", exc) from exc
 
 
 def evaluate_model(params: dict[str, np.ndarray], data: ExperimentData, config: dict) -> dict:
@@ -611,7 +607,7 @@ def evaluate_model(params: dict[str, np.ndarray], data: ExperimentData, config: 
     """
     kind = models.kind_of(params)
     seed = int(config.get("seed", 0))
-    try:
+    with stage(f"eval_{kind}"):
         cutoff = float(config.get("cutoff", DEFAULT_CUTOFF))
         filter_cfg = CandidateConfig.from_dict(config.get("filter", {"k": 60, "max_dist_km": None}))
         scorer = make_scorer(params, data.features_norm, embed_graph=data.graph)
@@ -623,22 +619,18 @@ def evaluate_model(params: dict[str, np.ndarray], data: ExperimentData, config: 
                 seed=subseed(seed, f"eval_{kind}_{name}"),
             )
         return reports
-    except Exception as exc:
-        raise StageError(f"eval_{kind}", exc) from exc
 
 
 def run_experiment(config: dict, out_dir: str | None = None) -> ExperimentResult:
     """Execute the full pipeline and optionally write the report bundle."""
     data = prepare_experiment(config, out_dir)
-    try:
+    with stage("candidate"):
         cand_reports = []
         for cand_obj in config.get("candidate_configs", []):
             cand_cfg = CandidateConfig.from_dict(cand_obj)
             cand_reports.append(
                 (cand_cfg, evaluate_candidates(data.graph, data.split.val_nodes, cand_cfg))
             )
-    except Exception as exc:
-        raise StageError("candidate", exc) from exc
 
     model_results: dict = {}
     model_reports: dict = {}
@@ -653,10 +645,8 @@ def run_experiment(config: dict, out_dir: str | None = None) -> ExperimentResult
         model_reports=model_reports,
     )
     if out_dir is not None:
-        try:
+        with stage("write"):
             write_bundle(result, config, out_dir)
-        except OSError as exc:
-            raise StageError("write", IoError(str(exc))) from exc
     return result
 
 
@@ -664,16 +654,6 @@ def _write_text(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
         fh.write("\n")
-
-
-def _write_history_csv(path: str, history: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_loss", "val_accuracy"])
-        for row in history:
-            writer.writerow(
-                [row["epoch"], repr(row["train_loss"]), repr(row["val_accuracy"])]
-            )
 
 
 def write_models(out_dir: str, model_results: dict, norm_params: NormParams) -> None:
@@ -684,7 +664,12 @@ def write_models(out_dir: str, model_results: dict, norm_params: NormParams) -> 
     for kind, train_result in model_results.items():
         params_text = models.params_to_json(train_result.params)
         _write_text(os.path.join(out_dir, f"params_{kind}.json"), params_text)
-        _write_history_csv(os.path.join(out_dir, f"history_{kind}.csv"), train_result.history)
+        write_csv(
+            os.path.join(out_dir, f"history_{kind}.csv"),
+            ["epoch", "train_loss", "val_accuracy"],
+            ([row["epoch"], repr(row["train_loss"]), repr(row["val_accuracy"])]
+             for row in train_result.history),
+        )
 
 
 def write_reports(out_dir: str, model_reports: dict) -> None:
@@ -717,21 +702,21 @@ def write_bundle(result: ExperimentResult, config: dict, out_dir: str) -> None:
     for idx, (_, report) in enumerate(result.candidate_reports):
         _write_text(os.path.join(reports_dir, f"candidate_{idx}.json"), report.to_json())
     write_reports(reports_dir, result.model_reports)
-
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "mode", "acc_pct", "precision_pct", "recall_pct", "auc"])
-        for model_name, mode, report in summary_rows(result):
-            writer.writerow(
-                [
-                    model_name,
-                    mode,
-                    f"{100 * report.accuracy:.2f}",
-                    f"{100 * report.precision:.2f}",
-                    f"{100 * report.recall:.2f}",
-                    "" if report.auc is None else f"{report.auc:.4f}",
-                ]
-            )
+    write_csv(
+        os.path.join(out_dir, "summary.csv"),
+        ["model", "mode", "acc_pct", "precision_pct", "recall_pct", "auc"],
+        (
+            [
+                model_name,
+                mode,
+                f"{100 * report.accuracy:.2f}",
+                f"{100 * report.precision:.2f}",
+                f"{100 * report.recall:.2f}",
+                "" if report.auc is None else f"{report.auc:.4f}",
+            ]
+            for model_name, mode, report in summary_rows(result)
+        ),
+    )
 
 
 def format_summary(result: ExperimentResult) -> str:

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from ran_topo import models
+from ran_topo import models, pipeline
 from ran_topo.cli import main
+from ran_topo.errors import InternalError
 
 SYNTH_CFG = {
     "sites": 15,
@@ -128,6 +129,16 @@ class TestCandidates:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_max_distance_exit_2(self, synth_dir, capsys):
+        code = main([
+            "candidates",
+            "--cells", str(synth_dir / "cells.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--k", "10", "--max-dist-km", "nan",
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_report_written_to_out(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "cand.json"
         code = main([
@@ -159,6 +170,85 @@ class TestExperiment:
     def test_bad_experiment_config_exit_2(self, tmp_path):
         cfg = write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, "data": {}})
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+
+
+def _raiser(exc):
+    def raise_(*args, **kwargs):
+        raise exc
+    return raise_
+
+
+def _fail_after(monkeypatch, name, calls, exc):
+    """Let the first ``calls`` calls of ``pipeline.<name>`` through (the
+    MLP's, which an experiment runs first), then raise ``exc``."""
+    original, done = getattr(pipeline, name), []
+
+    def patched(*args, **kwargs):
+        if len(done) == calls:
+            raise exc
+        done.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, patched)
+
+
+def _missing_network(config, out, monkeypatch):
+    config["data"] = {"cells_csv": str(out / "missing.csv"), "edges_csv": str(out / "missing.csv")}
+
+
+def _reports_dir_is_a_file(config, out, monkeypatch):
+    out.mkdir()
+    (out / "reports").write_text("")
+
+
+# every stage a StageError can name -> (a change to the experiment that makes
+# that stage fail, the exit code of the failure's cause: 3 for an OSError,
+# 4 for an InternalError, 2 otherwise)
+STAGE_FAILURES = {
+    "data": (_missing_network, 3),
+    "split": (lambda config, out, mp: config.update(split={"ratios": [0.5, 0.5]}), 2),
+    "normalize": (lambda config, out, mp: mp.setattr(pipeline, "zscore_fit", _raiser(InternalError("broken"))), 4),
+    "candidate": (lambda config, out, mp: config.update(candidate_configs=[{"k": -1}]), 2),
+    "train_mlp": (lambda config, out, mp: config.update(train={"epochs": 0}), 2),
+    "train_gnn": (lambda config, out, mp: _fail_after(mp, "train", 1, InternalError("broken")), 4),
+    "eval_mlp": (lambda config, out, mp: config.update(filter={"k": -1}), 2),
+    # one evaluate call per mode: balanced, all_pairs, candidate_filtered
+    "eval_gnn": (lambda config, out, mp: _fail_after(mp, "evaluate", 3, OSError("disk gone")), 3),
+    "write": (_reports_dir_is_a_file, 3),
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGE_FAILURES))
+def test_stage_failure_names_stage_and_maps_exit_code(tmp_path, capsys, monkeypatch, stage):
+    provoke, expected_code = STAGE_FAILURES[stage]
+    config, out = json.loads(json.dumps(EXPERIMENT_CFG)), tmp_path / "run"
+    provoke(config, out, monkeypatch)
+    code = main(["experiment", "--config", write_json(tmp_path / "exp.json", config), "--out", str(out)])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert code == expected_code
+    assert len(errors) == 1 and errors[0].startswith(f"error: [{stage}] "), errors
+
+
+# experiment-config changes that used to run anyway -> exit 2, one error line
+BAD_CONFIG_VALUES = {
+    "misspelt_train_key": {"train": {"epoch": 1}},
+    "unknown_dims_key": {"dims": {"h": 8, "dd": 8}},
+    "unknown_top_level_key": {"seeds": 3},
+    "nan_learning_rate": {"train": {**EXPERIMENT_CFG["train"], "learning_rate": float("nan")}},
+    "nan_cutoff": {"cutoff": float("nan")},
+    "cutoff_above_one": {"cutoff": 1.5},
+    "negative_cutoff": {"cutoff": -0.1},
+    "nan_filter_distance": {"filter": {"k": 10, "max_dist_km": float("nan")}},
+}
+
+
+@pytest.mark.parametrize("change", sorted(BAD_CONFIG_VALUES))
+def test_bad_config_value_exit_2(tmp_path, capsys, change):
+    cfg = write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, **BAD_CONFIG_VALUES[change]})
+    code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1, err
 
 
 # (subcommand, --config file text) pairs that used to end in a traceback
@@ -288,6 +378,29 @@ class TestTrainEvalPredict:
         assert probs == sorted(probs, reverse=True)
         _ = cfg
 
+    @pytest.mark.parametrize("flags", [
+        ["--cutoff", "nan"], ["--cutoff", "1.5"], ["--cutoff", "-0.5"], ["--max-dist-km", "nan"],
+    ], ids=["nan_cutoff", "cutoff_above_one", "negative_cutoff", "nan_max_distance"])
+    def test_predict_bad_flag_exit_2(self, trained, tmp_path, capsys, flags):
+        _, out = trained
+        data_dir = out / "data"
+        with open(data_dir / "cells.csv") as fh:
+            header = fh.readline().strip().split(",")
+            first_row = fh.readline().strip().split(",")
+        cell_path = write_json(tmp_path / "new.json", dict(zip(header[1:], map(float, first_row[1:]))))
+        code = main([
+            "predict",
+            "--params", str(out / "params_mlp.json"),
+            "--norm-params", str(out / "norm_params.json"),
+            "--cells", str(data_dir / "cells.csv"),
+            "--edges", str(data_dir / "edges.csv"),
+            "--new-cell", cell_path,
+            *flags,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1, err
+
     def test_predict_empty_candidates_warns(self, trained, tmp_path, capsys):
         _, out = trained
         data_dir = out / "data"
@@ -334,10 +447,8 @@ class TestTrainEvalPredict:
         data_dir.mkdir()
         from ran_topo.data_io import write_cells_csv, write_edges_csv
 
-        with open(data_dir / "cells.csv", "w") as fh:
-            write_cells_csv(fh, list(reduced.ids), reduced.features)
-        with open(data_dir / "edges.csv", "w") as fh:
-            write_edges_csv(fh, reduced.edge_list())
+        write_cells_csv(data_dir / "cells.csv", list(reduced.ids), reduced.features)
+        write_edges_csv(data_dir / "edges.csv", reduced.edge_list())
 
         config = {
             "seed": 5,

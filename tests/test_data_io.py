@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -224,22 +223,21 @@ class TestZScore:
 
 
 class TestRoundTrip:
-    def test_cells_exact(self):
+    def test_cells_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         values = np.hstack(
             [rng.uniform(-60, 60, (15, 1)), rng.uniform(-180, 180, (15, 1)), rng.normal(size=(15, 3))]
         )
         fm = FeatureMatrix(("lat", "lon", "a", "b", "c"), values)
         ids = [f"cell{i}" for i in range(15)]
-        buf = io.StringIO()
-        write_cells_csv(buf, ids, fm)
-        ids2, fm2, mask = parse_cells_csv(buf.getvalue())
+        write_cells_csv(tmp_path / "cells.csv", ids, fm)
+        ids2, fm2, mask = parse_cells_csv((tmp_path / "cells.csv").read_bytes())
         assert ids2 == ids
         assert fm2.columns == fm.columns
         assert np.array_equal(fm2.values, fm.values)
         assert not mask.any()
 
-    def test_edges_round_trip(self):
-        buf = io.StringIO()
-        write_edges_csv(buf, [("a", "b"), ("c", "d")])
-        assert parse_edges_csv(buf.getvalue()) == [("a", "b"), ("c", "d")]
+    def test_edges_round_trip(self, tmp_path):
+        write_edges_csv(tmp_path / "edges.csv", [("a", "b"), ("c", "d")])
+        assert (tmp_path / "edges.csv").read_bytes() == b"cell_id_a,cell_id_b\na,b\nc,d\n"
+        assert parse_edges_csv((tmp_path / "edges.csv").read_text()) == [("a", "b"), ("c", "d")]

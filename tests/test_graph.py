@@ -41,6 +41,18 @@ class TestBuildGraph:
         assert g.neighbors(10) == [20]
         assert g.ids[g.index_of(20)] == 20
 
+    @pytest.mark.parametrize(
+        "ids, node",
+        [([10, 20], 1), ([10, 20], 0), (["a", "b"], True), (["a", "b"], 0)],
+        ids=["int_ids_index_1", "int_ids_index_0", "str_ids_true", "str_ids_index_0"],
+    )
+    def test_an_index_is_not_an_id(self, ids, node):
+        g = build_graph(ids, [tuple(ids)], make_features([(0, 0), (0, 1)]))
+        with pytest.raises(UnknownNode):
+            g.neighbors(node)
+        with pytest.raises(UnknownNode):
+            g.index_of(node)
+
 
 class TestRemoveNodes:
     def test_path_disconnection(self, path3):

@@ -168,6 +168,31 @@ class TestSymmetricScore:
         assert sym == pytest.approx((sigmoid(7.0) + sigmoid(5.0)) / 2.0, rel=1e-15)
 
 
+class TestScoreBlocks:
+    @pytest.mark.parametrize("n_pairs", [1, 2, 5, 9, 17])
+    def test_blocks_match_one_pass(self, monkeypatch, n_pairs):
+        rng = np.random.default_rng(4)
+        params = models.init_params("mlp", k=3, hidden=5, seed=1)
+        x = rng.normal(size=(6, 3))
+        pairs = rng.integers(0, 6, size=(n_pairs, 2))
+        one_pass = models.symmetric_score_batch(params, x, pairs)
+        sizes = []
+        head_forward = models._head_forward
+
+        def recording(d, pair_input):
+            sizes.append(len(pair_input))
+            return head_forward(d, pair_input)
+
+        monkeypatch.setattr(models, "SCORE_BLOCK", 4)
+        monkeypatch.setattr(models, "_head_forward", recording)
+        blocked = models.symmetric_score_batch(params, x, pairs)
+        np.testing.assert_allclose(blocked, one_pass, rtol=0, atol=1e-15)
+        assert sum(sizes) == 2 * n_pairs  # both concat orders of every pair
+        assert max(sizes) <= 4
+        # no block of one pair unless the batch is one pair
+        assert min(sizes) >= min(2, n_pairs)
+
+
 class TestInitParams:
     def test_same_seed_identical(self):
         a = models.init_params("gnn", seed=11)

@@ -11,35 +11,15 @@ an index must not change results anyway.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyEvalSet, ValidationError
+from .config import CandidateConfig
+from .errors import EmptyEvalSet
 from .graph import CellId, RanGraph
 from .report import EvalReport
 
 EARTH_RADIUS_KM = 6371.0
-
-
-@dataclass(frozen=True)
-class CandidateConfig:
-    """K = max number of candidates, m = max haversine distance in km."""
-
-    k: int
-    max_dist: float = math.inf
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValidationError("K must be >= 0")
-        if not self.max_dist >= 0:  # also refuses NaN
-            raise ValidationError(f"max distance must be >= 0, got {self.max_dist!r}")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CandidateConfig":
-        """From ``{"k": ..., "max_dist_km": ...}``; a null distance means no cap."""
-        max_dist = obj.get("max_dist_km")
-        return cls(k=int(obj["k"]), max_dist=math.inf if max_dist is None else float(max_dist))
 
 
 def geo_distance(a, b) -> float:

@@ -14,13 +14,15 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from . import models, pipeline
-from .candidate import CandidateConfig, evaluate_candidates
+from .candidate import evaluate_candidates
+from .config import CandidateConfig, ExperimentConfig, SynthConfig
 from .data_io import NormParams, parse_new_cell, read_network, zscore_apply
 from .errors import InternalError, RanTopoError, StageError, ValidationError
 from .graph import split_nodes
-from .synth import SynthConfig, export, generate
+from .synth import export, generate
 
 log = logging.getLogger("ran_topo")
 
@@ -44,8 +46,7 @@ _load_graph = read_network
 
 def cmd_synth(args) -> int:
     cfg = SynthConfig.from_dict(_load_json(args.config))
-    if args.seed is not None:
-        cfg = SynthConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+    cfg = cfg if args.seed is None else replace(cfg, seed=args.seed)
     gt = generate(cfg)
     os.makedirs(args.out, exist_ok=True)
     export(gt, args.out)
@@ -83,40 +84,40 @@ def cmd_candidates(args) -> int:
     return EXIT_OK
 
 
-def _experiment_config(args) -> dict:
-    config = _load_json(args.config) if args.config else pipeline.default_config()
-    if not isinstance(config, dict):
-        raise ValidationError(f"config must be a JSON object, not {type(config).__name__}")
-    if args.seed is not None:
-        config = {**config, "seed": args.seed}
-    return config
+def _experiment_config(args) -> ExperimentConfig:
+    """The whole --config file (default: ``{}``), parsed before any other stage."""
+    with pipeline.stage("config"):
+        cfg = ExperimentConfig.from_dict(_load_json(args.config) if args.config else {})
+        return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def cmd_train(args) -> int:
-    config = _experiment_config(args)
-    data = pipeline.prepare_experiment(config, args.out)
+    cfg = _experiment_config(args)
+    data = pipeline.prepare_experiment(cfg, args.out)
     kinds = [args.model] if args.model != "both" else [models.MLP_KIND, models.GNN_KIND]
     results = {}
     for kind in kinds:
-        results[kind] = result = pipeline.train_model(kind, data, config)
+        results[kind] = result = pipeline.train_model(kind, data, cfg)
         log.info(
             "%s: best val accuracy %.4f at epoch %d",
             kind, result.best_val_accuracy, result.best_epoch,
         )
-    pipeline.write_models(args.out, results, data.norm_params)
+    with pipeline.stage("write"):
+        pipeline.write_models(args.out, results, data.norm_params)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    config = _experiment_config(args)
+    cfg = _experiment_config(args)
     with open(args.params) as fh:
         params = models.params_from_json(fh.read())
-    data = pipeline.prepare_experiment(config)
-    reports = pipeline.evaluate_model(params, data, config)
+    data = pipeline.prepare_experiment(cfg)
+    reports = pipeline.evaluate_model(params, data, cfg)
     for (kind, name), report in reports.items():
         print(f"{kind} {name}: acc={report.accuracy:.4f} precision={report.precision:.4f} "
               f"recall={report.recall:.4f} auc={report.auc}")
-    pipeline.write_reports(args.out, reports)
+    with pipeline.stage("write"):
+        pipeline.write_reports(args.out, reports)
     return EXIT_OK
 
 
@@ -143,8 +144,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = _experiment_config(args)
-    result = pipeline.run_experiment(config, args.out)
+    cfg = _experiment_config(args)
+    result = pipeline.run_experiment(cfg, args.out)
     print(pipeline.format_summary(result))
     return EXIT_OK
 
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True)
     p.add_argument("--k", type=int, required=True, help="max candidates per cell")
     p.add_argument("--max-dist-km", type=float, default=None, help="max distance (km)")
-    p.add_argument("--eval-split", default="0.9,0.05,0.05")
+    p.add_argument("--eval-split", default=",".join(map(str, ExperimentConfig.split)))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="also write the report JSON here")
     p.set_defaults(func=cmd_candidates)
@@ -192,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", required=True)
     p.add_argument("--edges", required=True)
     p.add_argument("--new-cell", required=True, help="JSON with lat, lon, and features")
-    p.add_argument("--k", type=int, default=60)
+    p.add_argument("--k", type=int, default=ExperimentConfig.filter.k)
     p.add_argument("--max-dist-km", type=float, default=None)
-    p.add_argument("--cutoff", type=float, default=0.5)
+    p.add_argument("--cutoff", type=float, default=ExperimentConfig.cutoff)
     p.add_argument("--max-neighbors", type=int, default=None)
     p.set_defaults(func=cmd_predict)
 

@@ -118,11 +118,6 @@ def init_params(
     return params_from_dict(kind, arrays)
 
 
-def params_to_dict(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """A shallow copy; the parameters already are a name -> array dict."""
-    return dict(params)
-
-
 # ---------------------------------------------------------------------------
 # forward / backward on raw arrays
 

@@ -16,19 +16,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import rankdata
 
 from . import models
-from .candidate import CandidateConfig, candidate_indices, evaluate_candidates
+from .candidate import candidate_indices, evaluate_candidates
+from .config import CandidateConfig, ExperimentConfig, SynthConfig, TrainConfig, check_cutoff
 from .data_io import MissingPolicy, NormParams, read_network, write_csv, zscore_apply, zscore_fit
 from .errors import (
-    BadConfig,
     DegenerateGraph,
     EmptyEvalSet,
     EmptyTrainSet,
@@ -40,9 +39,7 @@ from .errors import (
 )
 from .graph import NodeSplit, RanGraph, split_nodes
 from .report import EvalReport
-from .synth import SynthConfig, export, generate
-
-DEFAULT_CUTOFF = 0.5
+from .synth import export, generate
 
 
 def subseed(seed: int, name: str) -> int:
@@ -217,11 +214,6 @@ def auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 # scoring
 
-def _check_cutoff(cutoff: float) -> None:
-    if not 0.0 <= cutoff <= 1.0:  # also refuses NaN
-        raise ValidationError(f"cutoff must be in [0, 1], got {cutoff!r}")
-
-
 def _check_width(params: dict[str, np.ndarray], features_norm: np.ndarray) -> None:
     width = models.feature_width(params)
     if features_norm.shape[1] != width:
@@ -264,7 +256,7 @@ def evaluate(
     graph: RanGraph,
     eval_nodes,
     mode: PairMode,
-    cutoff: float = DEFAULT_CUTOFF,
+    cutoff: float = ExperimentConfig.cutoff,
     seed: int = 0,
 ) -> EvalReport:
     """Score sampled pairs, threshold at the cutoff, report counts and AUC.
@@ -272,7 +264,7 @@ def evaluate(
     ``scorer`` is any callable mapping an (B, 2) index-pair array to
     probabilities, such as the symmetric one ``make_scorer`` builds.
     """
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
     pair_set = sample_pairs(graph, eval_nodes, mode, seed=seed)
     if pair_set.pairs.size == 0:
         return EvalReport(
@@ -298,23 +290,6 @@ def evaluate(
 
 # ---------------------------------------------------------------------------
 # training
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 150
-    batch_size: int = 512
-    learning_rate: float = 1e-3
-    seed: int = 0
-    resample_negatives: bool = True
-    patience: int | None = None
-
-    def __post_init__(self):
-        counts = (self.epochs, self.batch_size) + (() if self.patience is None else (self.patience,))
-        if not all(isinstance(c, int) and not isinstance(c, bool) and c > 0 for c in counts):
-            raise BadConfig("epochs, batch_size and patience (when set) must be positive integers")
-        if not (isinstance(self.learning_rate, (int, float)) and 0 <= self.learning_rate < math.inf):
-            raise BadConfig(f"learning_rate must be a finite number >= 0, got {self.learning_rate!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class TrainResult:
@@ -408,7 +383,7 @@ def train(
 
         scorer = make_scorer(params, features_norm, embed_graph=graph)
         val_scores = scorer(val_pairs.pairs)
-        val_acc = float(np.mean((val_scores >= DEFAULT_CUTOFF) == (val_pairs.labels == 1)))
+        val_acc = float(np.mean((val_scores >= ExperimentConfig.cutoff) == (val_pairs.labels == 1)))
 
         history.append(
             {"epoch": epoch, "train_loss": train_loss, "val_accuracy": val_acc}
@@ -449,7 +424,7 @@ def predict_new_node(
     new_features_norm: np.ndarray,
     coords,
     cand_cfg: CandidateConfig,
-    cutoff: float = DEFAULT_CUTOFF,
+    cutoff: float = ExperimentConfig.cutoff,
     max_neighbors: int | None = None,
 ) -> Prediction:
     """Score a not-yet-deployed cell against its geographic candidate set.
@@ -460,7 +435,9 @@ def predict_new_node(
     embeds over its neighbors in the deployed graph; an embedding reads
     only its own 1-hop neighborhood, so only the candidates are embedded.
     """
-    _check_cutoff(cutoff)
+    check_cutoff(cutoff)
+    if max_neighbors is not None and max_neighbors < 0:
+        raise ValidationError(f"max_neighbors must be >= 0, got {max_neighbors}")
     features_norm = np.asarray(features_norm, dtype=np.float64)
     _check_width(params, features_norm)
     cand_idx, _ = candidate_indices(graph.features.coords(), coords, cand_cfg)
@@ -494,26 +471,8 @@ def predict_new_node(
 # experiment runner
 
 def default_config() -> dict:
-    """The shipped default experiment: synthetic network, both models,
-    candidate baseline sweep, all three evaluation modes."""
-    return {
-        "seed": 7,
-        "data": {"synthetic": SynthConfig().to_dict()},
-        "split": {"ratios": [0.9, 0.05, 0.05]},
-        "candidate_configs": [{"k": 100000, "max_dist_km": None}],
-        "filter": {"k": 60, "max_dist_km": 4.0},
-        "dims": {"h": 64, "d": 64},
-        "train": {
-            # the synthetic default separates quickly; a short run keeps the
-            # model in the paper-like regime instead of memorizing the box
-            "epochs": 6,
-            "batch_size": 512,
-            "learning_rate": 1e-3,
-            "resample_negatives": True,
-            "patience": None,
-        },
-        "cutoff": DEFAULT_CUTOFF,
-    }
+    """The shipped default experiment, ``configs/default.json``."""
+    return ExperimentConfig().to_dict()
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,39 +485,26 @@ class ExperimentData:
     features_norm: np.ndarray  # (N, k) aligned with graph indices
 
 
-def _check_keys(section: dict, known, where: str) -> None:
-    unknown = sorted(set(section) - set(known))
-    if unknown:
-        raise BadConfig(f"unknown {where} keys {unknown}")
-
-
-def prepare_experiment(config: dict, out_dir: str | None = None) -> ExperimentData:
+def prepare_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentData:
     """Run the data, split, and normalization stages of an experiment.
 
     With a synthetic data source and an out_dir, the generated network is
     exported as cells.csv / edges.csv for inspection and reuse.
     """
     with stage("data"):
-        # the default config names every top-level key there is
-        _check_keys(config, default_config(), "config")
-        seed = int(config.get("seed", 0))
-        data_cfg = config.get("data", {})
-        if "synthetic" in data_cfg:
-            gt = generate(SynthConfig.from_dict(data_cfg["synthetic"]))
+        if isinstance(cfg.data, SynthConfig):
+            gt = generate(cfg.data)
             graph = gt.graph
             if out_dir is not None:
                 data_dir = os.path.join(out_dir, "data")
                 os.makedirs(data_dir, exist_ok=True)
                 export(gt, data_dir)
-        elif "cells_csv" in data_cfg:
-            policy = MissingPolicy(data_cfg.get("missing_policy", "drop_row"))
-            graph = read_network(data_cfg["cells_csv"], data_cfg["edges_csv"], policy)
         else:
-            raise BadConfig("config.data needs 'synthetic' or 'cells_csv'/'edges_csv'")
+            policy = MissingPolicy(cfg.data.missing_policy)
+            graph = read_network(cfg.data.cells_csv, cfg.data.edges_csv, policy)
 
     with stage("split"):
-        ratios = tuple(config.get("split", {}).get("ratios", (0.9, 0.05, 0.05)))
-        split = split_nodes(graph, ratios, seed=subseed(seed, "split"))
+        split = split_nodes(graph, cfg.split, seed=subseed(cfg.seed, "split"))
 
     with stage("normalize"):
         train_rows = [graph.index_of(node) for node in split.train_nodes]
@@ -578,27 +524,18 @@ class ExperimentResult:
     model_reports: dict  # (kind, mode name) -> EvalReport
 
 
-def train_model(kind: str, data: ExperimentData, config: dict) -> TrainResult:
-    """Train one model kind as the experiment config's ``train`` and
-    ``dims`` sections say; a failure carries the stage ``train_<kind>``.
-
-    The ``train`` section holds TrainConfig fields other than the seed,
-    which comes from the config's top-level seed; an unknown key fails.
-    """
+def train_model(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult:
+    """Train one model kind with the config's ``train`` section and dims, on
+    a seed derived from the experiment's; failures carry ``train_<kind>``."""
     with stage(f"train_{kind}"):
-        dims = config.get("dims", {})
-        _check_keys(dims, ("h", "d"), "dims")
-        cfg = TrainConfig(
-            **config.get("train", {}), seed=subseed(int(config.get("seed", 0)), f"train_{kind}")
-        )
+        train_cfg = replace(cfg.train, seed=subseed(cfg.seed, f"train_{kind}"))
         return train(
-            kind, data.graph, data.features_norm, data.split, cfg,
-            hidden=int(dims.get("h", models.DEFAULT_HIDDEN)),
-            embed=int(dims.get("d", models.DEFAULT_EMBED)),
+            kind, data.graph, data.features_norm, data.split, train_cfg,
+            hidden=cfg.hidden, embed=cfg.embed,
         )
 
 
-def evaluate_model(params: dict[str, np.ndarray], data: ExperimentData, config: dict) -> dict:
+def evaluate_model(params: dict[str, np.ndarray], data: ExperimentData, cfg: ExperimentConfig) -> dict:
     """(kind, mode name) -> EvalReport for the three evaluation modes over
     the validation cells, with the config's cutoff and candidate ``filter``.
 
@@ -606,37 +543,32 @@ def evaluate_model(params: dict[str, np.ndarray], data: ExperimentData, config: 
     failure carries the stage ``eval_<kind>``.
     """
     kind = models.kind_of(params)
-    seed = int(config.get("seed", 0))
     with stage(f"eval_{kind}"):
-        cutoff = float(config.get("cutoff", DEFAULT_CUTOFF))
-        filter_cfg = CandidateConfig.from_dict(config.get("filter", {"k": 60, "max_dist_km": None}))
         scorer = make_scorer(params, data.features_norm, embed_graph=data.graph)
         reports = {}
-        for mode in (Balanced(), AllPairs(), CandidateFiltered(filter_cfg)):
+        for mode in (Balanced(), AllPairs(), CandidateFiltered(cfg.filter)):
             name = mode_name(mode)
             reports[(kind, name)] = evaluate(
-                scorer, data.graph, data.split.val_nodes, mode, cutoff=cutoff,
-                seed=subseed(seed, f"eval_{kind}_{name}"),
+                scorer, data.graph, data.split.val_nodes, mode, cutoff=cfg.cutoff,
+                seed=subseed(cfg.seed, f"eval_{kind}_{name}"),
             )
         return reports
 
 
-def run_experiment(config: dict, out_dir: str | None = None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> ExperimentResult:
     """Execute the full pipeline and optionally write the report bundle."""
-    data = prepare_experiment(config, out_dir)
+    data = prepare_experiment(cfg, out_dir)
     with stage("candidate"):
-        cand_reports = []
-        for cand_obj in config.get("candidate_configs", []):
-            cand_cfg = CandidateConfig.from_dict(cand_obj)
-            cand_reports.append(
-                (cand_cfg, evaluate_candidates(data.graph, data.split.val_nodes, cand_cfg))
-            )
+        cand_reports = [
+            (cand_cfg, evaluate_candidates(data.graph, data.split.val_nodes, cand_cfg))
+            for cand_cfg in cfg.candidate_configs
+        ]
 
     model_results: dict = {}
     model_reports: dict = {}
     for kind in (models.MLP_KIND, models.GNN_KIND):
-        model_results[kind] = train_model(kind, data, config)
-        model_reports.update(evaluate_model(model_results[kind].params, data, config))
+        model_results[kind] = train_model(kind, data, cfg)
+        model_reports.update(evaluate_model(model_results[kind].params, data, cfg))
 
     result = ExperimentResult(
         data=data,
@@ -646,7 +578,7 @@ def run_experiment(config: dict, out_dir: str | None = None) -> ExperimentResult
     )
     if out_dir is not None:
         with stage("write"):
-            write_bundle(result, config, out_dir)
+            write_bundle(result, cfg, out_dir)
     return result
 
 
@@ -687,7 +619,7 @@ def summary_rows(result: ExperimentResult) -> list[tuple[str, str, EvalReport]]:
     ] + [(kind, mode, report) for (kind, mode), report in result.model_reports.items()]
 
 
-def write_bundle(result: ExperimentResult, config: dict, out_dir: str) -> None:
+def write_bundle(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
     """Write reports, parameters, histories, and summary.csv for a run.
 
     Output is a pure function of the config, so repeated runs are
@@ -696,7 +628,7 @@ def write_bundle(result: ExperimentResult, config: dict, out_dir: str) -> None:
     reports_dir = os.path.join(out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
+        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     write_models(out_dir, result.model_results, result.data.norm_params)
     for idx, (_, report) in enumerate(result.candidate_reports):

@@ -20,15 +20,14 @@ models that can aggregate over the graph.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .candidate import CandidateConfig, candidate_indices
+from .config import BAND_RULE, SITE_MEAN_RULE, TX_POWER_RANGE, SynthConfig
 from .data_io import write_cells_csv, write_edges_csv
-from .errors import BadConfig
 from .graph import FeatureMatrix, RanGraph, build_graph
 
 FEATURE_COLUMNS = (
@@ -42,107 +41,8 @@ FEATURE_COLUMNS = (
     "nuisance",
 )
 
-BAND_RULE = "band"
-SITE_MEAN_RULE = "site_mean"
-
-TX_POWER_RANGE = (10.0, 50.0)
 ANTENNA_HEIGHT_RANGE = (10.0, 60.0)
 CAPACITY_RANGE = (50.0, 500.0)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_list_of(value, length: int, ok) -> bool:
-    return isinstance(value, (list, tuple)) and len(value) == length and all(map(ok, value))
-
-
-# SynthConfig field -> (JSON type check, what the message says it must be)
-_FIELD_TYPES = {
-    "sites": (_is_int, "an integer"),
-    "bands": (_is_int, "an integer"),
-    "seed": (_is_int, "an integer"),
-    "cells_per_site": (lambda v: _is_list_of(v, 2, _is_int), "two integers"),
-    "bbox": (lambda v: _is_list_of(v, 4, _is_number), "four numbers"),
-    "radius_km": (_is_number, "a number"),
-    "feature_noise": (_is_number, "a number"),
-    "site_mean_threshold": (_is_number, "a number"),
-}
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    sites: int = 300
-    cells_per_site: tuple[int, int] = (3, 7)
-    bbox: tuple[float, float, float, float] = (56.8, 57.8, 11.0, 13.0)  # lat min/max, lon min/max
-    radius_km: float = 4.0
-    bands: int = 6
-    feature_noise: float = 1.0
-    seed: int = 0
-    edge_rule: str = BAND_RULE
-    # site_mean rule only; default = twice the tx_power midpoint, so roughly
-    # half of the close pairs qualify
-    site_mean_threshold: float = TX_POWER_RANGE[0] + TX_POWER_RANGE[1]
-
-    def validate(self) -> None:
-        lat_min, lat_max, lon_min, lon_max = self.bbox
-        if self.sites < 2:
-            raise BadConfig("sites must be >= 2")
-        lo, hi = self.cells_per_site
-        if not 1 <= lo <= hi:
-            raise BadConfig("cells_per_site must be a range with 1 <= lo <= hi")
-        if not self.radius_km > 0:
-            raise BadConfig("radius_km must be > 0")
-        if self.bands < 1:
-            raise BadConfig("bands must be >= 1")
-        if not 0 <= self.feature_noise < math.inf:
-            raise BadConfig("feature_noise must be finite and >= 0")
-        if not (lat_min < lat_max and lon_min < lon_max):
-            raise BadConfig("bbox must have positive extent")
-        if max(abs(lat_min), abs(lat_max)) > 60 or max(abs(lon_min), abs(lon_max)) > 180:
-            raise BadConfig("bbox must lie within |lat| <= 60, |lon| <= 180")
-        if self.seed < 0:
-            raise BadConfig("seed must be >= 0")
-        if self.edge_rule not in (BAND_RULE, SITE_MEAN_RULE):
-            raise BadConfig(f"unknown edge rule {self.edge_rule!r}")
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SynthConfig":
-        """From a JSON object; a field of the wrong JSON type raises BadConfig."""
-        if not isinstance(obj, dict):
-            raise BadConfig(f"synthetic config must be a JSON object, not {type(obj).__name__}")
-        for name, (ok, what) in _FIELD_TYPES.items():
-            if name in obj and not ok(obj[name]):
-                raise BadConfig(f"{name} must be {what}, got {obj[name]!r}")
-        kwargs = dict(obj)
-        if "cells_per_site" in kwargs:
-            kwargs["cells_per_site"] = tuple(kwargs["cells_per_site"])
-        if "bbox" in kwargs:
-            kwargs["bbox"] = tuple(kwargs["bbox"])
-        try:
-            cfg = cls(**kwargs)
-        except TypeError as exc:
-            raise BadConfig(str(exc)) from None
-        cfg.validate()
-        return cfg
-
-    def to_dict(self) -> dict:
-        return {
-            "sites": self.sites,
-            "cells_per_site": list(self.cells_per_site),
-            "bbox": list(self.bbox),
-            "radius_km": self.radius_km,
-            "bands": self.bands,
-            "feature_noise": self.feature_noise,
-            "seed": self.seed,
-            "edge_rule": self.edge_rule,
-            "site_mean_threshold": self.site_mean_threshold,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +64,6 @@ def _site_mate_mean_tx(tx: np.ndarray, site_of: np.ndarray) -> np.ndarray:
 
 def generate(cfg: SynthConfig) -> GroundTruth:
     """Deterministically generate a synthetic network for the config seed."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     lat_min, lat_max, lon_min, lon_max = cfg.bbox
 

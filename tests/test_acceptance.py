@@ -16,6 +16,7 @@ from conftest import make_graph
 from ran_topo import models, pipeline
 from ran_topo.candidate import CandidateConfig, candidates, evaluate_candidates, geo_distance
 from ran_topo.cli import main as cli_main
+from ran_topo.config import ExperimentConfig
 from ran_topo.neural import grad_check
 from ran_topo.synth import SITE_MEAN_RULE, SynthConfig, generate
 
@@ -28,7 +29,7 @@ def report(number, ok, detail):
 def run_default_experiment(ratios):
     cfg = pipeline.default_config()
     cfg["split"]["ratios"] = list(ratios)
-    return pipeline.run_experiment(cfg)
+    return pipeline.run_experiment(ExperimentConfig.from_dict(cfg))
 
 
 @pytest.fixture(scope="session")
@@ -64,7 +65,7 @@ class TestCriterion1:
                     # finite difference is not a valid derivative estimate
                     d = {
                         name: arr + rng.normal(scale=0.05, size=arr.shape)
-                        for name, arr in models.params_to_dict(init).items()
+                        for name, arr in init.items()
                     }
                     params = models.params_from_dict(kind, d)
                     _, grads = models.loss_and_grads(
@@ -203,7 +204,7 @@ class TestCriterion5:
                 }
             )
             cfg["train"]["epochs"] = 20
-            result = pipeline.run_experiment(cfg)
+            result = pipeline.run_experiment(ExperimentConfig.from_dict(cfg))
             mlp_accs.append(result.model_reports[("mlp", "balanced")].accuracy)
             gnn_accs.append(result.model_reports[("gnn", "balanced")].accuracy)
         mlp_mean, gnn_mean = float(np.mean(mlp_accs)), float(np.mean(gnn_accs))

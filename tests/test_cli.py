@@ -4,7 +4,7 @@ import pytest
 
 from ran_topo import models, pipeline
 from ran_topo.cli import main
-from ran_topo.errors import InternalError
+from ran_topo.errors import InternalError, ValidationError
 
 SYNTH_CFG = {
     "sites": 15,
@@ -201,17 +201,19 @@ def _reports_dir_is_a_file(config, out, monkeypatch):
     (out / "reports").write_text("")
 
 
-# every stage a StageError can name -> (a change to the experiment that makes
-# that stage fail, the exit code of the failure's cause: 3 for an OSError,
-# 4 for an InternalError, 2 otherwise)
+# every stage a StageError can name -> (a change to the experiment, or a fault
+# injected into a function only that stage calls, that makes the stage fail;
+# the exit code of the failure's cause: 3 for an OSError, 4 for an
+# InternalError, 2 otherwise). A bad config value fails in the config stage.
 STAGE_FAILURES = {
+    "config": (lambda config, out, mp: config.update(train={"epochs": 0}), 2),
     "data": (_missing_network, 3),
-    "split": (lambda config, out, mp: config.update(split={"ratios": [0.5, 0.5]}), 2),
+    "split": (lambda config, out, mp: mp.setattr(pipeline, "split_nodes", _raiser(ValidationError("broken"))), 2),
     "normalize": (lambda config, out, mp: mp.setattr(pipeline, "zscore_fit", _raiser(InternalError("broken"))), 4),
-    "candidate": (lambda config, out, mp: config.update(candidate_configs=[{"k": -1}]), 2),
-    "train_mlp": (lambda config, out, mp: config.update(train={"epochs": 0}), 2),
+    "candidate": (lambda config, out, mp: mp.setattr(pipeline, "evaluate_candidates", _raiser(ValidationError("broken"))), 2),
+    "train_mlp": (lambda config, out, mp: _fail_after(mp, "train", 0, ValidationError("broken")), 2),
     "train_gnn": (lambda config, out, mp: _fail_after(mp, "train", 1, InternalError("broken")), 4),
-    "eval_mlp": (lambda config, out, mp: config.update(filter={"k": -1}), 2),
+    "eval_mlp": (lambda config, out, mp: _fail_after(mp, "evaluate", 0, ValidationError("broken")), 2),
     # one evaluate call per mode: balanced, all_pairs, candidate_filtered
     "eval_gnn": (lambda config, out, mp: _fail_after(mp, "evaluate", 3, OSError("disk gone")), 3),
     "write": (_reports_dir_is_a_file, 3),
@@ -229,7 +231,8 @@ def test_stage_failure_names_stage_and_maps_exit_code(tmp_path, capsys, monkeypa
     assert len(errors) == 1 and errors[0].startswith(f"error: [{stage}] "), errors
 
 
-# experiment-config changes that used to run anyway -> exit 2, one error line
+# experiment-config changes that used to run anyway, or fail late -> exit 2
+# with one error line from the config stage, before any data is written
 BAD_CONFIG_VALUES = {
     "misspelt_train_key": {"train": {"epoch": 1}},
     "unknown_dims_key": {"dims": {"h": 8, "dd": 8}},
@@ -239,6 +242,12 @@ BAD_CONFIG_VALUES = {
     "cutoff_above_one": {"cutoff": 1.5},
     "negative_cutoff": {"cutoff": -0.1},
     "nan_filter_distance": {"filter": {"k": 10, "max_dist_km": float("nan")}},
+    "misspelt_filter_key": {"filter": {"k": 10, "max_dist": 0.5}},
+    "misspelt_split_key": {"split": {"ratio": [0.8, 0.1, 0.1]}},
+    "two_data_sources": {"data": {"synthetic": SYNTH_CFG, "cells_csv": "cells.csv", "edges_csv": "edges.csv"}},
+    "fractional_k": {"filter": {"k": 2.7, "max_dist_km": 3.0}},
+    "boolean_k": {"candidate_configs": [{"k": True, "max_dist_km": None}]},
+    "cells_without_edges": {"data": {"cells_csv": "cells.csv"}},
 }
 
 
@@ -246,9 +255,10 @@ BAD_CONFIG_VALUES = {
 def test_bad_config_value_exit_2(tmp_path, capsys, change):
     cfg = write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, **BAD_CONFIG_VALUES[change]})
     code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "run")])
-    err = capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
     assert code == 2
-    assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1, err
+    assert len(errors) == 1 and errors[0].startswith("error: [config] "), errors
+    assert not (tmp_path / "run" / "data").exists()
 
 
 # (subcommand, --config file text) pairs that used to end in a traceback
@@ -320,6 +330,20 @@ class TestOnePath:
         for path in out.iterdir():
             assert path.read_bytes() == (bundle / "reports" / path.name).read_bytes(), path.name
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unwritable_out_fails_in_write_stage(self, experiment_bundle, tmp_path, capsys, command):
+        cfg, bundle = experiment_bundle
+        out = tmp_path / "out"
+        # a directory where the command writes a file
+        blocked = "params_mlp.json" if command == "train" else "mlp_balanced.json"
+        (out / blocked).mkdir(parents=True)
+        argv = [command, "--config", cfg, "--out", str(out)]
+        argv += ["--model", "mlp"] if command == "train" else ["--params", str(bundle / "params_mlp.json")]
+        code = main(argv)
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert code == 3
+        assert len(errors) == 1 and errors[0].startswith("error: [write] "), errors
+
 
 class TestTrainEvalPredict:
     @pytest.fixture
@@ -380,7 +404,8 @@ class TestTrainEvalPredict:
 
     @pytest.mark.parametrize("flags", [
         ["--cutoff", "nan"], ["--cutoff", "1.5"], ["--cutoff", "-0.5"], ["--max-dist-km", "nan"],
-    ], ids=["nan_cutoff", "cutoff_above_one", "negative_cutoff", "nan_max_distance"])
+        ["--max-neighbors", "-1"],
+    ], ids=["nan_cutoff", "cutoff_above_one", "negative_cutoff", "nan_max_distance", "negative_max_neighbors"])
     def test_predict_bad_flag_exit_2(self, trained, tmp_path, capsys, flags):
         _, out = trained
         data_dir = out / "data"

@@ -197,8 +197,8 @@ class TestInitParams:
     def test_same_seed_identical(self):
         a = models.init_params("gnn", seed=11)
         b = models.init_params("gnn", seed=11)
-        for name, arr in models.params_to_dict(a).items():
-            assert np.array_equal(arr, models.params_to_dict(b)[name])
+        for name, arr in a.items():
+            assert np.array_equal(arr, b[name])
 
     def test_different_seeds_differ(self):
         a = models.init_params("mlp", seed=1)
@@ -320,8 +320,8 @@ class TestSerialization:
             params = models.init_params(kind, k=3, hidden=5, embed=4, seed=12)
             back = models.params_from_json(models.params_to_json(params))
             assert models.kind_of(back) == kind
-            for name, arr in models.params_to_dict(params).items():
-                assert np.array_equal(arr, models.params_to_dict(back)[name])
+            for name, arr in params.items():
+                assert np.array_equal(arr, back[name])
 
 
 class TestLossFn:
@@ -336,7 +336,7 @@ class TestLossFn:
         labels = np.array([1.0, 0.0, 1.0])
         loss_fn = models.make_loss_fn(kind, x, pairs, labels, graph=graph if kind == "gnn" else None)
         init = models.init_params(kind, k=3, hidden=4, embed=4, seed=2)
-        d = {name: arr + rng.normal(scale=0.1, size=arr.shape) for name, arr in models.params_to_dict(init).items()}
+        d = {name: arr + rng.normal(scale=0.1, size=arr.shape) for name, arr in init.items()}
         for name, arr in d.items():
             for delta in (1e-3, -1e-3):
                 batched = loss_fn.coordinate_losses(d, name, delta)

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_graph, random_graph
 from ran_topo import models, pipeline
 from ran_topo.candidate import CandidateConfig
+from ran_topo.config import ExperimentConfig
 from ran_topo.errors import (
     EmptyEvalSet,
     NotEnoughNegatives,
@@ -291,8 +292,8 @@ class TestTrain:
         init = models.init_params(
             "mlp", k=x.shape[1], hidden=8, seed=subseed(cfg.seed, "init")
         )
-        for name, arr in models.params_to_dict(result.params).items():
-            assert np.array_equal(arr, models.params_to_dict(init)[name])
+        for name, arr in result.params.items():
+            assert np.array_equal(arr, init[name])
 
     @pytest.mark.parametrize("kind", ["mlp", "gnn"])
     def test_params_validated_once(self, kind, monkeypatch):
@@ -317,8 +318,8 @@ class TestTrain:
         a = train("gnn", graph, x, split, cfg, hidden=8, embed=8)
         b = train("gnn", graph, x, split, cfg, hidden=8, embed=8)
         assert a.history == b.history
-        for name, arr in models.params_to_dict(a.params).items():
-            assert np.array_equal(arr, models.params_to_dict(b.params)[name])
+        for name, arr in a.params.items():
+            assert np.array_equal(arr, b.params[name])
 
     def test_loss_decreases_on_separable_problem(self):
         graph, split, x, _ = experiment_fixture()
@@ -448,7 +449,7 @@ class TestRunExperiment:
         }
 
     def test_structure_and_reports(self, tmp_path):
-        result = pipeline.run_experiment(self.small_config(), str(tmp_path))
+        result = pipeline.run_experiment(ExperimentConfig.from_dict(self.small_config()), str(tmp_path))
         assert len(result.candidate_reports) == 2
         # unlimited candidate list catches every true neighbor
         assert result.candidate_reports[0][1].recall == 1.0
@@ -483,8 +484,8 @@ class TestRunExperiment:
 
     def test_bundle_byte_identical(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        pipeline.run_experiment(self.small_config(), str(dir_a))
-        pipeline.run_experiment(self.small_config(), str(dir_b))
+        pipeline.run_experiment(ExperimentConfig.from_dict(self.small_config()), str(dir_a))
+        pipeline.run_experiment(ExperimentConfig.from_dict(self.small_config()), str(dir_b))
         files_a = sorted(p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file())
         files_b = sorted(p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file())
         assert files_a == files_b
@@ -492,7 +493,7 @@ class TestRunExperiment:
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
 
     def test_format_summary_lists_all_rows(self):
-        result = pipeline.run_experiment(self.small_config())
+        result = pipeline.run_experiment(ExperimentConfig.from_dict(self.small_config()))
         text = pipeline.format_summary(result)
         assert len(text.splitlines()) == 1 + 2 + 6  # header + candidates + model rows
         assert "balanced" in text

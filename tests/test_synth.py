@@ -190,6 +190,7 @@ class TestGeneration:
             {"cells_per_site": [3]}, {"cells_per_site": [3, 7.5]}, {"cells_per_site": 3},
             {"radius_km": "4"}, {"radius_km": float("nan")},
             {"feature_noise": [1.0]}, {"feature_noise": float("inf")}, {"site_mean_threshold": None},
+            {"site_mean_threshold": float("nan")}, {"site_mean_threshold": float("inf")},
         ):
             with pytest.raises(BadConfig):
                 SynthConfig.from_dict(obj)

@@ -19,7 +19,7 @@ from dataclasses import replace
 from . import models, pipeline
 from .candidate import evaluate_candidates
 from .config import CandidateConfig, ExperimentConfig, SynthConfig
-from .data_io import NormParams, parse_new_cell, read_network, zscore_apply
+from .data_io import NormParams, parse_new_cell, read_network, write_text, zscore_apply
 from .errors import InternalError, RanTopoError, StageError, ValidationError
 from .graph import split_nodes
 from .synth import export, generate
@@ -55,9 +55,7 @@ def cmd_synth(args) -> int:
         "nodes": gt.graph.n,
         "edges": gt.graph.num_edges,
     }
-    with open(os.path.join(args.out, "groundtruth-meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(os.path.join(args.out, "groundtruth-meta.json"), json.dumps(meta, indent=2, sort_keys=True))
     log.info("wrote %d cells, %d edges to %s", gt.graph.n, gt.graph.num_edges, args.out)
     return EXIT_OK
 
@@ -78,9 +76,7 @@ def cmd_candidates(args) -> int:
     text = report.to_json()
     print(text)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
+        write_text(args.out, text)
     return EXIT_OK
 
 
@@ -169,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="max candidates per cell")
     p.add_argument("--max-dist-km", type=float, default=None, help="max distance (km)")
     p.add_argument("--eval-split", default=",".join(map(str, ExperimentConfig.split)))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="seed of the split")
     p.add_argument("--out", default=None, help="also write the report JSON here")
     p.set_defaults(func=cmd_candidates)
 
@@ -194,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True)
     p.add_argument("--new-cell", required=True, help="JSON with lat, lon, and features")
     p.add_argument("--k", type=int, default=ExperimentConfig.filter.k)
-    p.add_argument("--max-dist-km", type=float, default=None)
+    p.add_argument("--max-dist-km", type=float, default=ExperimentConfig.filter.max_dist,
+                   help="max candidate distance (km); inf for no cap")
     p.add_argument("--cutoff", type=float, default=ExperimentConfig.cutoff)
     p.add_argument("--max-neighbors", type=int, default=None)
     p.set_defaults(func=cmd_predict)

@@ -8,7 +8,8 @@ import math
 from dataclasses import asdict, dataclass
 
 from .data_io import MissingPolicy
-from .errors import BadConfig, ValidationError
+from .errors import BadConfig, BadDims, ValidationError
+from .graph import check_ratios
 
 BAND_RULE = "band"
 SITE_MEAN_RULE = "site_mean"
@@ -156,7 +157,13 @@ class NetworkFiles(_Section):
 
     cells_csv: str
     edges_csv: str
-    missing_policy: str = MissingPolicy.DROP_ROW.value
+    missing_policy: MissingPolicy = MissingPolicy.DROP_ROW  # a JSON string becomes the policy
+
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "missing_policy", MissingPolicy(self.missing_policy))
+        except ValueError:
+            raise BadConfig(f"unknown missing_policy {self.missing_policy!r}") from None
 
 
 @dataclass(frozen=True)
@@ -177,6 +184,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_cutoff(self.cutoff)
+        check_ratios(self.split)
+        if min(self.hidden, self.embed) <= 0:  # init_params' rule, before any stage runs
+            raise BadDims(f"dims must be positive, got h={self.hidden} d={self.embed}")
 
     @classmethod
     def from_dict(cls, obj) -> ExperimentConfig:

@@ -1,6 +1,7 @@
 """CSV/JSON ingestion of cells and relations, missing-data handling, and
 z-score normalization with train-only statistics. ``read_network`` is the
-one reader of a network's files and ``write_csv`` the one CSV writer.
+one reader of a network's files, ``write_csv`` the one CSV writer and
+``write_text`` the one writer of JSON files.
 
 File formats:
   cells.csv  header ``cell_id,lat,lon,<feature names...>``, UTF-8, ``.``
@@ -37,7 +38,7 @@ from .graph import CellId, FeatureMatrix, RanGraph, build_graph
 DEGENERATE_STD = 1e-12
 
 
-class MissingPolicy(Enum):
+class MissingPolicy(str, Enum):  # a str, so a config holding one writes as JSON
     DROP_ROW = "drop_row"
     FILL_COLUMN_MEAN = "fill_column_mean"
 
@@ -153,6 +154,12 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` and a newline to a new file: the one JSON file writer."""
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def write_cells_csv(path, ids, features: FeatureMatrix) -> None:

@@ -272,19 +272,24 @@ class NodeSplit:
     train_graph: RanGraph
 
 
+def check_ratios(ratios) -> None:
+    """Split ratios are three positive numbers (train, val, test) summing to 1."""
+    if len(ratios) != 3:
+        raise BadRatios(f"need 3 split ratios (train, val, test), got {len(ratios)}")
+    if not all(r > 0 for r in ratios):
+        raise BadRatios("split ratios must be positive")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise BadRatios(f"split ratios sum to {sum(ratios)}, not 1")
+
+
 def split_nodes(graph: RanGraph, ratios, seed: int) -> NodeSplit:
     """Seeded uniform node split with masked training graph.
 
     Val/test sizes are floor(N * ratio); remainder nodes go to train. The
     training graph keeps only edges with both endpoints in the train set.
     """
-    if len(ratios) != 3:
-        raise BadRatios(f"need 3 split ratios (train, val, test), got {len(ratios)}")
-    train_r, val_r, test_r = ratios
-    if not all(r > 0 for r in ratios):
-        raise BadRatios("split ratios must be positive")
-    if abs(train_r + val_r + test_r - 1.0) > 1e-9:
-        raise BadRatios(f"split ratios sum to {train_r + val_r + test_r}, not 1")
+    check_ratios(ratios)
+    _, val_r, test_r = ratios
     if graph.n < 3:
         raise GraphTooSmall(f"cannot split a graph with {graph.n} nodes")
 

@@ -32,8 +32,8 @@ import math
 import numpy as np
 
 from .errors import BadDims, ShapeMismatch, ValidationError
-from .graph import FeatureMatrix, RanGraph
-from .neural import bce_loss, glorot_uniform, relu, sigmoid
+from .graph import RanGraph
+from .neural import bce_loss, glorot_uniform, sigmoid
 
 MLP_KIND = "mlp"
 GNN_KIND = "gnn"
@@ -150,13 +150,16 @@ def _head_backward(d: dict[str, np.ndarray], cache, dlogit: np.ndarray):
     return grads, dinput
 
 
-def neighbor_mean(graph: RanGraph, x: np.ndarray, rows=None) -> np.ndarray:
+def neighbor_mean(graph: RanGraph | None, x: np.ndarray, rows=None) -> np.ndarray:
     """Row v = mean of x over v's neighbors; zero vector if none.
 
     One sparse product with the graph's cached adjacency operator, for every
     node or, given ``rows``, only for those nodes (their 1-hop neighborhood
-    is all the mean reads).
+    is all the mean reads). Every SAGE pass aggregates here, so this is
+    where a GNN without a graph is refused.
     """
+    if graph is None:
+        raise ValidationError("the GNN needs the graph its SAGE layer aggregates over")
     if rows is None:
         sums, deg = graph.neighbor_operator @ x, graph.degree
     else:
@@ -164,36 +167,45 @@ def neighbor_mean(graph: RanGraph, x: np.ndarray, rows=None) -> np.ndarray:
     return sums / np.maximum(deg, 1.0)[:, None]
 
 
-def _sage_forward(d: dict[str, np.ndarray], x: np.ndarray, graph: RanGraph, rows=None):
-    own = x if rows is None else x[rows]
-    h = np.concatenate([own, neighbor_mean(graph, x, rows)], axis=1)
+def _features(params: dict[str, np.ndarray], x) -> np.ndarray:
+    """``x`` as float64 rows, once they are as wide as the params take."""
+    x, width = np.asarray(x, dtype=np.float64), feature_width(params)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ShapeMismatch(f"the params take {width} features per cell, the data has {x.shape[-1]}")
+    return x
+
+
+def _sage_forward(d: dict[str, np.ndarray], own: np.ndarray, mean: np.ndarray):
+    """The SAGE layer over each row's own features and its neighbor mean."""
+    h = np.concatenate([own, mean], axis=1)
     pre = h @ d["ws"].T + d["bs"]
     return np.maximum(pre, 0.0), (h, pre)
 
 
-def sage_embed(
-    params: dict[str, np.ndarray], features: FeatureMatrix | np.ndarray, graph: RanGraph, rows=None
-) -> np.ndarray:
+def sage_embed(params: dict[str, np.ndarray], x: np.ndarray, graph: RanGraph, rows=None) -> np.ndarray:
     """Embeddings relu(W_s concat(x, nbr mean) + b_s) for every graph node,
     or, given ``rows``, for those nodes only, in that order."""
-    x = features.values if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
-    if x.shape[0] != graph.n:
-        raise ShapeMismatch(f"{x.shape[0]} feature rows for {graph.n} nodes")
-    if x.shape[1] != feature_width(params):
-        raise ShapeMismatch(
-            f"feature dim {x.shape[1]} != SAGE feature dim {feature_width(params)}"
-        )
-    embeddings, _ = _sage_forward(params, x, graph, rows)
+    own = x if rows is None else x[rows]
+    embeddings, _ = _sage_forward(params, own, neighbor_mean(graph, x, rows))
     return embeddings
 
 
 def new_node_embedding(params: dict[str, np.ndarray], features_vec: np.ndarray) -> np.ndarray:
-    """Embedding of a cell whose edges are not yet known (empty neighborhood)."""
-    x = np.asarray(features_vec, dtype=np.float64)
-    if x.shape != (feature_width(params),):
-        raise ShapeMismatch(f"expected feature vector of length {feature_width(params)}")
-    h = np.concatenate([x, np.zeros_like(x)])
-    return relu(params["ws"] @ h + params["bs"])
+    """Embedding of a cell whose edges are not yet known: the SAGE layer over
+    the zero neighbor mean. It stays a one-row product: stacked with other
+    rows, the product's last bits can differ."""
+    own = _features(params, np.asarray(features_vec, dtype=np.float64)[None])
+    return _sage_forward(params, own, np.zeros_like(own))[0][0]
+
+
+def node_rows(params: dict[str, np.ndarray], x, graph: RanGraph | None = None, rows=None) -> np.ndarray:
+    """The rows the head scores, from normalized features ``x``: the features
+    (MLP) or the SAGE embeddings over ``graph`` (GNN); every node's or, given
+    ``rows``, those nodes' in that order. Evaluation and prediction both use it."""
+    x = _features(params, x)
+    if kind_of(params) == MLP_KIND:
+        return x if rows is None else x[rows]
+    return sage_embed(params, x, graph, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +254,11 @@ def loss_and_grads(
     the pass, so gradients flow into the SAGE layer.
     """
     kind = kind_of(params)
-    if kind == GNN_KIND and graph is None:
-        raise ValidationError("GNN loss needs the graph for the SAGE layer")
     pairs = np.asarray(pairs)
     labels = np.asarray(labels, dtype=np.float64)
     rows = x
     if kind == GNN_KIND:
-        rows, sage_cache = _sage_forward(params, x, graph)
+        rows, sage_cache = _sage_forward(params, x, neighbor_mean(graph, x))
     probs, head_cache = _head_forward(params, _pair_input(rows, pairs))
     loss = float(np.mean(bce_loss(probs, labels)))
     # d(mean BCE)/d(logit) with the sigmoid folded in; clamping almost never
@@ -348,8 +358,6 @@ def make_loss_fn(
     cap = -math.log(1e-12)
 
     if kind == GNN_KIND:
-        if graph is None:
-            raise ValidationError("GNN loss needs the graph for the SAGE layer")
         layers = ("s", "1", "2", "3")
         first_input = np.concatenate([x, neighbor_mean(graph, x)], axis=1)
     else:

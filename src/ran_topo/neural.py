@@ -18,10 +18,6 @@ BCE_EPS = 1e-12
 FD_STEP = 1e-5
 
 
-def relu(x):
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)

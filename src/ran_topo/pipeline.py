@@ -26,13 +26,12 @@ from scipy.stats import rankdata
 from . import models
 from .candidate import candidate_indices, evaluate_candidates
 from .config import CandidateConfig, ExperimentConfig, SynthConfig, TrainConfig, check_cutoff
-from .data_io import MissingPolicy, NormParams, read_network, write_csv, zscore_apply, zscore_fit
+from .data_io import NormParams, read_network, write_csv, write_text, zscore_apply, zscore_fit
 from .errors import (
     DegenerateGraph,
     EmptyEvalSet,
     EmptyTrainSet,
     NotEnoughNegatives,
-    ShapeMismatch,
     SingleClassOnly,
     StageError,
     ValidationError,
@@ -214,24 +213,6 @@ def auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 # scoring
 
-def _check_width(params: dict[str, np.ndarray], features_norm: np.ndarray) -> None:
-    width = models.feature_width(params)
-    if features_norm.shape[1] != width:
-        raise ShapeMismatch(
-            f"the params take {width} features per cell, the data has {features_norm.shape[1]}"
-        )
-
-
-def _node_rows(
-    params: dict[str, np.ndarray], features_norm: np.ndarray, graph: RanGraph, rows=None
-) -> np.ndarray:
-    """What the head scores pairs of: normalized features for the MLP, SAGE
-    embeddings over ``graph`` for the GNN; every node's, or those of ``rows``."""
-    if models.kind_of(params) == models.GNN_KIND:
-        return models.sage_embed(params, features_norm, graph, rows)
-    return features_norm if rows is None else features_norm[rows]
-
-
 def make_scorer(
     params: dict[str, np.ndarray],
     features_norm: np.ndarray,
@@ -243,11 +224,7 @@ def make_scorer(
     edges the SAGE layer may aggregate over (the masked graph during
     evaluation of unseen nodes, the deployed graph in production).
     """
-    features_norm = np.asarray(features_norm, dtype=np.float64)
-    _check_width(params, features_norm)
-    if models.kind_of(params) == models.GNN_KIND and embed_graph is None:
-        raise ValidationError("GNN scorer needs a graph for embeddings")
-    rows = _node_rows(params, features_norm, embed_graph)
+    rows = models.node_rows(params, features_norm, embed_graph)
     return lambda pairs: models.symmetric_score_batch(params, rows, pairs)
 
 
@@ -438,9 +415,8 @@ def predict_new_node(
     check_cutoff(cutoff)
     if max_neighbors is not None and max_neighbors < 0:
         raise ValidationError(f"max_neighbors must be >= 0, got {max_neighbors}")
-    features_norm = np.asarray(features_norm, dtype=np.float64)
-    _check_width(params, features_norm)
     cand_idx, _ = candidate_indices(graph.features.coords(), coords, cand_cfg)
+    cand_rows = models.node_rows(params, features_norm, graph, cand_idx)
     if not len(cand_idx):
         return Prediction(neighbors=[], no_candidates=True)
 
@@ -448,7 +424,7 @@ def predict_new_node(
     new_row = np.asarray(new_features_norm, dtype=np.float64)
     if models.kind_of(params) == models.GNN_KIND:
         new_row = models.new_node_embedding(params, new_row)
-    rows = np.vstack([new_row[None, :], _node_rows(params, features_norm, graph, cand_idx)])
+    rows = np.vstack([new_row[None, :], cand_rows])
     pairs = np.column_stack(
         [np.zeros(len(cand_idx), dtype=np.int64), np.arange(1, len(cand_idx) + 1)]
     )
@@ -500,8 +476,7 @@ def prepare_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Exp
                 os.makedirs(data_dir, exist_ok=True)
                 export(gt, data_dir)
         else:
-            policy = MissingPolicy(cfg.data.missing_policy)
-            graph = read_network(cfg.data.cells_csv, cfg.data.edges_csv, policy)
+            graph = read_network(cfg.data.cells_csv, cfg.data.edges_csv, cfg.data.missing_policy)
 
     with stage("split"):
         split = split_nodes(graph, cfg.split, seed=subseed(cfg.seed, "split"))
@@ -582,20 +557,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     return result
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
-        fh.write("\n")
-
-
 def write_models(out_dir: str, model_results: dict, norm_params: NormParams) -> None:
     """Write what ``eval`` and ``predict`` read back: ``params_<kind>.json``
     and ``history_<kind>.csv`` per trained kind, and ``norm_params.json``."""
     os.makedirs(out_dir, exist_ok=True)
-    _write_text(os.path.join(out_dir, "norm_params.json"), norm_params.to_json())
+    write_text(os.path.join(out_dir, "norm_params.json"), norm_params.to_json())
     for kind, train_result in model_results.items():
         params_text = models.params_to_json(train_result.params)
-        _write_text(os.path.join(out_dir, f"params_{kind}.json"), params_text)
+        write_text(os.path.join(out_dir, f"params_{kind}.json"), params_text)
         write_csv(
             os.path.join(out_dir, f"history_{kind}.csv"),
             ["epoch", "train_loss", "val_accuracy"],
@@ -608,7 +577,7 @@ def write_reports(out_dir: str, model_reports: dict) -> None:
     """One ``<kind>_<mode>.json`` per (kind, mode) -> EvalReport entry."""
     os.makedirs(out_dir, exist_ok=True)
     for (kind, mode), report in model_reports.items():
-        _write_text(os.path.join(out_dir, f"{kind}_{mode}.json"), report.to_json())
+        write_text(os.path.join(out_dir, f"{kind}_{mode}.json"), report.to_json())
 
 
 def summary_rows(result: ExperimentResult) -> list[tuple[str, str, EvalReport]]:
@@ -627,12 +596,10 @@ def write_bundle(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) 
     """
     reports_dir = os.path.join(out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(os.path.join(out_dir, "config.json"), json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     write_models(out_dir, result.model_results, result.data.norm_params)
     for idx, (_, report) in enumerate(result.candidate_reports):
-        _write_text(os.path.join(reports_dir, f"candidate_{idx}.json"), report.to_json())
+        write_text(os.path.join(reports_dir, f"candidate_{idx}.json"), report.to_json())
     write_reports(reports_dir, result.model_reports)
     write_csv(
         os.path.join(out_dir, "summary.csv"),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InternalError
 
@@ -58,19 +58,4 @@ class EvalReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mode": self.mode,
-                "cutoff": self.cutoff,
-                "pairs": self.pairs,
-                "tp": self.tp,
-                "fp": self.fp,
-                "tn": self.tn,
-                "fn": self.fn,
-                "accuracy": self.accuracy,
-                "precision": self.precision,
-                "recall": self.recall,
-                "auc": self.auc,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)

@@ -248,6 +248,10 @@ BAD_CONFIG_VALUES = {
     "fractional_k": {"filter": {"k": 2.7, "max_dist_km": 3.0}},
     "boolean_k": {"candidate_configs": [{"k": True, "max_dist_km": None}]},
     "cells_without_edges": {"data": {"cells_csv": "cells.csv"}},
+    "ratios_not_summing_to_one": {"split": {"ratios": [0.5, 0.5, 0.5]}},
+    "zero_hidden_dim": {"dims": {"h": 0, "d": 64}},
+    # refused before either file is read, so neither needs to exist
+    "unknown_missing_policy": {"data": {"cells_csv": "cells.csv", "edges_csv": "edges.csv", "missing_policy": "zap"}},
 }
 
 
@@ -261,6 +265,32 @@ def test_bad_config_value_exit_2(tmp_path, capsys, change):
     assert not (tmp_path / "run" / "data").exists()
 
 
+def test_edgeless_training_graph_exit_2(tmp_path, capsys):
+    """Training cells that share no edge leave nothing to learn: one cell per
+    site and a radius no two sites are within give a network without edges."""
+    config = {**EXPERIMENT_CFG, "data": {"synthetic": {**SYNTH_CFG, "cells_per_site": [1, 1], "radius_km": 0.001}}}
+    code = main(["experiment", "--config", write_json(tmp_path / "exp.json", config), "--out", str(tmp_path / "run")])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert code == 2
+    assert len(errors) == 1 and errors[0].startswith("error: [train_mlp] "), errors
+
+
+def test_candidates_defaults_to_the_experiment_seed(tmp_path, capsys):
+    """``candidates`` at its default --seed splits as an experiment at its
+    default seed does, so it reproduces the bundle's candidate_0.json."""
+    config = {key: value for key, value in EXPERIMENT_CFG.items() if key != "seed"}
+    out = tmp_path / "run"
+    assert main(["experiment", "--config", write_json(tmp_path / "exp.json", config), "--out", str(out)]) == 0
+    baseline, report = config["candidate_configs"][0], tmp_path / "candidate.json"
+    assert main([
+        "candidates", "--cells", str(out / "data" / "cells.csv"), "--edges", str(out / "data" / "edges.csv"),
+        "--k", str(baseline["k"]), "--eval-split", ",".join(map(str, config["split"]["ratios"])),
+        "--out", str(report),
+    ]) == 0
+    assert baseline["max_dist_km"] is None  # the flag's default, no cap
+    assert report.read_bytes() == (out / "reports" / "candidate_0.json").read_bytes()
+
+
 # (subcommand, --config file text) pairs that used to end in a traceback
 MALFORMED_CONFIGS = [
     ("synth", "[1, 2]"),
@@ -269,6 +299,7 @@ MALFORMED_CONFIGS = [
     ("synth", '{"sites": 1e9}'),
     ("synth", '{"seed": -1}'),
     ("experiment", "[1]"),
+    ("experiment", "{"),
     ("train", "[1]"),
     ("eval", "[1]"),
 ]
@@ -401,6 +432,27 @@ class TestTrainEvalPredict:
         probs = [r["probability"] for r in ranked]
         assert probs == sorted(probs, reverse=True)
         _ = cfg
+
+    def test_predict_caps_distance_like_the_filter(self, trained, tmp_path, capsys):
+        """Without --max-dist-km, predict keeps the experiment filter's 4 km
+        cap, the regime the candidate_filtered reports measure; inf lifts it."""
+        _, out = trained
+        data_dir = out / "data"
+        with open(data_dir / "cells.csv") as fh:
+            header = fh.readline().strip().split(",")
+            first_row = fh.readline().strip().split(",")
+        cell_path = write_json(tmp_path / "new.json", dict(zip(header[1:], map(float, first_row[1:]))))
+        answers = []
+        for flags in ([], ["--max-dist-km", "4"], ["--max-dist-km", "inf"]):
+            assert main([
+                "predict", "--params", str(out / "params_mlp.json"), "--norm-params", str(out / "norm_params.json"),
+                "--cells", str(data_dir / "cells.csv"), "--edges", str(data_dir / "edges.csv"),
+                "--new-cell", cell_path, "--k", "1000", "--cutoff", "0", *flags,
+            ]) == 0
+            answers.append(json.loads(capsys.readouterr().out))
+        default, capped, uncapped = answers
+        assert default == capped
+        assert len(capped) < len(uncapped)
 
     @pytest.mark.parametrize("flags", [
         ["--cutoff", "nan"], ["--cutoff", "1.5"], ["--cutoff", "-0.5"], ["--max-dist-km", "nan"],
@@ -543,6 +595,10 @@ def _non_finite(obj):
     obj["arrays"]["w1"]["data"][0] = float("nan")
 
 
+def _nested_data(obj):
+    obj["arrays"]["w1"]["data"] = [obj["arrays"]["w1"]["data"]]
+
+
 def _wrong_feature_width(obj):
     # a consistent first layer for two more features per cell than the data has
     rows, cols = obj["arrays"]["w1"]["shape"]
@@ -555,6 +611,22 @@ PARAM_DEFECTS = {
     "broken_layer_chain": _broken_layer_chain,
     "non_finite": _non_finite,
     "wrong_feature_width": _wrong_feature_width,
+    "not_json": lambda obj: "{",  # a defect returning text replaces the whole file
+    "unknown_kind": lambda obj: obj.update(kind="cnn"),
+    "arrays_not_an_object": lambda obj: obj.update(arrays=[]),
+    "shape_not_a_list": lambda obj: obj["arrays"]["w1"].update(shape=6),
+    "non_numeric_data": lambda obj: obj["arrays"]["w1"]["data"].__setitem__(0, "x"),
+    "nested_data": _nested_data,
+}
+
+# norm_params.json edits, as PARAM_DEFECTS
+NORM_DEFECTS = {
+    "short_std": lambda obj: obj.update(std=obj["std"][:-1]),
+    "non_finite_mean": lambda obj: obj["mean"].__setitem__(0, float("inf")),
+    "negative_std": lambda obj: obj["std"].__setitem__(0, -1.0),
+    "not_json": lambda obj: "{",
+    "non_string_columns": lambda obj: obj["columns"].__setitem__(0, 1),
+    "non_numeric_mean": lambda obj: obj["mean"].__setitem__(0, "x"),
 }
 
 
@@ -571,8 +643,10 @@ class TestMalformedModelFiles:
     @staticmethod
     def broken_copy(path, defect, tmp_path):
         obj = json.loads(path.read_text())
-        defect(obj)
-        return write_json(tmp_path / f"broken_{path.name}", obj)
+        text = defect(obj)
+        broken = tmp_path / f"broken_{path.name}"
+        broken.write_text(json.dumps(obj) if text is None else text)
+        return str(broken)
 
     @staticmethod
     def predict(out, tmp_path, params, norm_params):
@@ -608,20 +682,9 @@ class TestMalformedModelFiles:
         code = self.predict(out, tmp_path, params, str(out / "norm_params.json"))
         self.assert_refused(code, capsys)
 
-    @pytest.mark.parametrize("defect", ["short_std", "non_finite_mean", "negative_std", "not_json"])
+    @pytest.mark.parametrize("defect", sorted(NORM_DEFECTS))
     def test_predict_refuses_norm_params(self, trained, tmp_path, capsys, defect):
         _, out = trained
-        path = tmp_path / "broken_norm.json"
-        if defect == "not_json":
-            path.write_text("{")
-        else:
-            obj = json.loads((out / "norm_params.json").read_text())
-            if defect == "short_std":
-                obj["std"] = obj["std"][:-1]
-            elif defect == "non_finite_mean":
-                obj["mean"][0] = float("inf")
-            else:
-                obj["std"][0] = -1.0
-            write_json(path, obj)
-        code = self.predict(out, tmp_path, str(out / "params_mlp.json"), str(path))
+        path = self.broken_copy(out / "norm_params.json", NORM_DEFECTS[defect], tmp_path)
+        code = self.predict(out, tmp_path, str(out / "params_mlp.json"), path)
         self.assert_refused(code, capsys)

@@ -19,6 +19,7 @@ from ran_topo.data_io import (
 from ran_topo.errors import (
     AllValuesMissing,
     BadCoordinate,
+    BadRow,
     ColumnMismatch,
     DuplicateCellId,
     EmptyRowSet,
@@ -50,6 +51,18 @@ class TestParseCells:
     def test_missing_header(self):
         with pytest.raises(MissingHeader):
             parse_cells_csv("id,x,y\na,0,0\n")
+
+    def test_coordinate_columns_come_first(self):
+        with pytest.raises(MissingHeader):
+            parse_cells_csv("cell_id,lon,lat,f1\na,0,0,1\n")
+
+    def test_wrong_field_count(self):
+        with pytest.raises(BadRow):
+            parse_cells_csv("cell_id,lat,lon,f1\na,0,0\n")
+
+    def test_blank_lines_skipped(self):
+        ids, fm, _ = parse_cells_csv("cell_id,lat,lon,f1\n\na,0,0,1\n \n")
+        assert ids == ["a"] and fm.values.tolist() == [[0.0, 0.0, 1.0]]
 
     def test_missing_values_masked(self):
         ids, fm, mask = parse_cells_csv("cell_id,lat,lon,f1\na,0,0,\nb,1,1,2\n")
@@ -91,6 +104,9 @@ class TestParseEdges:
 
     def test_empty_body(self):
         assert parse_edges_csv("cell_id_a,cell_id_b\n") == []
+
+    def test_blank_lines_skipped(self):
+        assert parse_edges_csv("cell_id_a,cell_id_b\n\na,b\n \n") == [("a", "b")]
 
     def test_malformed_line(self):
         from ran_topo.errors import BadRow

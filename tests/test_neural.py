@@ -11,7 +11,6 @@ from ran_topo.neural import (
     bce_loss,
     glorot_uniform,
     grad_check,
-    relu,
     sigmoid,
 )
 
@@ -26,9 +25,6 @@ def mlp_params(w1, w2, w3):
 
 
 class TestActivations:
-    def test_relu(self):
-        assert relu([-1.0, 0.0, 2.0]).tolist() == [0.0, 0.0, 2.0]
-
     def test_relu_grad_at_zero(self):
         # the backward pass takes the relu subgradient at exactly 0 to be 0:
         # with W1 = 0 the first pre-activation is 0, so no gradient reaches W1

@@ -4,8 +4,11 @@ For a query cell, return the K nearest cells within a maximum distance m,
 using only the raw (unnormalized) latitude/longitude columns. Serves both
 as a baseline predictor and as a pre-filter for the learned models.
 
-The search is an exact brute-force scan; networks here are desk-scale and
-an index must not change results anyway.
+Every search goes through a ``GeoIndex``, a k-d tree over the cells' 3-D
+unit-sphere points. Chord length grows with great-circle distance, so a ball
+of slightly widened chord radius holds every cell within the cap; its hits
+are re-scored with the exact haversine and sorted by (distance, index), so
+the results and their distance bits are those of a full scan.
 """
 
 from __future__ import annotations
@@ -13,13 +16,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .config import CandidateConfig
-from .errors import EmptyEvalSet
+from .errors import EmptyEvalSet, ValidationError
 from .graph import CellId, RanGraph
 from .report import EvalReport
 
 EARTH_RADIUS_KM = 6371.0
+BAD_COORDS = "{} need finite coordinates with latitude in [-90, 90]"
 
 
 def geo_distance(a, b) -> float:
@@ -48,21 +53,45 @@ def _distances_to_all(coords: np.ndarray, point) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
-def candidate_indices(
-    coords: np.ndarray, point, cfg: CandidateConfig, exclude: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of the K nearest rows of ``coords`` to ``point``.
+class GeoIndex:
+    """Exact K-nearest-within-m search over a fixed set of (lat, lon) rows."""
 
-    Rows farther than the max distance and the ``exclude`` row are dropped;
-    the rest are sorted by (distance, index) and truncated to K.
-    """
-    dist = _distances_to_all(coords, point)
-    keep = dist <= cfg.max_dist
-    if exclude is not None:
-        keep[exclude] = False
-    idx = np.flatnonzero(keep)
-    chosen = idx[np.lexsort((idx, dist[idx]))][: cfg.k]
-    return chosen, dist[chosen]
+    def __init__(self, coords: np.ndarray):
+        self.coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
+        if not ((np.abs(self.coords[:, 0]) <= 90.0).all() and np.isfinite(self.coords[:, 1]).all()):
+            raise ValidationError(BAD_COORDS.format("indexed cells"))
+        lat, lon = np.radians(self.coords[:, 0]), np.radians(self.coords[:, 1])
+        self.tree = cKDTree(np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)]))
+
+    def query(self, point, cfg: CandidateConfig, exclude: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and distances of the K nearest rows to ``point``.
+
+        Rows farther than the max distance and the ``exclude`` row are
+        dropped; the rest are sorted by (distance, index) and truncated to K.
+        """
+        if not (abs(point[0]) <= 90.0 and math.isfinite(point[1])):
+            raise ValidationError(BAD_COORDS.format("candidate queries"))
+        lat, lon = math.radians(point[0]), math.radians(point[1])
+        unit = (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
+        nearest = cfg.k + (exclude is not None)  # rows the K nearest may need
+        if cfg.k == 0:
+            hits = np.empty(0, dtype=np.int64)
+        elif math.isinf(cfg.max_dist) and nearest >= len(self.coords):
+            hits = np.arange(len(self.coords))
+        else:
+            if math.isinf(cfg.max_dist):  # the chord to the K-th nearest row bounds the ball
+                chord = float(self.tree.query(unit, k=[nearest])[0][0])
+            else:
+                chord = 2.0 * math.sin(min(cfg.max_dist / EARTH_RADIUS_KM, math.pi) / 2.0)
+            # widened past any rounding of the unit vectors and of the haversine
+            hits = np.array(self.tree.query_ball_point(unit, chord * (1 + 1e-9) + 1e-12), dtype=np.int64)
+        dist = _distances_to_all(self.coords[hits], point)
+        keep = dist <= cfg.max_dist
+        if exclude is not None:
+            keep &= hits != exclude
+        hits, dist = hits[keep], dist[keep]
+        order = np.lexsort((hits, dist))[: cfg.k]
+        return hits[order], dist[order]
 
 
 def candidates(
@@ -74,8 +103,8 @@ def candidates(
     cell itself is excluded.
     """
     i = graph.index_of(node)
-    coords = graph.features.coords()
-    idx, dist = candidate_indices(coords, coords[i], cfg, exclude=i)
+    index = graph.geo_index
+    idx, dist = index.query(index.coords[i], cfg, exclude=i)
     return [(graph.ids[j], d) for j, d in zip(idx.tolist(), dist.tolist())]
 
 
@@ -83,7 +112,7 @@ def candidates_for_new(
     graph: RanGraph, coords_point, cfg: CandidateConfig
 ) -> list[tuple[CellId, float]]:
     """Candidate set for a query point that need not be a graph node."""
-    idx, dist = candidate_indices(graph.features.coords(), coords_point, cfg)
+    idx, dist = graph.geo_index.query(coords_point, cfg)
     return [(graph.ids[j], d) for j, d in zip(idx.tolist(), dist.tolist())]
 
 
@@ -100,11 +129,11 @@ def evaluate_candidates(graph: RanGraph, eval_nodes, cfg: CandidateConfig) -> Ev
     # Each eval node is scored against every other node; pairs between two
     # eval nodes are therefore counted once per direction, since each node
     # has its own candidate list.
-    coords = graph.features.coords()
+    index = graph.geo_index
     tp = fp = fn = 0
     n_pairs = 0
     for i in eval_idx:
-        predicted, _ = candidate_indices(coords, coords[i], cfg, exclude=i)
+        predicted, _ = index.query(index.coords[i], cfg, exclude=i)
         hits = int(graph.has_edges(i, predicted).sum())
         tp += hits
         fp += len(predicted) - hits

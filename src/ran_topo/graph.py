@@ -6,11 +6,11 @@ by a dense index in [0, N) assigned in input order.
 
 The topology is stored as arrays: a sorted (E, 2) int64 edge array with
 i < j, and CSR arrays (``indptr``, ``indices``, ``degree``) built from it
-once per graph. The sparse adjacency operator, the searchable edge keys and
-the ``edges`` frozenset and ``adjacency`` tuples are derived on first use
-and cached; the latter two are read-only views for callers that want Python
-sets. All operations that look like mutation return a new graph; instances
-are safe to share across threads.
+once per graph. The sparse adjacency operator, the searchable edge keys, the
+geographic candidate index and the ``edges`` frozenset and ``adjacency``
+tuples are derived on first use and cached; the last two are read-only views
+for callers that want Python sets. All operations that look like mutation
+return a new graph; instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -155,6 +155,12 @@ class RanGraph:
     def neighbor_operator(self) -> sparse.csr_array:
         """N x N 0/1 adjacency matrix over the CSR arrays, row order kept."""
         return self.neighbor_rows(np.arange(self.n))
+
+    @cached_property
+    def geo_index(self):
+        """``candidate.GeoIndex`` over the cells' (lat, lon): every candidate search's index."""
+        from .candidate import GeoIndex  # candidate imports this module
+        return GeoIndex(self.features.coords())
 
     def neighbor_rows(self, rows) -> sparse.csr_array:
         """The adjacency matrix's rows for the given nodes, in the same order.

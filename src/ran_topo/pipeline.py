@@ -24,7 +24,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from . import models
-from .candidate import candidate_indices, evaluate_candidates
+from .candidate import evaluate_candidates
 from .config import CandidateConfig, ExperimentConfig, SynthConfig, TrainConfig, check_cutoff
 from .data_io import NormParams, read_network, write_csv, write_text, zscore_apply, zscore_fit
 from .errors import (
@@ -162,10 +162,10 @@ def sample_pairs(
     n = graph.n
 
     if isinstance(mode, CandidateFiltered):
-        coords = graph.features.coords()
+        index = graph.geo_index
         keys = [np.empty(0, dtype=np.int64)]
         for e in eval_idx.tolist():
-            cand, _ = candidate_indices(coords, coords[e], mode.config, exclude=e)
+            cand, _ = index.query(index.coords[e], mode.config, exclude=e)
             keys.append(np.minimum(e, cand) * n + np.maximum(e, cand))
         return _labeled(graph, np.unique(np.concatenate(keys)))
 
@@ -415,15 +415,17 @@ def predict_new_node(
     check_cutoff(cutoff)
     if max_neighbors is not None and max_neighbors < 0:
         raise ValidationError(f"max_neighbors must be >= 0, got {max_neighbors}")
-    cand_idx, _ = candidate_indices(graph.features.coords(), coords, cand_cfg)
+    new_row = np.asarray(new_features_norm, dtype=np.float64)
+    if models.kind_of(params) == models.GNN_KIND:
+        new_row = models.new_node_embedding(params, new_row)
+    else:
+        new_row = models.node_rows(params, new_row[None])[0]
+    cand_idx, _ = graph.geo_index.query(coords, cand_cfg)
     cand_rows = models.node_rows(params, features_norm, graph, cand_idx)
     if not len(cand_idx):
         return Prediction(neighbors=[], no_candidates=True)
 
     # row 0 is the new cell, rows 1..K its candidates
-    new_row = np.asarray(new_features_norm, dtype=np.float64)
-    if models.kind_of(params) == models.GNN_KIND:
-        new_row = models.new_node_embedding(params, new_row)
     rows = np.vstack([new_row[None, :], cand_rows])
     pairs = np.column_stack(
         [np.zeros(len(cand_idx), dtype=np.int64), np.arange(1, len(cand_idx) + 1)]

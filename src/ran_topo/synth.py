@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candidate import CandidateConfig, candidate_indices
+from .candidate import CandidateConfig, GeoIndex
 from .config import BAND_RULE, SITE_MEAN_RULE, TX_POWER_RANGE, SynthConfig
 from .data_io import write_cells_csv, write_edges_csv
 from .graph import FeatureMatrix, RanGraph, build_graph
@@ -88,13 +88,12 @@ def generate(cfg: SynthConfig) -> GroundTruth:
     x[:, 6] = rng.uniform(*CAPACITY_RANGE, size=n)
     x[:, 7] = rng.normal(0.0, cfg.feature_noise, size=n)
 
-    # site pairs (s, t), s <= t, within the radius: one scan per site over
-    # sites s.., so the scan stays at S^2 and not N^2
-    site_coords = np.column_stack([site_lat, site_lon])
+    # site pairs (s, t), s <= t, within the radius: one query per site of an
+    # index over the sites, not the cells
+    sites = GeoIndex(np.column_stack([site_lat, site_lon]))
     near = CandidateConfig(k=cfg.sites, max_dist=cfg.radius_km)
-    site_t = [
-        s + candidate_indices(site_coords[s:], site_coords[s], near)[0] for s in range(cfg.sites)
-    ]
+    site_t = [sites.query(sites.coords[s], near)[0] for s in range(cfg.sites)]
+    site_t = [t[t >= s] for s, t in enumerate(site_t)]
     site_s = np.repeat(np.arange(cfg.sites), [len(t) for t in site_t])
     site_t = np.concatenate(site_t)
 

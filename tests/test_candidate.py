@@ -5,14 +5,19 @@ import pytest
 
 from conftest import make_graph
 from ran_topo.candidate import (
+    EARTH_RADIUS_KM,
     CandidateConfig,
+    GeoIndex,
+    _distances_to_all,
     candidates,
     candidates_for_new,
     evaluate_candidates,
     geo_distance,
 )
-from ran_topo.errors import EmptyEvalSet, UnknownNode
+from ran_topo.config import SynthConfig
+from ran_topo.errors import EmptyEvalSet, UnknownNode, ValidationError
 from ran_topo.graph import FeatureMatrix, build_graph
+from ran_topo.synth import generate
 
 KM_PER_DEGREE = 6371.0 * math.pi / 180.0  # 111.1949...
 
@@ -29,6 +34,26 @@ def brute_force_candidates(graph, query_idx, cfg):
             scored.append((d, j))
     scored.sort()
     return [(graph.ids[j], d) for d, j in scored[: cfg.k]]
+
+
+def scan_reference(coords, point, cfg, exclude=None):
+    """The full scan the index replaces: every row's haversine distance, the
+    distance cap and ``exclude``, a (distance, index) sort, the first K."""
+    dist = _distances_to_all(coords, point)
+    keep = dist <= cfg.max_dist
+    if exclude is not None:
+        keep[exclude] = False
+    idx = np.flatnonzero(keep)
+    chosen = idx[np.lexsort((idx, dist[idx]))][: cfg.k]
+    return chosen, dist[chosen]
+
+
+def assert_same_as_scan(index, coords, point, cfg, exclude=None):
+    """Same indices and distances of the same bits as the full scan."""
+    got_idx, got_dist = index.query(point, cfg, exclude)
+    want_idx, want_dist = scan_reference(coords, point, cfg, exclude)
+    assert np.array_equal(got_idx, want_idx)
+    assert got_dist.tobytes() == want_dist.tobytes()
 
 
 def assert_same_candidates(got, expected):
@@ -215,3 +240,76 @@ class TestProperties:
             for a in g.ids:
                 for b in sets[a]:
                     assert a in sets[b]
+
+
+# the shipped planner filter, and caps around the sphere's half circumference
+SHIPPED_FILTER = CandidateConfig(k=60, max_dist=4.0)
+HALF_CIRCLE_KM = math.pi * EARTH_RADIUS_KM
+
+
+class TestGeoIndexMatchesScan:
+    def test_every_cell_of_the_predict_network(self):
+        # the 1,500-site, 7,443-cell network of the predict benchmark workload
+        cfg = SynthConfig(sites=1500, bbox=(56.8, 59.036, 11.0, 15.472))
+        coords = generate(cfg).graph.features.coords()
+        index = GeoIndex(coords)
+        for i in range(len(coords)):
+            assert_same_as_scan(index, coords, coords[i], SHIPPED_FILTER, exclude=i)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(10.0, 179.9), (10.0, -179.9), (10.05, 179.95), (9.9, -179.97), (10.0, 0.0)],
+            [(89.9, 0.0), (89.9, 90.0), (89.9, -179.0), (-89.9, 10.0), (-89.9, -170.0)],
+            [(1.0, 2.0)] * 4 + [(1.0, 2.001)] * 3 + [(1.0, 1.999)] * 2,
+            [(0.0, 0.0)],
+            np.empty((0, 2)),
+        ],
+        ids=["antimeridian", "poles", "site_mates", "one_cell", "no_cells"],
+    )
+    @pytest.mark.parametrize(
+        "k,max_dist",
+        [(0, 4.0), (2, 0.0), (3, 15.0), (3, 2000.0), (4, HALF_CIRCLE_KM), (4, 30000.0),
+         (2, math.inf), (100, math.inf), (100, 4.0)],
+    )
+    def test_edge_cases(self, coords, k, max_dist):
+        coords = np.asarray(coords, dtype=float).reshape(-1, 2)
+        index = GeoIndex(coords)
+        cfg = CandidateConfig(k=k, max_dist=max_dist)
+        for i in range(len(coords)):
+            assert_same_as_scan(index, coords, coords[i], cfg, exclude=i)
+            assert_same_as_scan(index, coords, coords[i], cfg)
+        for point in [(10.0, 180.0), (10.0, -180.0), (89.95, 45.0), (-90.0, 0.0), (1.0, 2.0005), (0.0, 0.0)]:
+            assert_same_as_scan(index, coords, point, cfg)
+
+    def test_random_points_in_a_dense_box(self):
+        rng = np.random.default_rng(6)
+        coords = np.column_stack([rng.uniform(57.0, 57.1, 400), rng.uniform(12.0, 12.1, 400)])
+        coords[200:] = coords[rng.integers(0, 200, 200)]  # site-mates: distance-0 ties
+        index = GeoIndex(coords)
+        points = np.column_stack([rng.uniform(56.95, 57.15, 50), rng.uniform(11.95, 12.15, 50)])
+        for cfg in [SHIPPED_FILTER, CandidateConfig(k=5, max_dist=1.0), CandidateConfig(k=60),
+                    CandidateConfig(k=3, max_dist=0.0), CandidateConfig(k=1000, max_dist=20000.0)]:
+            for point in points:
+                assert_same_as_scan(index, coords, point, cfg)
+            for i in range(0, len(coords), 7):
+                assert_same_as_scan(index, coords, coords[i], cfg, exclude=i)
+
+
+class TestGeoIndexRefusesBadCoordinates:
+    @pytest.mark.parametrize(
+        "bad", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf), (90.5, 0.0), (-91.0, 0.0)]
+    )
+    def test_bad_graph_coordinates(self, bad):
+        g = make_graph(2, [], coords=[(0.0, 0.0), bad])
+        with pytest.raises(ValidationError):
+            candidates(g, "n0", CandidateConfig(k=1))
+
+    @pytest.mark.parametrize(
+        "bad", [(math.nan, 0.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0), (90.5, 0.0), (-91.0, 0.0)]
+    )
+    def test_bad_query_point(self, bad):
+        g = make_graph(2, [], coords=[(0.0, 0.0), (0.0, 0.01)])
+        for cfg in [CandidateConfig(k=0), CandidateConfig(k=1), CandidateConfig(k=1, max_dist=4.0)]:
+            with pytest.raises(ValidationError):
+                candidates_for_new(g, bad, cfg)

@@ -8,6 +8,7 @@ from ran_topo.config import ExperimentConfig
 from ran_topo.errors import (
     EmptyEvalSet,
     NotEnoughNegatives,
+    ShapeMismatch,
     SingleClassOnly,
 )
 from ran_topo.graph import split_nodes
@@ -406,6 +407,15 @@ class TestPredictNewNode:
         assert tight.neighbors == []
         assert not tight.no_candidates
         assert len(loose.neighbors) <= cfg.k
+
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_new_row_of_wrong_width(self, kind, k):
+        graph, x, _ = self.setup_scene()
+        params = models.init_params(kind, k=x.shape[1], hidden=8, embed=8, seed=1)
+        coords = tuple(graph.features.coords()[0])
+        with pytest.raises(ShapeMismatch):
+            predict_new_node(params, graph, x, np.append(x[0], 0.0), coords, CandidateConfig(k=k))
 
     def test_gnn_new_node_uses_empty_neighborhood(self):
         graph, x, _ = self.setup_scene()

@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 configuration/validation error, 3 I/O error,
 4 internal invariant violation. ``main`` is the one place that maps a
 failure to its code: a StageError by its cause, an OSError to 3, an
 InternalError to 4, any other package error to 2. Log level comes from the
-RAN_TOPO_LOG environment variable.
+RAN_TOPO_LOG environment variable; a name that is not a level exits 2.
 """
 
 from __future__ import annotations
@@ -206,10 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("RAN_TOPO_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("RAN_TOPO_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: RAN_TOPO_LOG={level!r} is not a log level such as DEBUG or INFO", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -17,6 +17,10 @@ with them trained parameters and report bundles, are bit-for-bit what they
 were. An embedding reads only its node's 1-hop neighborhood, so scoring a
 few cells embeds only those rows.
 
+The SAGE input concat(x_v, neighbor mean) does not depend on the
+parameters, so training computes it once per graph (as SIGN does) and each
+optimizer step runs only ``W_s`` and the head on it.
+
 Parameters are one plain dict of float64 arrays: ``w1, b1, w2, b2, w3, b3``
 for the head, plus ``ws, bs`` for the GNN's SAGE layer, so the key set names
 the kind. ``params_from_dict`` is the one constructor and validator. Scoring,
@@ -134,7 +138,9 @@ def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray):
 
 
 def _head_backward(d: dict[str, np.ndarray], cache, dlogit: np.ndarray):
-    """Gradients of sum(dlogit * logit) w.r.t. head params and pair input."""
+    """Gradients of sum(dlogit * logit) w.r.t. the head params, and ``dz1``,
+    the gradient of the first pre-activation. Only the GNN carries it on to
+    its pair input (``dz1 @ w1``); the MLP's input is the data."""
     pair_input, z1, a1, z2, a2 = cache
     dz3 = dlogit[:, None]  # (B, 1)
     grads = {"w3": dz3.T @ a2, "b3": dz3.sum(axis=0)}
@@ -146,8 +152,7 @@ def _head_backward(d: dict[str, np.ndarray], cache, dlogit: np.ndarray):
     dz1 = da1 * (z1 > 0)
     grads["w1"] = dz1.T @ pair_input
     grads["b1"] = dz1.sum(axis=0)
-    dinput = dz1 @ d["w1"]
-    return grads, dinput
+    return grads, dz1
 
 
 def neighbor_mean(graph: RanGraph | None, x: np.ndarray, rows=None) -> np.ndarray:
@@ -175,19 +180,22 @@ def _features(params: dict[str, np.ndarray], x) -> np.ndarray:
     return x
 
 
-def _sage_forward(d: dict[str, np.ndarray], own: np.ndarray, mean: np.ndarray):
-    """The SAGE layer over each row's own features and its neighbor mean."""
-    h = np.concatenate([own, mean], axis=1)
-    pre = h @ d["ws"].T + d["bs"]
-    return np.maximum(pre, 0.0), (h, pre)
+def sage_input(graph: RanGraph | None, x: np.ndarray, rows=None) -> np.ndarray:
+    """The SAGE layer's input concat(x_v, neighbor mean of v) for every graph
+    node or, given ``rows``, for those nodes only, in that order."""
+    own = x if rows is None else x[rows]
+    return np.concatenate([own, neighbor_mean(graph, x, rows)], axis=1)
+
+
+def sage_layer(params: dict[str, np.ndarray], h: np.ndarray) -> np.ndarray:
+    """Embeddings relu(W_s h + b_s) of SAGE input rows ``h``."""
+    return np.maximum(h @ params["ws"].T + params["bs"], 0.0)
 
 
 def sage_embed(params: dict[str, np.ndarray], x: np.ndarray, graph: RanGraph, rows=None) -> np.ndarray:
     """Embeddings relu(W_s concat(x, nbr mean) + b_s) for every graph node,
     or, given ``rows``, for those nodes only, in that order."""
-    own = x if rows is None else x[rows]
-    embeddings, _ = _sage_forward(params, own, neighbor_mean(graph, x, rows))
-    return embeddings
+    return sage_layer(params, sage_input(graph, x, rows))
 
 
 def new_node_embedding(params: dict[str, np.ndarray], features_vec: np.ndarray) -> np.ndarray:
@@ -195,7 +203,7 @@ def new_node_embedding(params: dict[str, np.ndarray], features_vec: np.ndarray) 
     the zero neighbor mean. It stays a one-row product: stacked with other
     rows, the product's last bits can differ."""
     own = _features(params, np.asarray(features_vec, dtype=np.float64)[None])
-    return _sage_forward(params, own, np.zeros_like(own))[0][0]
+    return sage_layer(params, np.concatenate([own, np.zeros_like(own)], axis=1))[0]
 
 
 def node_rows(params: dict[str, np.ndarray], x, graph: RanGraph | None = None, rows=None) -> np.ndarray:
@@ -211,8 +219,9 @@ def node_rows(params: dict[str, np.ndarray], x, graph: RanGraph | None = None, r
 # ---------------------------------------------------------------------------
 # scoring
 
-def _pair_input(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    return np.concatenate([x[pairs[:, 0]], x[pairs[:, 1]]], axis=1)
+def _pair_input(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """concat(rows[a], rows[b]) for each pair (a, b), as one gather."""
+    return rows[pairs].reshape(len(pairs), 2 * rows.shape[1])
 
 
 def symmetric_score_batch(
@@ -247,31 +256,38 @@ def loss_and_grads(
     pairs: np.ndarray,
     labels: np.ndarray,
     graph: RanGraph | None = None,
+    sage_rows: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean BCE over ordered pairs and its exact gradients.
 
-    For the GNN, embeddings are recomputed from the given graph as part of
-    the pass, so gradients flow into the SAGE layer.
+    For the GNN, embeddings are computed from the SAGE input as part of the
+    pass, so gradients flow into the SAGE layer. ``sage_rows`` is that input,
+    ``sage_input(graph, x)``; a caller stepping many times over one graph
+    passes it, and without it it is computed here from ``x`` and ``graph``.
     """
     kind = kind_of(params)
     pairs = np.asarray(pairs)
     labels = np.asarray(labels, dtype=np.float64)
     rows = x
     if kind == GNN_KIND:
-        rows, sage_cache = _sage_forward(params, x, neighbor_mean(graph, x))
+        h = sage_input(graph, x) if sage_rows is None else sage_rows
+        rows = sage_layer(params, h)
     probs, head_cache = _head_forward(params, _pair_input(rows, pairs))
     loss = float(np.mean(bce_loss(probs, labels)))
     # d(mean BCE)/d(logit) with the sigmoid folded in; clamping almost never
     # binds and is ignored in the gradient
     dlogit = (probs - labels) / labels.size
-    grads, dinput = _head_backward(params, head_cache, dlogit)
+    grads, dz1 = _head_backward(params, head_cache, dlogit)
     if kind == GNN_KIND:
-        embed_dim = rows.shape[1]
-        dembed = np.zeros_like(rows)
-        np.add.at(dembed, pairs[:, 0], dinput[:, :embed_dim])
-        np.add.at(dembed, pairs[:, 1], dinput[:, embed_dim:])
-        h, pre = sage_cache
-        delta = dembed * (pre > 0)
+        # each pair's input gradient halves summed into their endpoints: one
+        # bincount over (node, column) cells adds every first endpoint's, then
+        # every second one's, in batch order, as two np.add.at calls would
+        n, width = rows.shape
+        ends = pairs.T.ravel()
+        cells = (ends[:, None] * width + np.arange(width)).ravel()
+        halves = (dz1 @ params["w1"]).reshape(len(pairs), 2, width).transpose(1, 0, 2).ravel()
+        dembed = np.bincount(cells, halves, minlength=n * width).reshape(n, width)
+        delta = dembed * (rows > 0)
         grads["ws"] = delta.T @ h
         grads["bs"] = delta.sum(axis=0)
     return loss, grads
@@ -359,7 +375,7 @@ def make_loss_fn(
 
     if kind == GNN_KIND:
         layers = ("s", "1", "2", "3")
-        first_input = np.concatenate([x, neighbor_mean(graph, x)], axis=1)
+        first_input = sage_input(graph, x)
     else:
         layers = ("1", "2", "3")
         first_input = _pair_input(x, pairs)

@@ -8,7 +8,7 @@ module provides the shared pieces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,15 +49,16 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
 
 @dataclass
 class AdamState:
-    """Adam moment accumulators keyed like the parameter dict."""
+    """Adam moment accumulators, each one flat float64 buffer laid out like
+    the parameters ``adam_step`` flattens; None before the first step."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(
@@ -65,23 +66,37 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns new params, mutates state."""
+    """One bias-corrected Adam update; returns new params, mutates state.
+
+    All parameters update as one flat buffer, in the dict's order, by the
+    same elementwise operations as per array, so bit-for-bit alike. The
+    returned arrays are views into a new buffer, so a dict returned earlier
+    never changes.
+    """
+    for name, value in params.items():
+        shape = np.shape(grads[name])
+        if shape != value.shape:
+            raise ShapeMismatch(f"gradient shape {shape} != param {value.shape} ({name})")
+    flat = np.concatenate([value.ravel() for value in params.values()]).astype(np.float64, copy=False)
+    g = np.concatenate([np.ravel(grads[name]) for name in params]).astype(np.float64, copy=False)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
     state.step += 1
     t = state.step
-    new_params = {}
+    # m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g, in place
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * g * g
+    # flat -= (lr m_hat) / (sqrt(v_hat) + eps); flat is a fresh copy
+    update = state.m / (1.0 - state.beta1**t)
+    update *= state.lr
+    update /= np.sqrt(state.v / (1.0 - state.beta2**t)) + state.eps
+    flat -= update
+    new_params, start = {}, 0
     for name, value in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != value.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} != param {value.shape} ({name})")
-        m = state.m.get(name, np.zeros_like(value))
-        v = state.v.get(name, np.zeros_like(value))
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_params[name] = value - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        new_params[name] = flat[start : start + value.size].reshape(value.shape)
+        start += value.size
     return new_params, state
 
 

@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import models
 from .candidate import evaluate_candidates
@@ -198,14 +197,21 @@ def sample_pairs(
 # metrics
 
 def auc(scores, labels) -> float:
-    """Rank-based (Mann-Whitney) AUC with midranks for ties."""
+    """Rank-based (Mann-Whitney) AUC with midranks for ties; NaN if a score
+    is NaN. The ranks are the ones ``scipy.stats.rankdata(method="average")``
+    gives, without importing scipy.stats."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     pos = int((labels == 1).sum())
     neg = int((labels == 0).sum())
     if pos == 0 or neg == 0:
         raise SingleClassOnly("AUC needs at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
+    if np.isnan(scores).any():
+        return float("nan")
+    # a tie group of `count` scores ending at sorted rank `end` shares the
+    # mean rank end - (count - 1) / 2: a half-integer, exact in float64
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 
@@ -299,9 +305,11 @@ def train(
     """Train one model on balanced pairs from the masked training graph.
 
     Each positive and sampled negative pair is presented in both concat
-    orders. The GNN recomputes embeddings from the training graph every
-    optimizer step. Returns the parameters of the epoch with the best
-    balanced validation accuracy.
+    orders. The GNN's SAGE inputs, over the training graph for the
+    optimizer steps and over the deployed graph for validation, do not
+    depend on the parameters and are computed once per call; each step
+    re-embeds from them, so gradients reach the SAGE layer. Returns the
+    parameters of the epoch with the best balanced validation accuracy.
     """
     from .neural import AdamState, adam_step
 
@@ -326,6 +334,9 @@ def train(
     val_pairs = sample_pairs(
         graph, split.val_nodes, Balanced(), seed=subseed(cfg.seed, "val_pairs")
     )
+    gnn = kind == models.GNN_KIND
+    train_input = models.sage_input(train_graph, x_train) if gnn else None
+    val_input = models.sage_input(graph, features_norm) if gnn else features_norm
 
     sample_rng_seed = subseed(cfg.seed, "negatives")
     shuffle_rng = np.random.default_rng(subseed(cfg.seed, "shuffle"))
@@ -351,15 +362,14 @@ def train(
         for start in range(0, len(ordered), cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
             loss, grads = models.loss_and_grads(
-                params, x_train, ordered[batch], labels[batch],
-                graph=train_graph if kind == models.GNN_KIND else None,
+                params, x_train, ordered[batch], labels[batch], sage_rows=train_input
             )
             total_loss += loss * len(labels[batch])
             params, adam = adam_step(params, grads, adam)
         train_loss = total_loss / len(labels)
 
-        scorer = make_scorer(params, features_norm, embed_graph=graph)
-        val_scores = scorer(val_pairs.pairs)
+        val_rows = models.sage_layer(params, val_input) if gnn else val_input
+        val_scores = models.symmetric_score_batch(params, val_rows, val_pairs.pairs)
         val_acc = float(np.mean((val_scores >= ExperimentConfig.cutoff) == (val_pairs.labels == 1)))
 
         history.append(

@@ -1,0 +1,164 @@
+"""The training kernels against the plain formulas they replace, bit for bit.
+
+Trained parameters and report bundles are byte-identical across changes to
+these kernels only if every float they produce is, so each comparison here
+is ``np.array_equal`` or ``==``, never a tolerance.
+"""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from scipy.stats import rankdata
+
+import ran_topo
+from ran_topo import models, pipeline
+from ran_topo.neural import AdamState, adam_step, bce_loss, sigmoid
+
+from conftest import random_graph
+
+
+def reference_loss_and_grads(params, x, pairs, labels, graph=None):
+    """Mean BCE and gradients as two gathers, a concatenate and two
+    sequential ``np.add.at`` scatters compute them."""
+    d = params
+    rows = x
+    if models.kind_of(d) == models.GNN_KIND:
+        h = np.concatenate([x, models.neighbor_mean(graph, x)], axis=1)
+        pre = h @ d["ws"].T + d["bs"]
+        rows = np.maximum(pre, 0.0)
+    pair_input = np.concatenate([rows[pairs[:, 0]], rows[pairs[:, 1]]], axis=1)
+    z1 = pair_input @ d["w1"].T + d["b1"]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ d["w2"].T + d["b2"]
+    a2 = np.maximum(z2, 0.0)
+    z3 = a2 @ d["w3"].T + d["b3"]
+    probs = np.clip(sigmoid(z3[:, 0]), 1e-12, 1.0 - 1e-12)
+    loss = float(np.mean(bce_loss(probs, labels)))
+    dz3 = ((probs - labels) / labels.size)[:, None]
+    grads = {"w3": dz3.T @ a2, "b3": dz3.sum(axis=0)}
+    dz2 = (dz3 @ d["w3"]) * (z2 > 0)
+    grads["w2"], grads["b2"] = dz2.T @ a1, dz2.sum(axis=0)
+    dz1 = (dz2 @ d["w2"]) * (z1 > 0)
+    grads["w1"], grads["b1"] = dz1.T @ pair_input, dz1.sum(axis=0)
+    if models.kind_of(d) == models.GNN_KIND:
+        dinput = dz1 @ d["w1"]
+        width = rows.shape[1]
+        dembed = np.zeros_like(rows)
+        np.add.at(dembed, pairs[:, 0], dinput[:, :width])
+        np.add.at(dembed, pairs[:, 1], dinput[:, width:])
+        delta = dembed * (pre > 0)
+        grads["ws"], grads["bs"] = delta.T @ h, delta.sum(axis=0)
+    return loss, grads
+
+
+def reference_adam_step(params, grads, state):
+    """Adam one parameter array at a time, moments in per-name dicts."""
+    state["step"] += 1
+    t, lr, b1, b2, eps = state["step"], state["lr"], 0.9, 0.999, 1e-8
+    new = {}
+    for name, value in params.items():
+        g = grads[name]
+        m = b1 * state["m"].get(name, np.zeros_like(value)) + (1.0 - b1) * g
+        v = b2 * state["v"].get(name, np.zeros_like(value)) + (1.0 - b2) * g * g
+        state["m"][name], state["v"][name] = m, v
+        new[name] = value - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+    return new
+
+
+def reference_auc(scores, labels):
+    pos, neg = int((labels == 1).sum()), int((labels == 0).sum())
+    ranks = rankdata(scores, method="average")
+    return (float(ranks[labels == 1].sum()) - pos * (pos + 1) / 2.0) / (pos * neg)
+
+
+def jittered_params(kind, rng, **dims):
+    init = models.init_params(kind, seed=int(rng.integers(1 << 30)), **dims)
+    return {name: value + rng.normal(scale=0.1, size=value.shape) for name, value in init.items()}
+
+
+@pytest.mark.parametrize("kind", [models.MLP_KIND, models.GNN_KIND])
+@pytest.mark.parametrize("seed", range(6))
+def test_loss_and_grads_bit_equal_to_the_add_at_reference(kind, seed):
+    rng = np.random.default_rng(seed)
+    graph = random_graph(rng, max_nodes=30, edge_prob=0.3)
+    k, n = 5, graph.n
+    x = rng.normal(size=(n, k))
+    params = jittered_params(kind, rng, k=k, hidden=16, embed=8)
+    # few nodes, many pairs: every node is an endpoint many times, on both sides
+    pairs = rng.integers(0, n, size=(int(rng.integers(40, 200)), 2))
+    labels = rng.integers(0, 2, size=len(pairs)).astype(np.float64)
+    graph_arg = graph if kind == models.GNN_KIND else None
+    want_loss, want = reference_loss_and_grads(params, x, pairs, labels, graph_arg)
+    got_loss, got = models.loss_and_grads(params, x, pairs, labels, graph=graph_arg)
+    assert got_loss == want_loss
+    assert set(got) == set(want)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+    if kind == models.GNN_KIND:
+        # the SAGE input a training run computes once gives the same step
+        pre_loss, pre = models.loss_and_grads(
+            params, x, pairs, labels, sage_rows=models.sage_input(graph, x)
+        )
+        assert pre_loss == want_loss
+        assert all(np.array_equal(pre[name], want[name]) for name in want)
+
+
+def test_pair_input_is_the_concatenated_gather():
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(9, 4))
+    pairs = rng.integers(0, 9, size=(50, 2))
+    for p in (pairs, pairs[:, ::-1], pairs[:0]):
+        want = np.concatenate([rows[p[:, 0]], rows[p[:, 1]]], axis=1)
+        got = models._pair_input(rows, p)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_adam_steps_bit_equal_to_the_per_name_reference():
+    rng = np.random.default_rng(5)
+    params = jittered_params(models.GNN_KIND, rng, k=3, hidden=6, embed=4)
+    state = AdamState(lr=0.01)
+    want_params = {name: value.copy() for name, value in params.items()}
+    ref_state = {"step": 0, "lr": 0.01, "m": {}, "v": {}}
+    returned = []
+    for _ in range(7):
+        grads = {name: rng.normal(size=value.shape) for name, value in params.items()}
+        params, state = adam_step(params, grads, state)
+        want_params = reference_adam_step(want_params, grads, ref_state)
+        returned.append((params, {name: value.copy() for name, value in params.items()}))
+        assert list(params) == list(want_params)
+        for name in want_params:
+            assert params[name].shape == want_params[name].shape
+            assert np.array_equal(params[name], want_params[name]), name
+    assert state.step == 7
+    # every earlier returned dict still holds what it held when returned
+    for got, snapshot in returned:
+        assert all(np.array_equal(got[name], snapshot[name]) for name in snapshot)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_auc_bit_equal_to_the_rankdata_reference(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 3000))
+    # scores from a handful of levels: long tie groups, some spanning both classes
+    scores = rng.integers(0, int(rng.integers(2, 12)), size=size) / 7.0
+    labels = rng.integers(0, 2, size=size)
+    labels[:2] = [0, 1]
+    assert pipeline.auc(scores, labels) == reference_auc(scores, labels)
+    continuous = rng.random(size)
+    assert pipeline.auc(continuous, labels) == reference_auc(continuous, labels)
+
+
+def test_auc_of_a_nan_score_is_nan_as_with_rankdata():
+    scores, labels = np.array([0.2, np.nan, 0.7]), np.array([0, 1, 1])
+    assert np.isnan(reference_auc(scores, labels))
+    assert np.isnan(pipeline.auc(scores, labels))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(ran_topo.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, ran_topo.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, check=False).returncode == 0

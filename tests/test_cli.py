@@ -139,6 +139,20 @@ class TestCandidates:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("level", ["bogus", "10", ""])
+    def test_unknown_log_level_exit_2(self, synth_dir, capsys, monkeypatch, level):
+        monkeypatch.setenv("RAN_TOPO_LOG", level)
+        code = main([
+            "candidates",
+            "--cells", str(synth_dir / "cells.csv"),
+            "--edges", str(synth_dir / "edges.csv"),
+            "--k", "10",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: RAN_TOPO_LOG=") and captured.err.count("\n") == 1
+
     def test_report_written_to_out(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "cand.json"
         code = main([

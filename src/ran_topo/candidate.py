@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .config import CandidateConfig
-from .errors import EmptyEvalSet, ValidationError
+from .errors import ValidationError
 from .graph import CellId, RanGraph
 from .report import EvalReport
 
@@ -124,7 +124,7 @@ def evaluate_candidates(graph: RanGraph, eval_nodes, cfg: CandidateConfig) -> Ev
     """
     eval_idx = sorted(graph.index_of(node) for node in eval_nodes)
     if not eval_idx:
-        raise EmptyEvalSet("no evaluation nodes given")
+        raise ValidationError("no evaluation nodes given")
 
     # Each eval node is scored against every other node; pairs between two
     # eval nodes are therefore counted once per direction, since each node

@@ -8,7 +8,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .data_io import MissingPolicy
-from .errors import BadConfig, BadDims, ValidationError
+from .errors import ValidationError
 from .graph import check_ratios
 
 BAND_RULE = "band"
@@ -34,13 +34,13 @@ def _checked(obj, where: str, types: dict) -> dict:
     whose values have their key's JSON type: int, float (any number), bool,
     str, dict, list, None (null), a tuple of alternatives, or ``[type, n]``."""
     if not isinstance(obj, dict):
-        raise BadConfig(f"{where} must be a JSON object, not {type(obj).__name__}")
+        raise ValidationError(f"{where} must be a JSON object, not {type(obj).__name__}")
     unknown = sorted(set(obj) - set(types))
     if unknown:
-        raise BadConfig(f"unknown {where} keys {unknown}")
+        raise ValidationError(f"unknown {where} keys {unknown}")
     for key, value in obj.items():
         if not _is(value, types[key]):
-            raise BadConfig(f"{where}.{key} has the wrong JSON type or length: {value!r}")
+            raise ValidationError(f"{where}.{key} has the wrong JSON type or length: {value!r}")
     return obj
 
 
@@ -99,7 +99,7 @@ class SynthConfig(_Section):
             (self.edge_rule not in (BAND_RULE, SITE_MEAN_RULE), f"unknown edge rule {self.edge_rule!r}"),
         ):
             if broken:
-                raise BadConfig(rule)
+                raise ValidationError(rule)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class CandidateConfig:
         """From ``{"k": ..., "max_dist_km": ...}``; a null or missing distance means no cap."""
         _checked(obj, where, {"k": int, "max_dist_km": (float, None)})
         if "k" not in obj:
-            raise BadConfig(f"{where} needs k")
+            raise ValidationError(f"{where} needs k")
         max_dist = obj.get("max_dist_km")
         return cls(k=obj["k"], max_dist=math.inf if max_dist is None else float(max_dist))
 
@@ -144,9 +144,9 @@ class TrainConfig(_Section):
     def __post_init__(self):
         counts = (self.epochs, self.batch_size) + (() if self.patience is None else (self.patience,))
         if not all(isinstance(c, int) and not isinstance(c, bool) and c > 0 for c in counts):
-            raise BadConfig("epochs, batch_size and patience (when set) must be positive integers")
+            raise ValidationError("epochs, batch_size and patience (when set) must be positive integers")
         if not (isinstance(self.learning_rate, (int, float)) and 0 <= self.learning_rate < math.inf):
-            raise BadConfig(f"learning_rate must be a finite number >= 0, got {self.learning_rate!r}")
+            raise ValidationError(f"learning_rate must be a finite number >= 0, got {self.learning_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class NetworkFiles(_Section):
         try:
             object.__setattr__(self, "missing_policy", MissingPolicy(self.missing_policy))
         except ValueError:
-            raise BadConfig(f"unknown missing_policy {self.missing_policy!r}") from None
+            raise ValidationError(f"unknown missing_policy {self.missing_policy!r}") from None
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ class ExperimentConfig:
         check_cutoff(self.cutoff)
         check_ratios(self.split)
         if min(self.hidden, self.embed) <= 0:  # init_params' rule, before any stage runs
-            raise BadDims(f"dims must be positive, got h={self.hidden} d={self.embed}")
+            raise ValidationError(f"dims must be positive, got h={self.hidden} d={self.embed}")
 
     @classmethod
     def from_dict(cls, obj) -> ExperimentConfig:
@@ -202,7 +202,7 @@ class ExperimentConfig:
             elif "synthetic" not in data and {"cells_csv", "edges_csv"} <= set(data):
                 fields["data"] = NetworkFiles(**data)
             else:
-                raise BadConfig(f"data needs 'synthetic' or 'cells_csv' and 'edges_csv', not {sorted(data)}")
+                raise ValidationError(f"data needs 'synthetic' or 'cells_csv' and 'edges_csv', not {sorted(data)}")
         if "split" in obj:
             split = _checked(obj["split"], "split", {"ratios": [float, 3]})
             fields["split"] = tuple(split.get("ratios", cls.split))

@@ -22,16 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    AllValuesMissing,
-    BadCoordinate,
-    BadRow,
-    ColumnMismatch,
-    DuplicateCellId,
-    EmptyRowSet,
-    MissingHeader,
-    ValidationError,
-)
+from .errors import ValidationError
 from .graph import CellId, FeatureMatrix, RanGraph, build_graph
 
 # std below this is treated as a constant column and normalizes to zero
@@ -44,8 +35,6 @@ class MissingPolicy(str, Enum):  # a str, so a config holding one writes as JSON
 
 
 def _as_text_lines(source):
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
     if isinstance(source, str):
         return io.StringIO(source)
     return source  # assume an open text file
@@ -63,9 +52,9 @@ def _number(value) -> float:
 def _check_coordinates(lat: float, lon: float, where: str) -> None:
     """Latitude in [-90, 90], longitude in [-180, 180]; a missing (NaN) one passes."""
     if lat < -90.0 or lat > 90.0:
-        raise BadCoordinate(f"{where}latitude {lat} outside [-90, 90]")
+        raise ValidationError(f"{where}latitude {lat} outside [-90, 90]")
     if lon < -180.0 or lon > 180.0:
-        raise BadCoordinate(f"{where}longitude {lon} outside [-180, 180]")
+        raise ValidationError(f"{where}longitude {lon} outside [-180, 180]")
 
 
 def parse_cells_csv(source) -> tuple[list[CellId], FeatureMatrix, np.ndarray]:
@@ -78,10 +67,10 @@ def parse_cells_csv(source) -> tuple[list[CellId], FeatureMatrix, np.ndarray]:
     reader = csv.reader(_as_text_lines(source))
     header = next(reader, None)
     if not header or header[0].strip() != "cell_id" or len(header) < 3:
-        raise MissingHeader("cells.csv must start with 'cell_id,lat,lon,...'")
+        raise ValidationError("cells.csv must start with 'cell_id,lat,lon,...'")
     columns = tuple(name.strip() for name in header[1:])
     if columns[:2] != ("lat", "lon"):
-        raise MissingHeader("cells.csv columns 2 and 3 must be 'lat,lon'")
+        raise ValidationError("cells.csv columns 2 and 3 must be 'lat,lon'")
 
     ids: list[CellId] = []
     seen = set()
@@ -90,10 +79,12 @@ def parse_cells_csv(source) -> tuple[list[CellId], FeatureMatrix, np.ndarray]:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):
-            raise BadRow(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+            raise ValidationError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
         cell_id = row[0].strip()
+        if not cell_id:
+            raise ValidationError(f"line {line_no}: empty cell id")
         if cell_id in seen:
-            raise DuplicateCellId(f"line {line_no}: duplicate cell id {cell_id!r}")
+            raise ValidationError(f"line {line_no}: duplicate cell id {cell_id!r}")
         seen.add(cell_id)
         ids.append(cell_id)
 
@@ -131,13 +122,13 @@ def parse_edges_csv(source) -> list[tuple[CellId, CellId]]:
     reader = csv.reader(_as_text_lines(source))
     header = next(reader, None)
     if not header or [h.strip() for h in header] != ["cell_id_a", "cell_id_b"]:
-        raise MissingHeader("edges.csv must start with 'cell_id_a,cell_id_b'")
+        raise ValidationError("edges.csv must start with 'cell_id_a,cell_id_b'")
     pairs = []
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2 or not row[0].strip() or not row[1].strip():
-            raise BadRow(f"line {line_no}: expected two cell ids")
+            raise ValidationError(f"line {line_no}: expected two cell ids")
         pairs.append((row[0].strip(), row[1].strip()))
     return pairs
 
@@ -186,7 +177,7 @@ def apply_missing_policy(
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != features.values.shape:
-        raise ColumnMismatch(
+        raise ValidationError(
             f"mask shape {mask.shape} does not match features {features.values.shape}"
         )
     if policy is MissingPolicy.DROP_ROW:
@@ -199,7 +190,7 @@ def apply_missing_policy(
         if not col_missing.any():
             continue
         if col_missing.all():
-            raise AllValuesMissing(f"column {features.columns[k]!r} has no values")
+            raise ValidationError(f"column {features.columns[k]!r} has no values")
         values[col_missing, k] = values[~col_missing, k].mean()
     return (
         FeatureMatrix(features.columns, values, features.coord_cols),
@@ -272,7 +263,7 @@ class NormParams:
             except (TypeError, ValueError):
                 raise ValidationError(f"norm params {name!r} is not a list of numbers") from None
             if values.shape != (len(columns),):
-                raise ColumnMismatch(
+                raise ValidationError(
                     f"norm params {name!r} needs {len(columns)} values, one per column"
                 )
             if not np.isfinite(values).all():
@@ -287,7 +278,7 @@ def zscore_fit(features: FeatureMatrix, rows) -> NormParams:
     """Fit per-column mean and population std over the given rows only."""
     rows = sorted(rows)
     if not rows:
-        raise EmptyRowSet("cannot fit normalization on an empty row set")
+        raise ValidationError("cannot fit normalization on an empty row set")
     sub = features.values[rows]
     return NormParams(
         columns=features.columns,
@@ -299,7 +290,7 @@ def zscore_fit(features: FeatureMatrix, rows) -> NormParams:
 def zscore_apply(params: NormParams, features: FeatureMatrix) -> FeatureMatrix:
     """(x - mean) / std per column; near-constant columns map to zero."""
     if params.columns != features.columns:
-        raise ColumnMismatch(
+        raise ValidationError(
             f"normalization columns {params.columns} != features {features.columns}"
         )
     safe_std = np.where(params.std < DEGENERATE_STD, 1.0, params.std)

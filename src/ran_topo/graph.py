@@ -6,11 +6,10 @@ by a dense index in [0, N) assigned in input order.
 
 The topology is stored as arrays: a sorted (E, 2) int64 edge array with
 i < j, and CSR arrays (``indptr``, ``indices``, ``degree``) built from it
-once per graph. The sparse adjacency operator, the searchable edge keys, the
-geographic candidate index and the ``edges`` frozenset and ``adjacency``
-tuples are derived on first use and cached; the last two are read-only views
-for callers that want Python sets. All operations that look like mutation
-return a new graph; instances are safe to share across threads.
+once per graph; they are the one representation. The sparse adjacency
+operator, the searchable edge keys and the geographic candidate index are
+derived from them on first use and cached. All operations that look like
+mutation return a new graph; instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -21,15 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    BadRatios,
-    FeatureRowMismatch,
-    GraphTooSmall,
-    SelfLoop,
-    UnknownEndpoint,
-    UnknownNode,
-    ValidationError,
-)
+from .errors import ValidationError
 
 CellId = str | int
 
@@ -135,16 +126,6 @@ class RanGraph:
         return len(self.edge_array)
 
     @cached_property
-    def edges(self) -> frozenset:
-        """Edges as a frozenset of (i, j) index pairs with i < j."""
-        return frozenset(map(tuple, self.edge_array.tolist()))
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor indices per node."""
-        return tuple(tuple(self.neighbor_indices(i).tolist()) for i in range(self.n))
-
-    @cached_property
     def edge_keys(self) -> np.ndarray:
         """``i * N + j`` per edge, ascending: a searchable edge index."""
         keys = self.edge_array[:, 0] * self.n + self.edge_array[:, 1]
@@ -191,19 +172,11 @@ class RanGraph:
 
     def index_of(self, node: CellId) -> int:
         """Dense internal index of an external cell id. Only ids resolve: an
-        integer that is not an id raises UnknownNode, even if in [0, N)."""
+        integer that is not an id raises ValidationError, even if in [0, N)."""
         try:
             return self._index[node]
         except (KeyError, TypeError):
-            raise UnknownNode(f"unknown cell id {node!r}") from None
-
-    def neighbor_indices(self, index: int) -> np.ndarray:
-        """Neighbor indices of one node, ascending."""
-        return np.sort(self.indices[self.indptr[index] : self.indptr[index + 1]])
-
-    def neighbors(self, node: CellId) -> list[CellId]:
-        """Adjacent cells, sorted by internal index, as external ids."""
-        return [self.ids[j] for j in self.neighbor_indices(self.index_of(node)).tolist()]
+            raise ValidationError(f"unknown cell id {node!r}") from None
 
     def edge_list(self) -> list[tuple[CellId, CellId]]:
         """Edges as external-id pairs, sorted by index pair."""
@@ -231,7 +204,7 @@ def build_graph(
             raise ValidationError(f"duplicate node id {node_id!r}")
         index[node_id] = i
     if features.n_rows != len(ids):
-        raise FeatureRowMismatch(
+        raise ValidationError(
             f"{features.n_rows} feature rows for {len(ids)} nodes"
         )
 
@@ -244,8 +217,8 @@ def build_graph(
         a, b = named[int(np.argmax(bad))]
         for node in (a, b):
             if node not in index:
-                raise UnknownEndpoint(f"edge endpoint {node!r} is not a node")
-        raise SelfLoop(f"self-loop on node {a!r}")
+                raise ValidationError(f"edge endpoint {node!r} is not a node")
+        raise ValidationError(f"self-loop on node {a!r}")
 
     n = len(ids)
     keys = np.unique(ends.min(axis=1) * n + ends.max(axis=1))
@@ -281,11 +254,11 @@ class NodeSplit:
 def check_ratios(ratios) -> None:
     """Split ratios are three positive numbers (train, val, test) summing to 1."""
     if len(ratios) != 3:
-        raise BadRatios(f"need 3 split ratios (train, val, test), got {len(ratios)}")
+        raise ValidationError(f"need 3 split ratios (train, val, test), got {len(ratios)}")
     if not all(r > 0 for r in ratios):
-        raise BadRatios("split ratios must be positive")
+        raise ValidationError("split ratios must be positive")
     if abs(sum(ratios) - 1.0) > 1e-9:
-        raise BadRatios(f"split ratios sum to {sum(ratios)}, not 1")
+        raise ValidationError(f"split ratios sum to {sum(ratios)}, not 1")
 
 
 def split_nodes(graph: RanGraph, ratios, seed: int) -> NodeSplit:
@@ -297,7 +270,7 @@ def split_nodes(graph: RanGraph, ratios, seed: int) -> NodeSplit:
     check_ratios(ratios)
     _, val_r, test_r = ratios
     if graph.n < 3:
-        raise GraphTooSmall(f"cannot split a graph with {graph.n} nodes")
+        raise ValidationError(f"cannot split a graph with {graph.n} nodes")
 
     n_val = int(np.floor(graph.n * val_r))
     n_test = int(np.floor(graph.n * test_r))

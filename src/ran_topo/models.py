@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import BadDims, ShapeMismatch, ValidationError
+from .errors import ValidationError
 from .graph import RanGraph
 from .neural import bce_loss, glorot_uniform, sigmoid
 
@@ -79,24 +79,24 @@ def params_from_dict(kind: str, arrays: dict) -> dict[str, np.ndarray]:
     head's 2d-wide input.
     """
     if kind not in _PARAM_ARRAYS:
-        raise BadDims(f"unknown model kind {kind!r}")
+        raise ValidationError(f"unknown model kind {kind!r}")
     names = _PARAM_ARRAYS[kind]
     if set(arrays) != set(names):
-        raise ShapeMismatch(f"{kind} params need arrays {list(names)}, got {sorted(arrays)}")
+        raise ValidationError(f"{kind} params need arrays {list(names)}, got {sorted(arrays)}")
     params = {name: np.asarray(arrays[name], dtype=np.float64) for name in names}
     layers = [name[1:] for name in names[::2]]
     for layer in layers:
         w, b = params["w" + layer], params["b" + layer]
         if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-            raise ShapeMismatch(f"layer {layer} shapes W{w.shape} b{b.shape}")
+            raise ValidationError(f"layer {layer} shapes W{w.shape} b{b.shape}")
     if params["w" + layers[0]].shape[1] % 2:
-        raise ShapeMismatch("first layer input must be a concatenated pair")
+        raise ValidationError("first layer input must be a concatenated pair")
     for lower, upper in zip(layers, layers[1:]):
         width = params["w" + lower].shape[0] * (2 if lower == "s" else 1)
         if params["w" + upper].shape[1] != width:
-            raise ShapeMismatch(f"layer {lower} -> layer {upper} shape chain broken")
+            raise ValidationError(f"layer {lower} -> layer {upper} shape chain broken")
     if params["w3"].shape[0] != 1:
-        raise ShapeMismatch("layer 3 must map hidden dim to a single logit")
+        raise ValidationError("layer 3 must map hidden dim to a single logit")
     return params
 
 
@@ -109,7 +109,7 @@ def init_params(
 ) -> dict[str, np.ndarray]:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
     if min(k, hidden, embed) <= 0:
-        raise BadDims(f"dims must be positive, got k={k} h={hidden} d={embed}")
+        raise ValidationError(f"dims must be positive, got k={k} h={hidden} d={embed}")
     rng = np.random.default_rng(seed)
     if kind == GNN_KIND:
         first = {"s": (embed, 2 * k), "1": (hidden, 2 * embed)}
@@ -176,7 +176,7 @@ def _features(params: dict[str, np.ndarray], x) -> np.ndarray:
     """``x`` as float64 rows, once they are as wide as the params take."""
     x, width = np.asarray(x, dtype=np.float64), feature_width(params)
     if x.ndim != 2 or x.shape[1] != width:
-        raise ShapeMismatch(f"the params take {width} features per cell, the data has {x.shape[-1]}")
+        raise ValidationError(f"the params take {width} features per cell, the data has {x.shape[-1]}")
     return x
 
 

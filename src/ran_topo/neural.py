@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadLabel, ShapeMismatch
+from .errors import ValidationError
 
 BCE_EPS = 1e-12
 FD_STEP = 1e-5
@@ -34,7 +34,7 @@ def bce_loss(p, y):
     """Binary cross-entropy with probabilities clamped to [eps, 1-eps]."""
     y_arr = np.asarray(y, dtype=np.float64)
     if not np.all((y_arr == 0) | (y_arr == 1)):
-        raise BadLabel("labels must be 0 or 1")
+        raise ValidationError("labels must be 0 or 1")
     p_arr = np.clip(np.asarray(p, dtype=np.float64), BCE_EPS, 1.0 - BCE_EPS)
     loss = -(y_arr * np.log(p_arr) + (1.0 - y_arr) * np.log(1.0 - p_arr))
     if loss.ndim == 0:
@@ -76,7 +76,7 @@ def adam_step(
     for name, value in params.items():
         shape = np.shape(grads[name])
         if shape != value.shape:
-            raise ShapeMismatch(f"gradient shape {shape} != param {value.shape} ({name})")
+            raise ValidationError(f"gradient shape {shape} != param {value.shape} ({name})")
     flat = np.concatenate([value.ravel() for value in params.values()]).astype(np.float64, copy=False)
     g = np.concatenate([np.ravel(grads[name]) for name in params]).astype(np.float64, copy=False)
     if state.m is None:

@@ -26,15 +26,7 @@ from . import models
 from .candidate import evaluate_candidates
 from .config import CandidateConfig, ExperimentConfig, SynthConfig, TrainConfig, check_cutoff
 from .data_io import NormParams, read_network, write_csv, write_text, zscore_apply, zscore_fit
-from .errors import (
-    DegenerateGraph,
-    EmptyEvalSet,
-    EmptyTrainSet,
-    NotEnoughNegatives,
-    SingleClassOnly,
-    StageError,
-    ValidationError,
-)
+from .errors import StageError, ValidationError
 from .graph import NodeSplit, RanGraph, split_nodes
 from .report import EvalReport
 from .synth import export, generate
@@ -157,7 +149,7 @@ def sample_pairs(
     """
     eval_idx = np.sort(np.array([graph.index_of(node) for node in eval_nodes], dtype=np.int64))
     if not len(eval_idx):
-        raise EmptyEvalSet("no evaluation nodes given")
+        raise ValidationError("no evaluation nodes given")
     n = graph.n
 
     if isinstance(mode, CandidateFiltered):
@@ -177,7 +169,7 @@ def sample_pairs(
     total_incident = n_eval * (n - n_eval) + n_eval * (n_eval - 1) // 2
     available = total_incident - needed
     if needed > available:
-        raise NotEnoughNegatives(
+        raise ValidationError(
             f"need {needed} negative pairs but only {available} exist"
         )
 
@@ -205,7 +197,7 @@ def auc(scores, labels) -> float:
     pos = int((labels == 1).sum())
     neg = int((labels == 0).sum())
     if pos == 0 or neg == 0:
-        raise SingleClassOnly("AUC needs at least one positive and one negative")
+        raise ValidationError("AUC needs at least one positive and one negative")
     if np.isnan(scores).any():
         return float("nan")
     # a tie group of `count` scores ending at sorted rank `end` shares the
@@ -262,10 +254,8 @@ def evaluate(
     fp = int(np.sum(predicted & ~actual))
     fn = int(np.sum(~predicted & actual))
     tn = int(np.sum(~predicted & ~actual))
-    try:
-        auc_value = auc(scores, pair_set.labels)
-    except SingleClassOnly:
-        auc_value = None
+    # AUC is undefined when every pair is one class
+    auc_value = auc(scores, pair_set.labels) if actual.any() and not actual.all() else None
     return EvalReport.from_counts(
         mode=mode_name(mode), cutoff=cutoff, tp=tp, fp=fp, tn=tn, fn=fn, auc=auc_value
     )
@@ -314,10 +304,10 @@ def train(
     from .neural import AdamState, adam_step
 
     if not split.train_nodes:
-        raise EmptyTrainSet("no training nodes")
+        raise ValidationError("no training nodes")
     train_graph = split.train_graph
     if not train_graph.num_edges:
-        raise DegenerateGraph("training graph has no edges")
+        raise ValidationError("training graph has no edges")
 
     # features aligned with the train graph's dense indices
     train_rows = [graph.index_of(node) for node in train_graph.ids]

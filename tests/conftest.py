@@ -40,6 +40,25 @@ def random_graph(rng, max_nodes=12, edge_prob=0.3):
     return make_graph(n, edges, coords)
 
 
+def edge_set(graph):
+    """The graph's edges as a set of (i, j) index pairs with i < j."""
+    return set(map(tuple, graph.edge_array.tolist()))
+
+
+def adjacency_sets(n, edges):
+    """Each of n nodes' neighbor indices as a set, from (i, j) index pairs."""
+    adjacency = [set() for _ in range(n)]
+    for i, j in edges:
+        adjacency[i].add(j)
+        adjacency[j].add(i)
+    return adjacency
+
+
+def csr_neighbors(graph):
+    """Each node's neighbor indices as a set, read from the CSR arrays."""
+    return [set(graph.indices[graph.indptr[v] : graph.indptr[v + 1]].tolist()) for v in range(graph.n)]
+
+
 @pytest.fixture
 def triangle():
     return make_graph(3, [(0, 1), (1, 2), (0, 2)])

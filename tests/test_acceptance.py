@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from conftest import make_graph
+from conftest import adjacency_sets, csr_neighbors, edge_set, make_graph
 from ran_topo import models, pipeline
 from ran_topo.candidate import CandidateConfig, candidates, evaluate_candidates, geo_distance
 from ran_topo.cli import main as cli_main
@@ -275,9 +275,10 @@ class TestCriterion9:
                 (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3
             ]
             g = make_graph(n, edges)
-            for i, j in g.edges:
+            assert edge_set(g) == set(edges)
+            assert csr_neighbors(g) == adjacency_sets(n, edges)
+            for i, j in g.edge_array.tolist():
                 assert i < j
-                assert j in g.adjacency[i] and i in g.adjacency[j]
                 count += 1
             count += n  # id <-> index round trip
             for idx, cid in enumerate(g.ids):
@@ -356,6 +357,7 @@ class TestCriterion9:
             band = graph.features.column("band")
             tx = graph.features.column("tx_power")
             site = np.array(gt.site_of)
+            edges, expected = edge_set(graph), set()
             mate = np.zeros(graph.n)
             for s in set(gt.site_of):
                 members = np.flatnonzero(site == s)
@@ -371,8 +373,11 @@ class TestCriterion9:
                             expect = near and abs(band[i] - band[j]) <= 1
                         else:
                             expect = near and mate[i] + mate[j] >= cfg.site_mean_threshold
-                    assert ((i, j) in graph.edges) == expect
+                    assert ((i, j) in edges) == expect
+                    if expect:
+                        expected.add((i, j))
                     count += 1
+            assert csr_neighbors(graph) == adjacency_sets(graph.n, expected)
         cases["synth"] = count
 
         # data-io: z-score round trip recenters training rows

@@ -10,10 +10,10 @@ pairs), because trained parameters and report bundles depend on both.
 import numpy as np
 import pytest
 
-from conftest import make_graph, random_graph
+from conftest import adjacency_sets, edge_set, make_graph, random_graph
 from ran_topo import models
 from ran_topo.candidate import CandidateConfig, candidates
-from ran_topo.errors import NotEnoughNegatives
+from ran_topo.errors import ValidationError
 from ran_topo.pipeline import (
     AllPairs,
     Balanced,
@@ -37,8 +37,8 @@ def oracle_neighbor_mean(graph, x):
     n = graph.n
     sums = np.zeros((n, x.shape[1]))
     deg = np.zeros(n)
-    if graph.edges:
-        edge_arr = np.array(sorted(graph.edges))
+    if graph.num_edges:
+        edge_arr = np.array(sorted(edge_set(graph)))
         i, j = edge_arr[:, 0], edge_arr[:, 1]
         np.add.at(sums, i, x[j])
         np.add.at(sums, j, x[i])
@@ -51,7 +51,7 @@ def oracle_sample_pairs(graph, eval_nodes, mode, seed=0):
     eval_idx = sorted(graph.index_of(node) for node in eval_nodes)
     eval_set = set(eval_idx)
     n = graph.n
-    edges = graph.edges
+    edges = edge_set(graph)
 
     def labeled(chosen):
         pairs = np.array(chosen, dtype=np.int64).reshape(-1, 2)
@@ -77,14 +77,15 @@ def oracle_sample_pairs(graph, eval_nodes, mode, seed=0):
     if isinstance(mode, AllPairs):
         return labeled(sorted(incident()))
 
+    adjacency = adjacency_sets(n, edges)
     positives = sorted(
-        {(min(e, nb), max(e, nb)) for e in eval_idx for nb in graph.adjacency[e]}
+        {(min(e, nb), max(e, nb)) for e in eval_idx for nb in adjacency[e]}
     )
     needed = len(positives)
     n_eval = len(eval_idx)
     available = n_eval * (n - n_eval) + n_eval * (n_eval - 1) // 2 - needed
     if needed > available:
-        raise NotEnoughNegatives("oracle")
+        raise ValidationError("oracle")
     rng = np.random.default_rng(seed)
     negatives = set()
     if needed > available // 2:
@@ -154,25 +155,35 @@ class TestCsr:
     def test_csr_agrees_with_adjacency_and_edges(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            g = random_graph(rng, max_nodes=25, edge_prob=0.3)
+            n = int(rng.integers(3, 26))
+            # each edge listed in a random direction, some twice; the reference
+            # edge set and adjacency come from this list, not from the graph
+            listed = [
+                (i, j) if rng.random() < 0.5 else (j, i)
+                for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3
+            ]
+            listed += listed[: len(listed) // 3]
+            edges = {(min(a, b), max(a, b)) for a, b in listed}
+            adjacency = adjacency_sets(n, edges)
+            g = make_graph(n, listed)
             assert g.indptr[0] == 0 and g.indptr[-1] == 2 * g.num_edges
             for v in range(g.n):
                 row = g.indices[g.indptr[v] : g.indptr[v + 1]].tolist()
-                assert sorted(row) == list(g.adjacency[v])
+                assert sorted(row) == sorted(adjacency[v])
                 assert g.degree[v] == len(row)
                 # summation order: neighbors above v ascending, then below v ascending
                 above = [u for u in row if u > v]
                 below = [u for u in row if u < v]
                 assert row == above + below and above == sorted(above) and below == sorted(below)
-            assert g.edges == {(int(i), int(j)) for i, j in g.edge_array}
-            assert np.array_equal(g.edge_array, np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2))
+            assert np.array_equal(g.edge_array, np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))
 
     def test_has_edges_matches_set(self):
         rng = np.random.default_rng(5)
         g = random_graph(rng, max_nodes=20, edge_prob=0.3)
         i, j = np.meshgrid(np.arange(g.n), np.arange(g.n), indexing="ij")
         got = g.has_edges(i.ravel(), j.ravel())
-        expected = [(min(a, b), max(a, b)) in g.edges for a, b in zip(i.ravel().tolist(), j.ravel().tolist())]
+        edges = edge_set(g)
+        expected = [(min(a, b), max(a, b)) in edges for a, b in zip(i.ravel().tolist(), j.ravel().tolist())]
         assert got.tolist() == expected
 
     def test_arrays_are_read_only(self, triangle):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import adjacency_sets
 from ran_topo import models, pipeline
 from ran_topo.cli import main
 from ran_topo.errors import InternalError, ValidationError
@@ -527,8 +528,10 @@ class TestTrainEvalPredict:
             radius_km=3.0, bands=1, seed=6,
         )
         gt = generate(synth)
-        target = next(c for c in gt.graph.ids if 3 <= len(gt.graph.neighbors(c)) <= 8)
-        true_neighbors = sorted(gt.graph.neighbors(target))
+        adjacency = adjacency_sets(gt.graph.n, gt.graph.edge_array.tolist())
+        t = next(i for i in range(gt.graph.n) if 3 <= len(adjacency[i]) <= 8)
+        target = gt.graph.ids[t]
+        true_neighbors = sorted(gt.graph.ids[j] for j in adjacency[t])
         reduced = gt.graph
         idx = reduced.index_of(target)
         new_cell = dict(zip(reduced.features.columns, reduced.features.values[idx]))

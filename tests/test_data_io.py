@@ -16,15 +16,7 @@ from ran_topo.data_io import (
     zscore_apply,
     zscore_fit,
 )
-from ran_topo.errors import (
-    AllValuesMissing,
-    BadCoordinate,
-    BadRow,
-    ColumnMismatch,
-    DuplicateCellId,
-    EmptyRowSet,
-    MissingHeader,
-)
+from ran_topo.errors import ValidationError
 from ran_topo.graph import FeatureMatrix
 
 # population std of [1, 2, 3]: sqrt(((1-2)^2 + 0 + (3-2)^2) / 3)
@@ -41,23 +33,29 @@ class TestParseCells:
 
     def test_duplicate_id(self):
         text = "cell_id,lat,lon,f1\na,0,0,1\na,1,1,2\n"
-        with pytest.raises(DuplicateCellId):
+        with pytest.raises(ValidationError, match="line 3: duplicate cell id 'a'"):
             parse_cells_csv(text)
 
+    @pytest.mark.parametrize("cell_id", ["", "  "], ids=["empty", "whitespace"])
+    def test_blank_id(self, cell_id):
+        # no edges.csv row can name a blank cell, so the row is refused
+        with pytest.raises(ValidationError, match="line 3: empty cell id"):
+            parse_cells_csv(f"cell_id,lat,lon,f1\na,0,0,1\n{cell_id},57.01,12,2\n")
+
     def test_bad_coordinate(self):
-        with pytest.raises(BadCoordinate):
+        with pytest.raises(ValidationError, match=r"line 2: latitude 95.0 outside \[-90, 90\]"):
             parse_cells_csv("cell_id,lat,lon,f1\na,95,0,1.0\n")
 
     def test_missing_header(self):
-        with pytest.raises(MissingHeader):
+        with pytest.raises(ValidationError, match="cells.csv must start with 'cell_id,lat,lon"):
             parse_cells_csv("id,x,y\na,0,0\n")
 
     def test_coordinate_columns_come_first(self):
-        with pytest.raises(MissingHeader):
+        with pytest.raises(ValidationError, match="cells.csv columns 2 and 3 must be 'lat,lon'"):
             parse_cells_csv("cell_id,lon,lat,f1\na,0,0,1\n")
 
     def test_wrong_field_count(self):
-        with pytest.raises(BadRow):
+        with pytest.raises(ValidationError, match="line 2: expected 4 fields, got 3"):
             parse_cells_csv("cell_id,lat,lon,f1\na,0,0\n")
 
     def test_blank_lines_skipped(self):
@@ -79,10 +77,6 @@ class TestParseCells:
         _, kept = apply_missing_policy(fm, mask, MissingPolicy.DROP_ROW)
         assert kept == []
 
-    def test_bytes_input(self):
-        ids, fm, _ = parse_cells_csv(b"cell_id,lat,lon,f1\na,0,0,1\n")
-        assert ids == ["a"]
-
 
 class TestParseNewCell:
     FEATURES = FeatureMatrix(("lat", "lon", "f1"), np.zeros((1, 3)))
@@ -94,7 +88,7 @@ class TestParseNewCell:
         assert fm.coords().tolist() == [[57.25, 11.5]]
 
     def test_coordinate_range_is_the_csv_check(self):
-        with pytest.raises(BadCoordinate, match="latitude 95.0 outside"):
+        with pytest.raises(ValidationError, match="new cell: latitude 95.0 outside"):
             parse_new_cell({"lat": 95.0, "lon": 11.5, "f1": 1.0}, self.FEATURES)
 
 
@@ -109,13 +103,11 @@ class TestParseEdges:
         assert parse_edges_csv("cell_id_a,cell_id_b\n\na,b\n \n") == [("a", "b")]
 
     def test_malformed_line(self):
-        from ran_topo.errors import BadRow
-
-        with pytest.raises(BadRow):
+        with pytest.raises(ValidationError, match="line 2: expected two cell ids"):
             parse_edges_csv("cell_id_a,cell_id_b\na\n")
 
     def test_missing_header(self):
-        with pytest.raises(MissingHeader):
+        with pytest.raises(ValidationError, match="edges.csv must start with 'cell_id_a,cell_id_b'"):
             parse_edges_csv("a,b\nc,d\n")
 
 
@@ -158,7 +150,7 @@ class TestMissingPolicy:
         fm = make_features([(0, 0), (0, 1)], extra=[[1.0], [2.0]])
         mask = np.zeros((2, 3), dtype=bool)
         mask[:, 2] = True
-        with pytest.raises(AllValuesMissing):
+        with pytest.raises(ValidationError, match="column 'f0' has no values"):
             apply_missing_policy(fm, mask, MissingPolicy.FILL_COLUMN_MEAN)
 
 
@@ -200,12 +192,12 @@ class TestZScore:
     def test_column_mismatch(self):
         fm = make_features([(0, 0)], extra=[[1.0]])
         params = NormParams(("lat", "lon", "other"), np.zeros(3), np.ones(3))
-        with pytest.raises(ColumnMismatch):
+        with pytest.raises(ValidationError, match="normalization columns .* != features"):
             zscore_apply(params, fm)
 
     def test_empty_rows(self):
         fm = make_features([(0, 0)], extra=[[1.0]])
-        with pytest.raises(EmptyRowSet):
+        with pytest.raises(ValidationError, match="cannot fit normalization on an empty row set"):
             zscore_fit(fm, [])
 
     def test_fit_apply_standardizes(self):
@@ -247,7 +239,7 @@ class TestRoundTrip:
         fm = FeatureMatrix(("lat", "lon", "a", "b", "c"), values)
         ids = [f"cell{i}" for i in range(15)]
         write_cells_csv(tmp_path / "cells.csv", ids, fm)
-        ids2, fm2, mask = parse_cells_csv((tmp_path / "cells.csv").read_bytes())
+        ids2, fm2, mask = parse_cells_csv((tmp_path / "cells.csv").read_text())
         assert ids2 == ids
         assert fm2.columns == fm.columns
         assert np.array_equal(fm2.values, fm.values)

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_features, make_graph, random_graph
-from ran_topo.errors import (
-    BadRatios,
-    FeatureRowMismatch,
-    GraphTooSmall,
-    SelfLoop,
-    UnknownEndpoint,
-    UnknownNode,
-)
+from conftest import csr_neighbors, edge_set, make_features, make_graph, random_graph
+from ran_topo.errors import ValidationError
 from ran_topo.graph import build_graph, remove_nodes, split_nodes
 
 
@@ -22,23 +15,23 @@ class TestBuildGraph:
 
     def test_self_loop_rejected(self):
         fm = make_features([(0, 0)])
-        with pytest.raises(SelfLoop):
+        with pytest.raises(ValidationError, match="self-loop on node 'a'"):
             build_graph(["a"], [("a", "a")], fm)
 
     def test_unknown_endpoint(self):
         fm = make_features([(0, 0), (0, 1)])
-        with pytest.raises(UnknownEndpoint):
+        with pytest.raises(ValidationError, match="edge endpoint 'c' is not a node"):
             build_graph(["a", "b"], [("a", "c")], fm)
 
     def test_feature_row_mismatch(self):
         fm = make_features([(0, 0)])
-        with pytest.raises(FeatureRowMismatch):
+        with pytest.raises(ValidationError, match="1 feature rows for 2 nodes"):
             build_graph(["a", "b"], [], fm)
 
     def test_integer_ids_round_trip(self):
         fm = make_features([(0, 0), (0, 1)])
         g = build_graph([10, 20], [(10, 20)], fm)
-        assert g.neighbors(10) == [20]
+        assert edge_set(g) == {(g.index_of(10), g.index_of(20))}
         assert g.ids[g.index_of(20)] == 20
 
     @pytest.mark.parametrize(
@@ -48,9 +41,7 @@ class TestBuildGraph:
     )
     def test_an_index_is_not_an_id(self, ids, node):
         g = build_graph(ids, [tuple(ids)], make_features([(0, 0), (0, 1)]))
-        with pytest.raises(UnknownNode):
-            g.neighbors(node)
-        with pytest.raises(UnknownNode):
+        with pytest.raises(ValidationError, match="unknown cell id"):
             g.index_of(node)
 
 
@@ -63,7 +54,7 @@ class TestRemoveNodes:
     def test_identity_case(self, triangle):
         g = remove_nodes(triangle, set())
         assert g.ids == triangle.ids
-        assert g.edges == triangle.edges
+        assert np.array_equal(g.edge_array, triangle.edge_array)
 
     def test_single_removal(self, triangle):
         g = remove_nodes(triangle, {"n2"})
@@ -76,7 +67,7 @@ class TestRemoveNodes:
         assert triangle.num_edges == 3
 
     def test_unknown_node(self, triangle):
-        with pytest.raises(UnknownNode):
+        with pytest.raises(ValidationError, match="unknown cell id 'zz'"):
             remove_nodes(triangle, {"zz"})
 
 
@@ -93,7 +84,7 @@ class TestSplitNodes:
         assert a.train_nodes == b.train_nodes
         assert a.val_nodes == b.val_nodes
         assert a.test_nodes == b.test_nodes
-        assert a.train_graph.edges == b.train_graph.edges
+        assert np.array_equal(a.train_graph.edge_array, b.train_graph.edge_array)
 
     def test_alternate_ratios(self):
         g = make_graph(100, [(0, 1)])
@@ -101,37 +92,21 @@ class TestSplitNodes:
         assert (len(s.train_nodes), len(s.val_nodes), len(s.test_nodes)) == (80, 10, 10)
 
     def test_bad_ratios(self, triangle):
-        with pytest.raises(BadRatios):
+        with pytest.raises(ValidationError, match="split ratios sum to"):
             split_nodes(triangle, (0.5, 0.4, 0.2), seed=0)
-        with pytest.raises(BadRatios):
+        with pytest.raises(ValidationError, match="split ratios must be positive"):
             split_nodes(triangle, (1.0, 0.0, 0.0), seed=0)
-        with pytest.raises(BadRatios):
+        with pytest.raises(ValidationError, match="need 3 split ratios"):
             split_nodes(triangle, (0.9, 0.1), seed=0)
-        with pytest.raises(BadRatios):
+        with pytest.raises(ValidationError, match="need 3 split ratios"):
             split_nodes(triangle, (0.9, 0.05, 0.05, 0.0), seed=0)
-        with pytest.raises(BadRatios):
+        with pytest.raises(ValidationError, match="split ratios must be positive"):
             split_nodes(triangle, (float("nan"), 0.5, 0.5), seed=0)
 
     def test_too_small(self):
         g = make_graph(2, [])
-        with pytest.raises(GraphTooSmall):
+        with pytest.raises(ValidationError, match="cannot split a graph with 2 nodes"):
             split_nodes(g, (0.4, 0.3, 0.3), seed=0)
-
-
-class TestNeighbors:
-    def test_triangle(self, triangle):
-        assert triangle.neighbors("n0") == ["n1", "n2"]
-
-    def test_isolated(self):
-        g = make_graph(2, [])
-        assert g.neighbors("n0") == []
-
-    def test_path_middle(self, path3):
-        assert path3.neighbors("n1") == ["n0", "n2"]
-
-    def test_unknown(self, triangle):
-        with pytest.raises(UnknownNode):
-            triangle.neighbors("nope")
 
 
 class TestProperties:
@@ -139,9 +114,10 @@ class TestProperties:
         rng = np.random.default_rng(0)
         for _ in range(200):
             g = random_graph(rng)
-            for node in g.ids:
-                for nb in g.neighbors(node):
-                    assert node in g.neighbors(nb)
+            rows = csr_neighbors(g)
+            for v in range(g.n):
+                for nb in rows[v]:
+                    assert v in rows[nb]
 
     def test_remove_composition(self):
         rng = np.random.default_rng(1)
@@ -154,8 +130,8 @@ class TestProperties:
             two_step = remove_nodes(remove_nodes(g, s1), s2)
             one_step = remove_nodes(g, s1 | s2)
             assert set(two_step.ids) == set(one_step.ids)
-            assert {frozenset((two_step.ids[i], two_step.ids[j])) for i, j in two_step.edges} == {
-                frozenset((one_step.ids[i], one_step.ids[j])) for i, j in one_step.edges
+            assert {frozenset((two_step.ids[i], two_step.ids[j])) for i, j in edge_set(two_step)} == {
+                frozenset((one_step.ids[i], one_step.ids[j])) for i, j in edge_set(one_step)
             }
 
     def test_split_partition_and_masking(self):
@@ -169,7 +145,7 @@ class TestProperties:
             assert not (set(s.train_nodes) & set(s.test_nodes))
             assert not (set(s.val_nodes) & set(s.test_nodes))
             held_out = set(s.val_nodes) | set(s.test_nodes)
-            for i, j in s.train_graph.edges:
+            for i, j in s.train_graph.edge_array.tolist():
                 assert s.train_graph.ids[i] not in held_out
                 assert s.train_graph.ids[j] not in held_out
 
@@ -179,5 +155,6 @@ class TestProperties:
             g = random_graph(rng)
             rebuilt = build_graph(list(g.ids), g.edge_list(), g.features)
             assert rebuilt.ids == g.ids
-            assert rebuilt.edges == g.edges
-            assert rebuilt.adjacency == g.adjacency
+            assert edge_set(rebuilt) == edge_set(g)
+            assert np.array_equal(rebuilt.indptr, g.indptr)
+            assert np.array_equal(rebuilt.indices, g.indices)

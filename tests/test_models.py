@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_graph
 from ran_topo import models
-from ran_topo.errors import BadDims, ShapeMismatch
+from ran_topo.errors import ValidationError
 from ran_topo.neural import sigmoid
 from ran_topo.pipeline import make_scorer
 
@@ -56,7 +56,7 @@ class TestMlpScore:
     def test_shape_mismatch(self):
         # params for 2 features per cell, data with 1: refused before scoring
         params = zero_mlp(k=2)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValidationError, match="the params take 2 features per cell, the data has 1"):
             make_scorer(params, np.array([[1.0], [2.0]]))
 
     def test_output_strictly_inside_unit_interval(self):
@@ -224,9 +224,9 @@ class TestInitParams:
         assert gnn["w1"].shape == (64, 128)
 
     def test_bad_dims(self):
-        with pytest.raises(BadDims):
+        with pytest.raises(ValidationError, match="dims must be positive, got k=0"):
             models.init_params("mlp", k=0)
-        with pytest.raises(BadDims):
+        with pytest.raises(ValidationError, match="unknown model kind 'vae'"):
             models.init_params("vae")
 
 
@@ -283,6 +283,16 @@ BROKEN_CHAINS = {
     "mlp": [_wide_w2, _two_logits, _short_bias, _odd_first_layer, _flat_weight, _missing_array, _extra_array],
     "gnn": [_wide_w2, _head_not_embedding_pair, _missing_array],
 }
+REFUSAL = {
+    _wide_w2: "layer 1 -> layer 2 shape chain broken",
+    _two_logits: "layer 3 must map hidden dim to a single logit",
+    _short_bias: "layer 1 shapes W",
+    _odd_first_layer: "first layer input must be a concatenated pair",
+    _flat_weight: "layer 2 shapes W",
+    _head_not_embedding_pair: "layer s -> layer 1 shape chain broken",
+    _missing_array: "params need arrays",
+    _extra_array: "params need arrays",
+}
 
 
 class TestParamsFromDict:
@@ -294,12 +304,12 @@ class TestParamsFromDict:
     def test_broken_layer_chain(self, kind, defect):
         d = dict(models.init_params(kind, k=3, hidden=4, embed=2, seed=0))
         defect(d)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValidationError, match=REFUSAL[defect]):
             models.params_from_dict(kind, d)
 
     def test_gnn_arrays_are_not_mlp_params(self):
         gnn = models.init_params("gnn", k=3, hidden=4, embed=2, seed=0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValidationError, match="mlp params need arrays"):
             models.params_from_dict("mlp", gnn)
 
     def test_cast_and_ordered(self):

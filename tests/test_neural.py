@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ran_topo.errors import BadLabel, ShapeMismatch
+from ran_topo.errors import ValidationError
 from ran_topo import models
 from ran_topo.neural import (
     AdamState,
@@ -64,7 +64,7 @@ class TestBce:
         assert bce_loss(0.0, 1) == pytest.approx(27.631, abs=1e-3)
 
     def test_bad_label(self):
-        with pytest.raises(BadLabel):
+        with pytest.raises(ValidationError, match="labels must be 0 or 1"):
             bce_loss(0.5, 2)
 
     def test_nonnegative(self):
@@ -106,7 +106,7 @@ class TestAdam:
         assert params["w"].tolist() == [1.0, -2.0, 3.0]
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValidationError, match=r"gradient shape \(2,\) != param \(3,\) \(w\)"):
             adam_step(self.params(), {"w": np.zeros(2)}, AdamState())
 
 

@@ -1,16 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import make_graph, random_graph
+from conftest import edge_set, make_graph, random_graph
 from ran_topo import models, pipeline
 from ran_topo.candidate import CandidateConfig
 from ran_topo.config import ExperimentConfig
-from ran_topo.errors import (
-    EmptyEvalSet,
-    NotEnoughNegatives,
-    ShapeMismatch,
-    SingleClassOnly,
-)
+from ran_topo.errors import ValidationError
 from ran_topo.graph import split_nodes
 from ran_topo.pipeline import (
     AllPairs,
@@ -71,20 +66,22 @@ class TestSamplePairs:
             eval_nodes = [g.ids[int(k)] for k in rng.choice(g.n, size=2, replace=False)]
             try:
                 ps = sample_pairs(g, eval_nodes, Balanced(), seed=trial)
-            except NotEnoughNegatives:
+            except ValidationError as exc:
+                assert "negative pairs but only" in str(exc)
                 continue
             eval_idx = {g.index_of(node) for node in eval_nodes}
+            edges = edge_set(g)
             for (i, j), y in zip(ps.pairs.tolist(), ps.labels.tolist()):
                 assert i < j
                 assert (i in eval_idx) or (j in eval_idx)
-                assert ((i, j) in g.edges) == bool(y)
+                assert ((i, j) in edges) == bool(y)
             assert ps.labels.sum() * 2 == len(ps.labels)
             # no duplicate pairs
             assert len({tuple(p) for p in ps.pairs.tolist()}) == len(ps.pairs)
 
     def test_balanced_not_enough_negatives(self):
         g = make_graph(3, [(0, 1), (0, 2), (1, 2)])  # complete graph
-        with pytest.raises(NotEnoughNegatives):
+        with pytest.raises(ValidationError, match="need 2 negative pairs but only 0 exist"):
             sample_pairs(g, ["n0"], Balanced(), seed=0)
 
     def test_balanced_deterministic(self):
@@ -129,7 +126,7 @@ class TestSamplePairs:
 
     def test_empty_eval_set(self):
         g = make_graph(3, [(0, 1)])
-        with pytest.raises(EmptyEvalSet):
+        with pytest.raises(ValidationError, match="no evaluation nodes given"):
             sample_pairs(g, [], Balanced())
 
 
@@ -148,7 +145,7 @@ class TestAuc:
         assert auc([0.8, 0.4, 0.6, 0.2], [1, 1, 0, 0]) == 0.75
 
     def test_single_class_raises(self):
-        with pytest.raises(SingleClassOnly):
+        with pytest.raises(ValidationError, match="AUC needs at least one positive and one negative"):
             auc([0.5, 0.6], [1, 1])
 
     def test_matches_pairwise_oracle(self):
@@ -179,9 +176,11 @@ class TestAuc:
 
 class TestEvaluate:
     def oracle_scorer(self, graph):
+        edges = edge_set(graph)
+
         def score(pairs):
             return np.array(
-                [1.0 - 1e-9 if (i, j) in graph.edges else 1e-9 for i, j in pairs.tolist()]
+                [1.0 - 1e-9 if (i, j) in edges else 1e-9 for i, j in pairs.tolist()]
             )
 
         return score
@@ -224,6 +223,9 @@ class TestEvaluate:
         g = make_graph(4, [])
         rep = evaluate(lambda p: np.zeros(len(p)), g, ["n0"], AllPairs())
         assert rep.auc is None
+        complete = make_graph(3, [(0, 1), (0, 2), (1, 2)])
+        rep = evaluate(lambda p: np.zeros(len(p)), complete, ["n0"], AllPairs())
+        assert (rep.pairs, rep.tp + rep.fn) == (2, 2) and rep.auc is None
 
     def test_metrics_consistent_with_counts(self):
         rng = np.random.default_rng(4)
@@ -352,12 +354,12 @@ class TestMaskToTrainEdges:
         g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         masked = mask_to_train_edges(g, ["n0", "n1", "n2"])
         assert masked.ids == g.ids
-        assert masked.edges == {(0, 1), (1, 2)}
+        assert masked.edge_array.tolist() == [[0, 1], [1, 2]]
 
     def test_all_train_is_identity_topology(self):
         g = make_graph(4, [(0, 1), (2, 3)])
         masked = mask_to_train_edges(g, g.ids)
-        assert masked.edges == g.edges
+        assert np.array_equal(masked.edge_array, g.edge_array)
 
 
 class TestPredictNewNode:
@@ -414,7 +416,7 @@ class TestPredictNewNode:
         graph, x, _ = self.setup_scene()
         params = models.init_params(kind, k=x.shape[1], hidden=8, embed=8, seed=1)
         coords = tuple(graph.features.coords()[0])
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValidationError, match="the params take 8 features per cell, the data has 9"):
             predict_new_node(params, graph, x, np.append(x[0], 0.0), coords, CandidateConfig(k=k))
 
     def test_gnn_new_node_uses_empty_neighborhood(self):
@@ -521,8 +523,6 @@ class TestScorer:
         _ = split
 
     def test_gnn_scorer_requires_graph(self):
-        from ran_topo.errors import ValidationError
-
         params = models.init_params("gnn", k=2, hidden=4, embed=4, seed=0)
         with pytest.raises(ValidationError):
             make_scorer(params, np.zeros((3, 2)))

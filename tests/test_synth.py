@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import adjacency_sets, csr_neighbors, edge_set
 from ran_topo.candidate import geo_distance
 from ran_topo.data_io import parse_cells_csv, parse_edges_csv
-from ran_topo.errors import BadConfig
+from ran_topo.errors import ValidationError
 from ran_topo.graph import build_graph
 from ran_topo.synth import (
     BAND_RULE,
@@ -91,7 +92,7 @@ class TestRules:
         cfg = small_config(sites=2, bbox=(50.0, 59.0, 5.0, 25.0), radius_km=5.0, seed=8)
         gt = generate(cfg)
         site = np.array(gt.site_of)
-        for i, j in gt.graph.edges:
+        for i, j in gt.graph.edge_array.tolist():
             assert site[i] == site[j]
 
     def test_colocated_same_band_complete(self):
@@ -111,13 +112,17 @@ class TestRules:
     @pytest.mark.parametrize("case", sorted(BRUTE_FORCE_CASES))
     def test_band_rule_brute_force(self, case):
         gt = generate(SynthConfig(**{**BRUTE_FORCE_CASES[case], "edge_rule": BAND_RULE}))
-        assert set(gt.graph.edges) == brute_force_edges(gt)
+        expected = brute_force_edges(gt)
+        assert edge_set(gt.graph) == expected
+        assert csr_neighbors(gt.graph) == adjacency_sets(gt.graph.n, expected)
         assert gt.graph.num_edges > 0
 
     @pytest.mark.parametrize("case", sorted(BRUTE_FORCE_CASES))
     def test_site_mean_rule_brute_force(self, case):
         gt = generate(SynthConfig(**{**BRUTE_FORCE_CASES[case], "edge_rule": SITE_MEAN_RULE}))
-        assert set(gt.graph.edges) == brute_force_edges(gt)
+        expected = brute_force_edges(gt)
+        assert edge_set(gt.graph) == expected
+        assert csr_neighbors(gt.graph) == adjacency_sets(gt.graph.n, expected)
 
     def test_small_radius_gives_site_cliques(self):
         cfg = small_config(radius_km=1e-6, seed=10)
@@ -143,7 +148,7 @@ class TestGeneration:
         a = generate(small_config())
         b = generate(small_config())
         assert a.graph.ids == b.graph.ids
-        assert a.graph.edges == b.graph.edges
+        assert np.array_equal(a.graph.edge_array, b.graph.edge_array)
         assert np.array_equal(a.graph.features.values, b.graph.features.values)
 
     def test_feature_schema(self):
@@ -164,35 +169,41 @@ class TestGeneration:
     def test_graph_invariants(self):
         gt = generate(small_config(seed=30))
         g = gt.graph
-        for i, j in g.edges:
+        rows = csr_neighbors(g)
+        for i, j in edge_set(g):
             assert i != j
-            assert j in g.adjacency[i]
-            assert i in g.adjacency[j]
+            assert j in rows[i]
+            assert i in rows[j]
         assert g.features.n_rows == g.n
 
     def test_bad_configs(self):
-        with pytest.raises(BadConfig):
-            SynthConfig.from_dict({"sites": 1})
-        with pytest.raises(BadConfig):
-            SynthConfig.from_dict({"radius_km": 0.0})
-        with pytest.raises(BadConfig):
-            SynthConfig.from_dict({"bbox": [70.0, 80.0, 0.0, 1.0]})
-        with pytest.raises(BadConfig):
-            SynthConfig.from_dict({"edge_rule": "magic"})
-        with pytest.raises(BadConfig):
-            SynthConfig.from_dict({"unknown_field": 1})
-        # not an object, or a field of the wrong JSON type
+        for obj, refusal in (
+            ({"sites": 1}, "sites must be >= 2"),
+            ({"radius_km": 0.0}, "radius_km must be > 0"),
+            ({"radius_km": float("nan")}, "radius_km must be > 0"),
+            ({"bbox": [70.0, 80.0, 0.0, 1.0]}, r"bbox must lie within \|lat\| <= 60"),
+            ({"edge_rule": "magic"}, "unknown edge rule 'magic'"),
+            ({"unknown_field": 1}, r"unknown config keys \['unknown_field'\]"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"feature_noise": float("inf")}, "feature_noise must be finite and >= 0"),
+            ({"site_mean_threshold": float("nan")}, "site_mean_threshold must be finite"),
+            ({"site_mean_threshold": float("inf")}, "site_mean_threshold must be finite"),
+        ):
+            with pytest.raises(ValidationError, match=refusal):
+                SynthConfig.from_dict(obj)
+        for obj in ([1, 2], "sites", None):
+            with pytest.raises(ValidationError, match="config must be a JSON object"):
+                SynthConfig.from_dict(obj)
+        # a field of the wrong JSON type
         for obj in (
-            [1, 2], "sites", None,
             {"sites": "ten"}, {"sites": 1e9}, {"sites": 300.0}, {"sites": True},
-            {"bands": 2.5}, {"seed": "0"}, {"seed": -1},
+            {"bands": 2.5}, {"seed": "0"},
             {"bbox": [1, 2]}, {"bbox": [56.8, 57.8, 11.0, "13"]}, {"bbox": "box"},
             {"cells_per_site": [3]}, {"cells_per_site": [3, 7.5]}, {"cells_per_site": 3},
-            {"radius_km": "4"}, {"radius_km": float("nan")},
-            {"feature_noise": [1.0]}, {"feature_noise": float("inf")}, {"site_mean_threshold": None},
-            {"site_mean_threshold": float("nan")}, {"site_mean_threshold": float("inf")},
+            {"radius_km": "4"}, {"feature_noise": [1.0]}, {"site_mean_threshold": None},
         ):
-            with pytest.raises(BadConfig):
+            field = next(iter(obj))
+            with pytest.raises(ValidationError, match=f"config.{field} has the wrong JSON type or length"):
                 SynthConfig.from_dict(obj)
 
 
@@ -207,7 +218,7 @@ class TestExport:
         assert not mask.any()
         rebuilt = build_graph(ids, edges, features)
         assert rebuilt.ids == gt.graph.ids
-        assert rebuilt.edges == gt.graph.edges
+        assert np.array_equal(rebuilt.edge_array, gt.graph.edge_array)
         assert np.array_equal(rebuilt.features.values, gt.graph.features.values)
 
     def test_empty_edges_header_only(self, tmp_path):

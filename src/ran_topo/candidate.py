@@ -4,11 +4,13 @@ For a query cell, return the K nearest cells within a maximum distance m,
 using only the raw (unnormalized) latitude/longitude columns. Serves both
 as a baseline predictor and as a pre-filter for the learned models.
 
-Every search goes through a ``GeoIndex``, a k-d tree over the cells' 3-D
-unit-sphere points. Chord length grows with great-circle distance, so a ball
-of slightly widened chord radius holds every cell within the cap; its hits
-are re-scored with the exact haversine and sorted by (distance, index), so
-the results and their distance bits are those of a full scan.
+Every search goes through a ``GeoIndex``, the cells sorted by latitude.
+Great-circle distance is at least R times the latitude difference, so the
+band of rows within the cap's latitude span, slightly widened, holds every
+cell within the cap; with no cap (or one of at least half the globe) every
+row is a hit. Hits are re-scored with the exact haversine and sorted by
+(distance, index), so the results and their distance bits are those of a
+full scan.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import CandidateConfig
 from .errors import ValidationError
@@ -60,8 +61,8 @@ class GeoIndex:
         self.coords = np.asarray(coords, dtype=np.float64).reshape(-1, 2)
         if not ((np.abs(self.coords[:, 0]) <= 90.0).all() and np.isfinite(self.coords[:, 1]).all()):
             raise ValidationError(BAD_COORDS.format("indexed cells"))
-        lat, lon = np.radians(self.coords[:, 0]), np.radians(self.coords[:, 1])
-        self.tree = cKDTree(np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)]))
+        self.order = np.argsort(self.coords[:, 0], kind="stable")
+        self.sorted_lat = self.coords[self.order, 0]
 
     def query(self, point, cfg: CandidateConfig, exclude: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the K nearest rows to ``point``.
@@ -71,20 +72,13 @@ class GeoIndex:
         """
         if not (abs(point[0]) <= 90.0 and math.isfinite(point[1])):
             raise ValidationError(BAD_COORDS.format("candidate queries"))
-        lat, lon = math.radians(point[0]), math.radians(point[1])
-        unit = (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
-        nearest = cfg.k + (exclude is not None)  # rows the K nearest may need
-        if cfg.k == 0:
-            hits = np.empty(0, dtype=np.int64)
-        elif math.isinf(cfg.max_dist) and nearest >= len(self.coords):
-            hits = np.arange(len(self.coords))
+        if cfg.max_dist < math.pi * EARTH_RADIUS_KM:
+            # widened past any rounding of the haversine
+            span = math.degrees(cfg.max_dist / EARTH_RADIUS_KM) * (1 + 1e-9) + 1e-12
+            lo = np.searchsorted(self.sorted_lat, point[0] - span)
+            hits = self.order[lo : np.searchsorted(self.sorted_lat, point[0] + span, side="right")]
         else:
-            if math.isinf(cfg.max_dist):  # the chord to the K-th nearest row bounds the ball
-                chord = float(self.tree.query(unit, k=[nearest])[0][0])
-            else:
-                chord = 2.0 * math.sin(min(cfg.max_dist / EARTH_RADIUS_KM, math.pi) / 2.0)
-            # widened past any rounding of the unit vectors and of the haversine
-            hits = np.array(self.tree.query_ball_point(unit, chord * (1 + 1e-9) + 1e-12), dtype=np.int64)
+            hits = np.arange(len(self.coords))
         dist = _distances_to_all(self.coords[hits], point)
         keep = dist <= cfg.max_dist
         if exclude is not None:

@@ -14,7 +14,6 @@ File formats:
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -32,12 +31,6 @@ DEGENERATE_STD = 1e-12
 class MissingPolicy(str, Enum):  # a str, so a config holding one writes as JSON
     DROP_ROW = "drop_row"
     FILL_COLUMN_MEAN = "fill_column_mean"
-
-
-def _as_text_lines(source):
-    if isinstance(source, str):
-        return io.StringIO(source)
-    return source  # assume an open text file
 
 
 def _number(value) -> float:
@@ -58,13 +51,13 @@ def _check_coordinates(lat: float, lon: float, where: str) -> None:
 
 
 def parse_cells_csv(source) -> tuple[list[CellId], FeatureMatrix, np.ndarray]:
-    """Read cells.csv into (ids, features, missing mask).
+    """Read an open cells.csv text file into (ids, features, missing mask).
 
     Row order is preserved. The mask is True where a field was empty,
     non-numeric or not finite (``nan``, ``inf``, ``1e400``); such values
     read as NaN. Present coordinates must lie in valid ranges.
     """
-    reader = csv.reader(_as_text_lines(source))
+    reader = csv.reader(source)
     header = next(reader, None)
     if not header or header[0].strip() != "cell_id" or len(header) < 3:
         raise ValidationError("cells.csv must start with 'cell_id,lat,lon,...'")
@@ -118,8 +111,9 @@ def parse_new_cell(obj, features: FeatureMatrix) -> FeatureMatrix:
 
 
 def parse_edges_csv(source) -> list[tuple[CellId, CellId]]:
-    """Read edges.csv into id pairs, verbatim; dedup is build_graph's job."""
-    reader = csv.reader(_as_text_lines(source))
+    """Read an open edges.csv text file into id pairs, verbatim; dedup is
+    build_graph's job."""
+    reader = csv.reader(source)
     header = next(reader, None)
     if not header or [h.strip() for h in header] != ["cell_id_a", "cell_id_b"]:
         raise ValidationError("edges.csv must start with 'cell_id_a,cell_id_b'")

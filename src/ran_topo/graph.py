@@ -6,10 +6,10 @@ by a dense index in [0, N) assigned in input order.
 
 The topology is stored as arrays: a sorted (E, 2) int64 edge array with
 i < j, and CSR arrays (``indptr``, ``indices``, ``degree``) built from it
-once per graph; they are the one representation. The sparse adjacency
-operator, the searchable edge keys and the geographic candidate index are
-derived from them on first use and cached. All operations that look like
-mutation return a new graph; instances are safe to share across threads.
+once per graph; they are the one representation. The searchable edge keys
+and the geographic candidate index are derived from them on first use and
+cached. All operations that look like mutation return a new graph; instances
+are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ValidationError
 
@@ -133,32 +132,10 @@ class RanGraph:
         return keys
 
     @cached_property
-    def neighbor_operator(self) -> sparse.csr_array:
-        """N x N 0/1 adjacency matrix over the CSR arrays, row order kept."""
-        return self.neighbor_rows(np.arange(self.n))
-
-    @cached_property
     def geo_index(self):
         """``candidate.GeoIndex`` over the cells' (lat, lon): every candidate search's index."""
         from .candidate import GeoIndex  # candidate imports this module
         return GeoIndex(self.features.coords())
-
-    def neighbor_rows(self, rows) -> sparse.csr_array:
-        """The adjacency matrix's rows for the given nodes, in the same order.
-
-        Built by hand rather than by scipy indexing, so nothing can re-sort
-        a row's neighbors.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        sub_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=sub_indptr[1:])
-        positions = np.repeat(starts - sub_indptr[:-1], counts) + np.arange(sub_indptr[-1])
-        return sparse.csr_array(
-            (np.ones(len(positions)), self.indices[positions], sub_indptr),
-            shape=(len(rows), self.n),
-        )
 
     def has_edges(self, i, j) -> np.ndarray:
         """Elementwise: is (i, j) an edge? Either endpoint order."""
@@ -264,8 +241,9 @@ def check_ratios(ratios) -> None:
 def split_nodes(graph: RanGraph, ratios, seed: int) -> NodeSplit:
     """Seeded uniform node split with masked training graph.
 
-    Val/test sizes are floor(N * ratio); remainder nodes go to train. The
-    training graph keeps only edges with both endpoints in the train set.
+    Val/test sizes are floor(N * ratio); remainder nodes go to train. A
+    split with no validation cell is refused; an empty test set is allowed.
+    The training graph keeps only edges with both endpoints in the train set.
     """
     check_ratios(ratios)
     _, val_r, test_r = ratios
@@ -273,6 +251,10 @@ def split_nodes(graph: RanGraph, ratios, seed: int) -> NodeSplit:
         raise ValidationError(f"cannot split a graph with {graph.n} nodes")
 
     n_val = int(np.floor(graph.n * val_r))
+    if n_val == 0:
+        raise ValidationError(
+            f"a validation ratio of {val_r} leaves no validation cell among {graph.n} cells"
+        )
     n_test = int(np.floor(graph.n * test_r))
     n_train = graph.n - n_val - n_test
 

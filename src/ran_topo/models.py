@@ -10,12 +10,14 @@ Both score an ordered cell pair with a probability in (0, 1):
 A node with no neighbors aggregates the zero vector, which is also how a
 brand-new cell (edges unknown) is embedded.
 
-The neighbor mean is one sparse product with the graph's cached adjacency
-operator, divided by max(degree, 1). The operator's rows list neighbors in
-the order the original per-edge summation visited them, so the sums, and
-with them trained parameters and report bundles, are bit-for-bit what they
-were. An embedding reads only its node's 1-hop neighborhood, so scoring a
-few cells embeds only those rows.
+The neighbor mean gathers each row's CSR neighbors into one padded
+(max degree x rows) table, sums it slot by slot and divides by
+max(degree, 1); padding slots point at an appended zero row. CSR rows list
+neighbors in the order the original per-edge summation visited them, and
+the slots are added in that order, so the sums, and with them trained
+parameters and report bundles, are bit-for-bit what they were. An embedding
+reads only its node's 1-hop neighborhood, so scoring a few cells embeds
+only those rows.
 
 The SAGE input concat(x_v, neighbor mean) does not depend on the
 parameters, so training computes it once per graph (as SIGN does) and each
@@ -158,18 +160,21 @@ def _head_backward(d: dict[str, np.ndarray], cache, dlogit: np.ndarray):
 def neighbor_mean(graph: RanGraph | None, x: np.ndarray, rows=None) -> np.ndarray:
     """Row v = mean of x over v's neighbors; zero vector if none.
 
-    One sparse product with the graph's cached adjacency operator, for every
-    node or, given ``rows``, only for those nodes (their 1-hop neighborhood
-    is all the mean reads). Every SAGE pass aggregates here, so this is
-    where a GNN without a graph is refused.
+    For every node or, given ``rows``, only for those nodes (their 1-hop
+    neighborhood is all the mean reads). Every SAGE pass aggregates here, so
+    this is where a GNN without a graph is refused.
     """
     if graph is None:
         raise ValidationError("the GNN needs the graph its SAGE layer aggregates over")
-    if rows is None:
-        sums, deg = graph.neighbor_operator @ x, graph.degree
-    else:
-        sums, deg = graph.neighbor_rows(rows) @ x, graph.degree[rows]
-    return sums / np.maximum(deg, 1.0)[:, None]
+    rows = np.arange(graph.n) if rows is None else np.asarray(rows, dtype=np.int64)
+    starts, deg = graph.indptr[rows], graph.degree[rows]
+    # slot s of each row: its s-th CSR neighbor, or N past its degree
+    slots = np.arange(deg.max(initial=0))[:, None]
+    table = np.where(slots < deg, graph.indices[np.minimum(starts + slots, len(graph.indices) - 1)], graph.n)
+    padded = np.concatenate([x, np.zeros((1, x.shape[1]))])  # row N is zero
+    # with two or more columns (every feature matrix has lat and lon) numpy
+    # adds the slots one after another, elementwise, never one column pairwise
+    return padded[table].sum(axis=0) / np.maximum(deg, 1.0)[:, None]
 
 
 def _features(params: dict[str, np.ndarray], x) -> np.ndarray:

@@ -448,11 +448,6 @@ def predict_new_node(
 # ---------------------------------------------------------------------------
 # experiment runner
 
-def default_config() -> dict:
-    """The shipped default experiment, ``configs/default.json``."""
-    return ExperimentConfig().to_dict()
-
-
 @dataclass(frozen=True, eq=False)
 class ExperimentData:
     """Everything the training/evaluation stages consume."""

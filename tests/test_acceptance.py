@@ -27,7 +27,7 @@ def report(number, ok, detail):
 
 
 def run_default_experiment(ratios):
-    cfg = pipeline.default_config()
+    cfg = ExperimentConfig().to_dict()
     cfg["split"]["ratios"] = list(ratios)
     return pipeline.run_experiment(ExperimentConfig.from_dict(cfg))
 
@@ -145,7 +145,7 @@ class TestCriterion2:
 class TestCriterion3:
     def test_criterion_3_candidate_recall(self):
         t0 = time.monotonic()
-        cfg = pipeline.default_config()
+        cfg = ExperimentConfig().to_dict()
         gt = generate(SynthConfig.from_dict(cfg["data"]["synthetic"]))
         graph = gt.graph
         from ran_topo.graph import split_nodes
@@ -173,7 +173,7 @@ class TestCriterion3:
 class TestCriterion4:
     def test_criterion_4_balanced_accuracy(self, default_run):
         t0 = time.monotonic()
-        epochs = pipeline.default_config()["train"]["epochs"]
+        epochs = ExperimentConfig().to_dict()["train"]["epochs"]
         accs = {
             kind: default_run.model_reports[(kind, "balanced")].accuracy
             for kind in ("mlp", "gnn")
@@ -192,7 +192,7 @@ class TestCriterion5:
     def test_criterion_5_gnn_structure_advantage(self):
         mlp_accs, gnn_accs = [], []
         for seed in range(5):
-            cfg = pipeline.default_config()
+            cfg = ExperimentConfig().to_dict()
             cfg["seed"] = seed
             cfg["data"]["synthetic"].update(
                 {
@@ -243,7 +243,7 @@ class TestCriterion7:
 
 class TestCriterion8:
     def test_criterion_8_determinism(self, tmp_path):
-        config = pipeline.default_config()
+        config = ExperimentConfig().to_dict()
         config["data"]["synthetic"].update({"sites": 40, "bbox": [57.0, 57.3, 11.5, 12.1]})
         config["train"]["epochs"] = 3
         cfg_path = tmp_path / "config.json"

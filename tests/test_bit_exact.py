@@ -11,13 +11,14 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.stats import rankdata
 
 import ran_topo
 from ran_topo import models, pipeline
 from ran_topo.neural import AdamState, adam_step, bce_loss, sigmoid
 
-from conftest import random_graph
+from conftest import make_graph, random_graph
 
 
 def reference_loss_and_grads(params, x, pairs, labels, graph=None):
@@ -52,6 +53,20 @@ def reference_loss_and_grads(params, x, pairs, labels, graph=None):
         delta = dembed * (pre > 0)
         grads["ws"], grads["bs"] = delta.T @ h, delta.sum(axis=0)
     return loss, grads
+
+
+def reference_neighbor_mean(graph, x, rows=None):
+    """The sparse product the gather-sum replaced: the given rows of the 0/1
+    adjacency matrix, each listing its neighbors in CSR order, times ``x``,
+    divided by max(degree, 1)."""
+    rows = np.arange(graph.n) if rows is None else np.asarray(rows, dtype=np.int64)
+    starts, counts = graph.indptr[rows], graph.degree[rows]
+    sub_indptr = np.concatenate([[0], np.cumsum(counts)])
+    positions = np.repeat(starts - sub_indptr[:-1], counts) + np.arange(sub_indptr[-1])
+    operator = sparse.csr_array(
+        (np.ones(len(positions)), graph.indices[positions], sub_indptr), shape=(len(rows), graph.n)
+    )
+    return (operator @ x) / np.maximum(counts, 1.0)[:, None]
 
 
 def reference_adam_step(params, grads, state):
@@ -106,6 +121,39 @@ def test_loss_and_grads_bit_equal_to_the_add_at_reference(kind, seed):
         assert all(np.array_equal(pre[name], want[name]) for name in want)
 
 
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def neighbor_mean_graphs():
+    rng = np.random.default_rng(11)
+    yield from (random_graph(rng, max_nodes=40, edge_prob=p) for p in (0.1, 0.3, 0.6) for _ in range(3))
+    yield make_graph(7, [])  # edgeless
+    yield make_graph(9, [(0, 1), (1, 2), (0, 2), (4, 5)])  # nodes 3, 6, 7 and 8 isolated
+    yield make_graph(25, [(0, j) for j in range(1, 21)])  # a hub of degree 20, four isolated nodes
+
+
+@pytest.mark.parametrize("graph", neighbor_mean_graphs())
+@pytest.mark.parametrize("width", [2, 5])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_neighbor_mean_bit_equal_to_the_sparse_product(graph, width, scale):
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=(graph.n, width)) * scale
+    x[::3, 0] = -0.0  # the sparse product's sums start at +0.0
+    assert_bits_equal(models.neighbor_mean(graph, x), reference_neighbor_mean(graph, x))
+    subsets = [
+        [],
+        [0],
+        [int(np.argmax(graph.degree))],
+        [graph.n - 1, 0, graph.n - 1, 0],  # repeated and out of order
+        rng.integers(0, graph.n, size=60),
+        rng.permutation(graph.n),
+    ]
+    for rows in subsets:
+        assert_bits_equal(models.neighbor_mean(graph, x, rows), reference_neighbor_mean(graph, x, rows))
+
+
 def test_pair_input_is_the_concatenated_gather():
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(9, 4))
@@ -157,8 +205,13 @@ def test_auc_of_a_nan_score_is_nan_as_with_rankdata():
     assert np.isnan(pipeline.auc(scores, labels))
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_package_imports_load_no_scipy():
     src = os.path.dirname(os.path.dirname(ran_topo.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, ran_topo.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, check=False).returncode == 0
+    code = (
+        "import sys, ran_topo.cli, ran_topo.pipeline, ran_topo.synth; "
+        "loaded = sorted(name for name in sys.modules if name.startswith('scipy')); "
+        "print(loaded); sys.exit(bool(loaded))"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=False)
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -130,6 +130,17 @@ class TestCandidates:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_split_without_validation_cell_exit_2(self, tmp_path, capsys):
+        cells = tmp_path / "cells.csv"
+        cells.write_text("cell_id,lat,lon,f1\n" + "".join(f"c{i},57.0{i},11.5,1\n" for i in range(8)))
+        edges = tmp_path / "edges.csv"
+        edges.write_text("cell_id_a,cell_id_b\nc0,c1\n")
+        code = main(["candidates", "--cells", str(cells), "--edges", str(edges), "--k", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a validation ratio of 0.05 leaves no validation cell among 8 cells\n"
+        )
+
     def test_nan_max_distance_exit_2(self, synth_dir, capsys):
         code = main([
             "candidates",

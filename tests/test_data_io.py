@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ STD_123 = math.sqrt(2.0 / 3.0)
 
 class TestParseCells:
     def test_single_row(self):
-        ids, fm, mask = parse_cells_csv("cell_id,lat,lon,f1\na,0,0,1.5\n")
+        ids, fm, mask = parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\na,0,0,1.5\n"))
         assert ids == ["a"]
         assert fm.columns == ("lat", "lon", "f1")
         assert fm.values.tolist() == [[0.0, 0.0, 1.5]]
@@ -34,41 +35,41 @@ class TestParseCells:
     def test_duplicate_id(self):
         text = "cell_id,lat,lon,f1\na,0,0,1\na,1,1,2\n"
         with pytest.raises(ValidationError, match="line 3: duplicate cell id 'a'"):
-            parse_cells_csv(text)
+            parse_cells_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("cell_id", ["", "  "], ids=["empty", "whitespace"])
     def test_blank_id(self, cell_id):
         # no edges.csv row can name a blank cell, so the row is refused
         with pytest.raises(ValidationError, match="line 3: empty cell id"):
-            parse_cells_csv(f"cell_id,lat,lon,f1\na,0,0,1\n{cell_id},57.01,12,2\n")
+            parse_cells_csv(io.StringIO(f"cell_id,lat,lon,f1\na,0,0,1\n{cell_id},57.01,12,2\n"))
 
     def test_bad_coordinate(self):
         with pytest.raises(ValidationError, match=r"line 2: latitude 95.0 outside \[-90, 90\]"):
-            parse_cells_csv("cell_id,lat,lon,f1\na,95,0,1.0\n")
+            parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\na,95,0,1.0\n"))
 
     def test_missing_header(self):
         with pytest.raises(ValidationError, match="cells.csv must start with 'cell_id,lat,lon"):
-            parse_cells_csv("id,x,y\na,0,0\n")
+            parse_cells_csv(io.StringIO("id,x,y\na,0,0\n"))
 
     def test_coordinate_columns_come_first(self):
         with pytest.raises(ValidationError, match="cells.csv columns 2 and 3 must be 'lat,lon'"):
-            parse_cells_csv("cell_id,lon,lat,f1\na,0,0,1\n")
+            parse_cells_csv(io.StringIO("cell_id,lon,lat,f1\na,0,0,1\n"))
 
     def test_wrong_field_count(self):
         with pytest.raises(ValidationError, match="line 2: expected 4 fields, got 3"):
-            parse_cells_csv("cell_id,lat,lon,f1\na,0,0\n")
+            parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\na,0,0\n"))
 
     def test_blank_lines_skipped(self):
-        ids, fm, _ = parse_cells_csv("cell_id,lat,lon,f1\n\na,0,0,1\n \n")
+        ids, fm, _ = parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\n\na,0,0,1\n \n"))
         assert ids == ["a"] and fm.values.tolist() == [[0.0, 0.0, 1.0]]
 
     def test_missing_values_masked(self):
-        ids, fm, mask = parse_cells_csv("cell_id,lat,lon,f1\na,0,0,\nb,1,1,2\n")
+        ids, fm, mask = parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\na,0,0,\nb,1,1,2\n"))
         assert mask.tolist() == [[False, False, True], [False, False, False]]
 
     @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400", "abc"])
     def test_non_finite_values_masked(self, field):
-        ids, fm, mask = parse_cells_csv(f"cell_id,lat,lon,f1\na,0,0,{field}\nb,{field},1,2\n")
+        ids, fm, mask = parse_cells_csv(io.StringIO(f"cell_id,lat,lon,f1\na,0,0,{field}\nb,{field},1,2\n"))
         assert mask.tolist() == [[False, False, True], [True, False, False]]
         assert np.isnan(fm.values[mask]).all()
         # a missing value follows the missing-data policy like an empty field
@@ -94,21 +95,21 @@ class TestParseNewCell:
 
 class TestParseEdges:
     def test_single_pair(self):
-        assert parse_edges_csv("cell_id_a,cell_id_b\na,b\n") == [("a", "b")]
+        assert parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\na,b\n")) == [("a", "b")]
 
     def test_empty_body(self):
-        assert parse_edges_csv("cell_id_a,cell_id_b\n") == []
+        assert parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\n")) == []
 
     def test_blank_lines_skipped(self):
-        assert parse_edges_csv("cell_id_a,cell_id_b\n\na,b\n \n") == [("a", "b")]
+        assert parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\n\na,b\n \n")) == [("a", "b")]
 
     def test_malformed_line(self):
         with pytest.raises(ValidationError, match="line 2: expected two cell ids"):
-            parse_edges_csv("cell_id_a,cell_id_b\na\n")
+            parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\na\n"))
 
     def test_missing_header(self):
         with pytest.raises(ValidationError, match="edges.csv must start with 'cell_id_a,cell_id_b'"):
-            parse_edges_csv("a,b\nc,d\n")
+            parse_edges_csv(io.StringIO("a,b\nc,d\n"))
 
 
 class TestMissingPolicy:
@@ -239,7 +240,8 @@ class TestRoundTrip:
         fm = FeatureMatrix(("lat", "lon", "a", "b", "c"), values)
         ids = [f"cell{i}" for i in range(15)]
         write_cells_csv(tmp_path / "cells.csv", ids, fm)
-        ids2, fm2, mask = parse_cells_csv((tmp_path / "cells.csv").read_text())
+        with open(tmp_path / "cells.csv") as fh:
+            ids2, fm2, mask = parse_cells_csv(fh)
         assert ids2 == ids
         assert fm2.columns == fm.columns
         assert np.array_equal(fm2.values, fm.values)
@@ -248,4 +250,5 @@ class TestRoundTrip:
     def test_edges_round_trip(self, tmp_path):
         write_edges_csv(tmp_path / "edges.csv", [("a", "b"), ("c", "d")])
         assert (tmp_path / "edges.csv").read_bytes() == b"cell_id_a,cell_id_b\na,b\nc,d\n"
-        assert parse_edges_csv((tmp_path / "edges.csv").read_text()) == [("a", "b"), ("c", "d")]
+        with open(tmp_path / "edges.csv") as fh:
+            assert parse_edges_csv(fh) == [("a", "b"), ("c", "d")]

@@ -108,6 +108,16 @@ class TestSplitNodes:
         with pytest.raises(ValidationError, match="cannot split a graph with 2 nodes"):
             split_nodes(g, (0.4, 0.3, 0.3), seed=0)
 
+    def test_no_validation_cell_refused(self):
+        g = make_graph(8, [(0, 1)])
+        with pytest.raises(ValidationError, match="validation ratio of 0.01 leaves no validation cell among 8 cells"):
+            split_nodes(g, (0.98, 0.01, 0.01), seed=0)
+
+    def test_empty_test_split_allowed(self):
+        g = make_graph(10, [(0, 1)])
+        s = split_nodes(g, (0.8, 0.15, 0.05), seed=0)
+        assert (len(s.train_nodes), len(s.val_nodes), len(s.test_nodes)) == (9, 1, 0)
+
 
 class TestProperties:
     def test_neighbor_symmetry(self):
@@ -138,7 +148,12 @@ class TestProperties:
         rng = np.random.default_rng(2)
         for _ in range(100):
             g = random_graph(rng)
-            s = split_nodes(g, (0.6, 0.2, 0.2), seed=int(rng.integers(1 << 30)))
+            seed = int(rng.integers(1 << 30))
+            if g.n < 5:  # floor(N * 0.2) = 0: a split with no validation cell is refused
+                with pytest.raises(ValidationError, match="no validation cell among"):
+                    split_nodes(g, (0.6, 0.2, 0.2), seed=seed)
+                continue
+            s = split_nodes(g, (0.6, 0.2, 0.2), seed=seed)
             all_nodes = set(s.train_nodes) | set(s.val_nodes) | set(s.test_nodes)
             assert all_nodes == set(g.ids)
             assert not (set(s.train_nodes) & set(s.val_nodes))

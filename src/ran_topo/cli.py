@@ -19,7 +19,7 @@ from dataclasses import replace
 from . import models, pipeline
 from .candidate import evaluate_candidates
 from .config import CandidateConfig, ExperimentConfig, SynthConfig
-from .data_io import NormParams, parse_new_cell, read_network, write_text, zscore_apply
+from .data_io import NormParams, open_input, parse_new_cell, read_network, write_text, zscore_apply
 from .errors import InternalError, RanTopoError, StageError, ValidationError
 from .graph import split_nodes
 from .synth import export, generate
@@ -33,7 +33,7 @@ EXIT_INTERNAL = 4
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
+    with open_input(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -105,7 +105,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _experiment_config(args)
-    with open(args.params) as fh:
+    with open_input(args.params) as fh:
         params = models.params_from_json(fh.read())
     data = pipeline.prepare_experiment(cfg)
     reports = pipeline.evaluate_model(params, data, cfg)
@@ -118,9 +118,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with open(args.params) as fh:
+    with open_input(args.params) as fh:
         params = models.params_from_json(fh.read())
-    with open(args.norm_params) as fh:
+    with open_input(args.norm_params) as fh:
         norm = NormParams.from_json(fh.read())
     graph = read_network(args.cells, args.edges)
     new_cell = parse_new_cell(_load_json(args.new_cell), graph.features)

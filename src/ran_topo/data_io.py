@@ -1,7 +1,8 @@
 """CSV/JSON ingestion of cells and relations, missing-data handling, and
-z-score normalization with train-only statistics. ``read_network`` is the
-one reader of a network's files, ``write_csv`` the one CSV writer and
-``write_text`` the one writer of JSON files.
+z-score normalization with train-only statistics. ``open_input`` opens
+every input file, ``read_network`` is the one reader of a network's files,
+``write_csv`` the one CSV writer and ``write_text`` the one writer of JSON
+files.
 
 File formats:
   cells.csv  header ``cell_id,lat,lon,<feature names...>``, UTF-8, ``.``
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,8 +35,22 @@ class MissingPolicy(str, Enum):  # a str, so a config holding one writes as JSON
     FILL_COLUMN_MEAN = "fill_column_mean"
 
 
+@contextmanager
+def open_input(path):
+    """``path`` opened as UTF-8 text, the encoding of every input file; bytes
+    that are not UTF-8 raise ValidationError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def _number(value) -> float:
-    """float(value), or NaN where that fails or is not finite: a missing value."""
+    """float(value), or NaN, a missing value, where that fails, is not finite
+    or ``value`` is a boolean (JSON true and false are no numbers)."""
+    if isinstance(value, bool):
+        return math.nan
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -93,8 +109,9 @@ def parse_new_cell(obj, features: FeatureMatrix) -> FeatureMatrix:
     """The raw features of a not-yet-deployed cell, given as a JSON object
     keyed like ``features``' columns, as a one-row matrix in their order.
 
-    Anything but an object holding every column as a finite number, with
-    coordinates in range, raises ValidationError.
+    Anything but an object holding every column as a finite number (a
+    numeric string is one, a JSON boolean is not), with coordinates in
+    range, raises ValidationError.
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"new cell must be a JSON object, got {type(obj).__name__}")
@@ -199,9 +216,9 @@ def read_network(cells_path, edges_path, policy: MissingPolicy | None = None) ->
     policy it is resolved by ``apply_missing_policy``, and the edges of
     dropped rows are dropped with them.
     """
-    with open(cells_path) as fh:
+    with open_input(cells_path) as fh:
         ids, features, mask = parse_cells_csv(fh)
-    with open(edges_path) as fh:
+    with open_input(edges_path) as fh:
         edge_pairs = parse_edges_csv(fh)
     if policy is None:
         if mask.any():

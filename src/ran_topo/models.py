@@ -10,24 +10,21 @@ Both score an ordered cell pair with a probability in (0, 1):
 A node with no neighbors aggregates the zero vector, which is also how a
 brand-new cell (edges unknown) is embedded.
 
-The neighbor mean gathers each row's CSR neighbors into one padded
-(max degree x rows) table, sums it slot by slot and divides by
-max(degree, 1); padding slots point at an appended zero row. CSR rows list
-neighbors in the order the original per-edge summation visited them, and
-the slots are added in that order, so the sums, and with them trained
-parameters and report bundles, are bit-for-bit what they were. An embedding
-reads only its node's 1-hop neighborhood, so scoring a few cells embeds
-only those rows.
+The neighbor mean adds each row's CSR neighbors in the order the original
+per-edge summation visited them, so trained parameters and report bundles
+are bit-for-bit what they were. An embedding reads only its node's 1-hop
+neighborhood, so scoring a few cells embeds only those rows.
 
-The SAGE input concat(x_v, neighbor mean) does not depend on the
-parameters, so training computes it once per graph (as SIGN does) and each
-optimizer step runs only ``W_s`` and the head on it.
+Every difference between the kinds lives in this module: ``model_input``
+(what the loss takes), ``node_rows`` (what the head scores) and
+``new_node_row`` (a new cell's row). The GNN's input concat(x_v, neighbor
+mean) does not depend on the parameters, so training computes it once per
+graph (as SIGN does) and each step runs only ``W_s`` and the head on it.
 
 Parameters are one plain dict of float64 arrays: ``w1, b1, w2, b2, w3, b3``
 for the head, plus ``ws, bs`` for the GNN's SAGE layer, so the key set names
 the kind. ``params_from_dict`` is the one constructor and validator. Scoring,
-the loss, the optimizer, the gradient checker and the params file all take
-the same dict.
+the loss, the optimizer and the params file all take the same dict.
 """
 
 from __future__ import annotations
@@ -185,40 +182,47 @@ def _features(params: dict[str, np.ndarray], x) -> np.ndarray:
     return x
 
 
-def sage_input(graph: RanGraph | None, x: np.ndarray, rows=None) -> np.ndarray:
-    """The SAGE layer's input concat(x_v, neighbor mean of v) for every graph
-    node or, given ``rows``, for those nodes only, in that order."""
-    own = x if rows is None else x[rows]
-    return np.concatenate([own, neighbor_mean(graph, x, rows)], axis=1)
-
-
 def sage_layer(params: dict[str, np.ndarray], h: np.ndarray) -> np.ndarray:
     """Embeddings relu(W_s h + b_s) of SAGE input rows ``h``."""
     return np.maximum(h @ params["ws"].T + params["bs"], 0.0)
 
 
+def model_input(params: dict[str, np.ndarray], x, graph: RanGraph | None = None, rows=None) -> np.ndarray:
+    """The input of the parameterized layers, from normalized features
+    ``x``: the features (MLP) or concat(x_v, neighbor mean over ``graph``)
+    (GNN); every node's or, given ``rows``, those nodes' in that order. It
+    does not depend on the parameters' values: training computes it once."""
+    x = _features(params, x)
+    own = x if rows is None else x[rows]
+    if kind_of(params) == MLP_KIND:
+        return own
+    return np.concatenate([own, neighbor_mean(graph, x, rows)], axis=1)
+
+
 def sage_embed(params: dict[str, np.ndarray], x: np.ndarray, graph: RanGraph, rows=None) -> np.ndarray:
     """Embeddings relu(W_s concat(x, nbr mean) + b_s) for every graph node,
     or, given ``rows``, for those nodes only, in that order."""
-    return sage_layer(params, sage_input(graph, x, rows))
-
-
-def new_node_embedding(params: dict[str, np.ndarray], features_vec: np.ndarray) -> np.ndarray:
-    """Embedding of a cell whose edges are not yet known: the SAGE layer over
-    the zero neighbor mean. It stays a one-row product: stacked with other
-    rows, the product's last bits can differ."""
-    own = _features(params, np.asarray(features_vec, dtype=np.float64)[None])
-    return sage_layer(params, np.concatenate([own, np.zeros_like(own)], axis=1))[0]
+    return sage_layer(params, model_input(params, x, graph, rows))
 
 
 def node_rows(params: dict[str, np.ndarray], x, graph: RanGraph | None = None, rows=None) -> np.ndarray:
-    """The rows the head scores, from normalized features ``x``: the features
-    (MLP) or the SAGE embeddings over ``graph`` (GNN); every node's or, given
-    ``rows``, those nodes' in that order. Evaluation and prediction both use it."""
-    x = _features(params, x)
+    """The rows the head scores: the features (MLP) or the SAGE embeddings
+    (GNN), as ``model_input`` selects them. Training's validation, evaluation
+    and prediction all use it."""
     if kind_of(params) == MLP_KIND:
-        return x if rows is None else x[rows]
+        return model_input(params, x, graph, rows)
     return sage_embed(params, x, graph, rows)
+
+
+def new_node_row(params: dict[str, np.ndarray], features_vec: np.ndarray) -> np.ndarray:
+    """The row the head scores for a cell whose edges are not yet known: its
+    features (MLP) or the SAGE layer over the zero neighbor mean (GNN). It
+    stays a one-row product: stacked with other rows, the product's last
+    bits can differ."""
+    own = _features(params, np.asarray(features_vec, dtype=np.float64)[None])
+    if kind_of(params) == MLP_KIND:
+        return own[0]
+    return sage_layer(params, np.concatenate([own, np.zeros_like(own)], axis=1))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,33 +261,26 @@ def symmetric_score_batch(
 
 def loss_and_grads(
     params: dict[str, np.ndarray],
-    x: np.ndarray,
+    inputs: np.ndarray,
     pairs: np.ndarray,
     labels: np.ndarray,
-    graph: RanGraph | None = None,
-    sage_rows: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean BCE over ordered pairs and its exact gradients.
 
-    For the GNN, embeddings are computed from the SAGE input as part of the
-    pass, so gradients flow into the SAGE layer. ``sage_rows`` is that input,
-    ``sage_input(graph, x)``; a caller stepping many times over one graph
-    passes it, and without it it is computed here from ``x`` and ``graph``.
+    ``inputs`` is ``model_input``'s array. The GNN embeds it as part of the
+    pass, so gradients flow into the SAGE layer.
     """
-    kind = kind_of(params)
+    gnn = kind_of(params) == GNN_KIND
     pairs = np.asarray(pairs)
     labels = np.asarray(labels, dtype=np.float64)
-    rows = x
-    if kind == GNN_KIND:
-        h = sage_input(graph, x) if sage_rows is None else sage_rows
-        rows = sage_layer(params, h)
+    rows = sage_layer(params, inputs) if gnn else inputs
     probs, head_cache = _head_forward(params, _pair_input(rows, pairs))
     loss = float(np.mean(bce_loss(probs, labels)))
     # d(mean BCE)/d(logit) with the sigmoid folded in; clamping almost never
     # binds and is ignored in the gradient
     dlogit = (probs - labels) / labels.size
     grads, dz1 = _head_backward(params, head_cache, dlogit)
-    if kind == GNN_KIND:
+    if gnn:
         # each pair's input gradient halves summed into their endpoints: one
         # bincount over (node, column) cells adds every first endpoint's, then
         # every second one's, in batch order, as two np.add.at calls would
@@ -293,7 +290,7 @@ def loss_and_grads(
         halves = (dz1 @ params["w1"]).reshape(len(pairs), 2, width).transpose(1, 0, 2).ravel()
         dembed = np.bincount(cells, halves, minlength=n * width).reshape(n, width)
         delta = dembed * (rows > 0)
-        grads["ws"] = delta.T @ h
+        grads["ws"] = delta.T @ inputs
         grads["bs"] = delta.sum(axis=0)
     return loss, grads
 
@@ -350,81 +347,3 @@ def params_from_json(text: str) -> dict[str, np.ndarray]:
         raise ValidationError("params file needs an 'arrays' object")
     arrays = {name: _array_from_spec(name, spec) for name, spec in specs.items()}
     return params_from_dict(kind, arrays)
-
-
-def make_loss_fn(
-    kind: str,
-    x: np.ndarray,
-    pairs: np.ndarray,
-    labels: np.ndarray,
-    graph: RanGraph | None = None,
-):
-    """Dict -> scalar loss closure for the finite-difference gradient checker.
-
-    The parts that do not depend on the parameters (neighbor means, pair
-    gathers) are precomputed here. The closure also carries
-    ``coordinate_losses(d, name, delta)``: the losses with each coordinate of
-    ``d[name]`` moved by ``delta``, one coordinate at a time. Moving weight
-    W[r, c] of a layer adds ``delta * input[:, c]`` to that layer's output
-    column r (a bias entry adds ``delta``), so the layers below it run once
-    and only the layers above run per coordinate, as batched products.
-    """
-    pairs = np.asarray(pairs)
-    labels = np.asarray(labels, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-
-    # sign trick: BCE(sigmoid(z), y) = softplus((1-2y) z), and the 1e-12
-    # probability clamp caps each term at -log(1e-12)
-    sign = 1.0 - 2.0 * labels
-    cap = -math.log(1e-12)
-
-    if kind == GNN_KIND:
-        layers = ("s", "1", "2", "3")
-        first_input = sage_input(graph, x)
-    else:
-        layers = ("1", "2", "3")
-        first_input = _pair_input(x, pairs)
-    left, right = pairs[:, 0], pairs[:, 1]
-
-    def affine(d, layer, a):
-        """Layer pre-activation for inputs (..., M, in), as one matrix product."""
-        w, b = d["w" + layer], d["b" + layer]
-        return (a.reshape(-1, a.shape[-1]) @ w.T + b).reshape(*a.shape[:-1], w.shape[0])
-
-    def activate(layer, z):
-        a = np.maximum(z, 0.0)
-        if layer == "s":  # node embeddings -> concatenated pair rows
-            a = np.concatenate([a[..., left, :], a[..., right, :]], axis=-1)
-        return a
-
-    def mean_bce_from(d, i, z):
-        """Mean BCE from layer i's pre-activation; leading batch axes are kept."""
-        for lower, upper in zip(layers[i:], layers[i + 1 :]):
-            z = affine(d, upper, activate(lower, z))
-        return np.minimum(np.logaddexp(0.0, sign * z[..., 0]), cap).mean(axis=-1)
-
-    def loss_fn(d: dict[str, np.ndarray]) -> float:
-        return float(mean_bce_from(d, 0, affine(d, layers[0], first_input)))
-
-    def coordinate_losses(d: dict[str, np.ndarray], name: str, delta: float) -> np.ndarray:
-        i = layers.index(name[1:])
-        a = first_input
-        for layer in layers[:i]:
-            a = activate(layer, affine(d, layer, a))
-        z = affine(d, layers[i], a)
-        if name[0] == "w":
-            rows, cols = np.divmod(np.arange(d[name].size), d[name].shape[1])
-            shifts = delta * a[:, cols].T  # (coordinates, M)
-        else:
-            rows, shifts = np.arange(z.shape[1]), np.full((z.shape[1], 1), delta)
-        losses = np.empty(len(rows))
-        chunk = max(1, 2**20 // max(z.size, 1))  # bounds the batched activations' memory
-        for lo in range(0, len(rows), chunk):
-            part = slice(lo, lo + chunk)
-            zs = np.repeat(z[None], len(rows[part]), axis=0)
-            zs[np.arange(len(rows[part])), :, rows[part]] += shifts[part]
-            losses[part] = mean_bce_from(d, i, zs)
-        return losses
-
-    loss_fn.coordinate_losses = coordinate_losses
-    return loss_fn

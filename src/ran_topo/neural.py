@@ -1,9 +1,8 @@
 """Minimal dense neural-network engine.
 
-Everything is float64 numpy: ReLU, sigmoid, binary cross-entropy, Adam,
-Glorot initialization, and a central-difference gradient checker. The two
-model architectures in ran_topo.models own their backward passes; this
-module provides the shared pieces.
+Everything is float64 numpy: sigmoid, binary cross-entropy, Adam and
+Glorot initialization. The two model architectures in ran_topo.models own
+their forward and backward passes; this module provides the shared pieces.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import numpy as np
 from .errors import ValidationError
 
 BCE_EPS = 1e-12
-FD_STEP = 1e-5
 
 
 def sigmoid(x):
@@ -98,55 +96,3 @@ def adam_step(
         new_params[name] = flat[start : start + value.size].reshape(value.shape)
         start += value.size
     return new_params, state
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    passed: bool
-    worst_rel_error: float
-    worst_param: str
-
-
-def grad_check(
-    loss_fn,
-    params: dict[str, np.ndarray],
-    analytic: dict[str, np.ndarray],
-    tolerance: float = 1e-4,
-    step: float = FD_STEP,
-) -> GradCheckReport:
-    """Compare analytic gradients with central finite differences.
-
-    loss_fn maps a parameter dict to a scalar. Every coordinate of every
-    parameter is perturbed; relative error is |a - n| / max(1, |a|, |n|),
-    and a coordinate whose error is NaN fails. A model with no parameters
-    passes vacuously. When loss_fn has a ``coordinate_losses(params, name,
-    delta)`` method (``models.make_loss_fn`` closures do), the losses for all
-    of a parameter's perturbed coordinates come from one call to it instead
-    of two loss_fn calls per coordinate.
-    """
-    worst = 0.0
-    worst_name = ""
-    batched = getattr(loss_fn, "coordinate_losses", None)
-    working = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-    for name in params:
-        flat = working[name].ravel()
-        if batched is not None:
-            numeric = (batched(working, name, step) - batched(working, name, -step)) / (2.0 * step)
-        else:
-            numeric = np.empty(flat.size)
-            for idx in range(flat.size):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                up = loss_fn(working)
-                flat[idx] = orig - step
-                down = loss_fn(working)
-                flat[idx] = orig
-                numeric[idx] = (up - down) / (2.0 * step)
-        a = np.asarray(analytic[name], dtype=np.float64).ravel()
-        rel = np.abs(a - numeric) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(numeric)))
-        rel[np.isnan(rel)] = np.inf
-        if rel.size and rel.max() > worst:
-            idx = int(np.argmax(rel))
-            worst = float(rel[idx])
-            worst_name = f"{name}[{idx}]"
-    return GradCheckReport(passed=worst <= tolerance, worst_rel_error=worst, worst_param=worst_name)

@@ -295,11 +295,10 @@ def train(
     """Train one model on balanced pairs from the masked training graph.
 
     Each positive and sampled negative pair is presented in both concat
-    orders. The GNN's SAGE inputs, over the training graph for the
-    optimizer steps and over the deployed graph for validation, do not
-    depend on the parameters and are computed once per call; each step
-    re-embeds from them, so gradients reach the SAGE layer. Returns the
-    parameters of the epoch with the best balanced validation accuracy.
+    orders. The training graph's ``models.model_input`` is computed once per
+    call. Each epoch scores the validation pairs over the deployed graph
+    through ``make_scorer``, as ``eval`` does. Returns the parameters of the
+    epoch with the best balanced validation accuracy.
     """
     from .neural import AdamState, adam_step
 
@@ -324,9 +323,7 @@ def train(
     val_pairs = sample_pairs(
         graph, split.val_nodes, Balanced(), seed=subseed(cfg.seed, "val_pairs")
     )
-    gnn = kind == models.GNN_KIND
-    train_input = models.sage_input(train_graph, x_train) if gnn else None
-    val_input = models.sage_input(graph, features_norm) if gnn else features_norm
+    train_input = models.model_input(params, x_train, train_graph)
 
     sample_rng_seed = subseed(cfg.seed, "negatives")
     shuffle_rng = np.random.default_rng(subseed(cfg.seed, "shuffle"))
@@ -351,15 +348,12 @@ def train(
         total_loss = 0.0
         for start in range(0, len(ordered), cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            loss, grads = models.loss_and_grads(
-                params, x_train, ordered[batch], labels[batch], sage_rows=train_input
-            )
+            loss, grads = models.loss_and_grads(params, train_input, ordered[batch], labels[batch])
             total_loss += loss * len(labels[batch])
             params, adam = adam_step(params, grads, adam)
         train_loss = total_loss / len(labels)
 
-        val_rows = models.sage_layer(params, val_input) if gnn else val_input
-        val_scores = models.symmetric_score_batch(params, val_rows, val_pairs.pairs)
+        val_scores = make_scorer(params, features_norm, graph)(val_pairs.pairs)
         val_acc = float(np.mean((val_scores >= ExperimentConfig.cutoff) == (val_pairs.labels == 1)))
 
         history.append(
@@ -415,11 +409,7 @@ def predict_new_node(
     check_cutoff(cutoff)
     if max_neighbors is not None and max_neighbors < 0:
         raise ValidationError(f"max_neighbors must be >= 0, got {max_neighbors}")
-    new_row = np.asarray(new_features_norm, dtype=np.float64)
-    if models.kind_of(params) == models.GNN_KIND:
-        new_row = models.new_node_embedding(params, new_row)
-    else:
-        new_row = models.node_rows(params, new_row[None])[0]
+    new_row = models.new_node_row(params, new_features_norm)
     cand_idx, _ = graph.geo_index.query(coords, cand_cfg)
     cand_rows = models.node_rows(params, features_norm, graph, cand_idx)
     if not len(cand_idx):

@@ -13,11 +13,11 @@ import pytest
 from scipy.stats import rankdata
 
 from conftest import adjacency_sets, csr_neighbors, edge_set, make_graph
+from grad_oracle import grad_check, make_loss_fn
 from ran_topo import models, pipeline
 from ran_topo.candidate import CandidateConfig, candidates, evaluate_candidates, geo_distance
 from ran_topo.cli import main as cli_main
 from ran_topo.config import ExperimentConfig
-from ran_topo.neural import grad_check
 from ran_topo.synth import SITE_MEAN_RULE, SynthConfig, generate
 
 
@@ -54,7 +54,7 @@ class TestCriterion1:
                 x = rng.normal(size=(6, dims["k"]))
                 pairs = np.array([[0, 1], [2, 5], [3, 4], [1, 4]])
                 labels = np.array([1.0, 0.0, 1.0, 0.0])
-                loss_fn = models.make_loss_fn(
+                loss_fn = make_loss_fn(
                     kind, x, pairs, labels,
                     graph=graph if kind == "gnn" else None,
                 )
@@ -69,8 +69,7 @@ class TestCriterion1:
                     }
                     params = models.params_from_dict(kind, d)
                     _, grads = models.loss_and_grads(
-                        params, x, pairs, labels,
-                        graph=graph if kind == "gnn" else None,
+                        params, models.model_input(params, x, graph), pairs, labels,
                     )
                     result = grad_check(loss_fn, d, grads, tolerance=1e-4)
                     worst = max(worst, result.worst_rel_error)

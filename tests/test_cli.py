@@ -33,6 +33,15 @@ def write_json(path, obj):
     return str(path)
 
 
+def write_file(path, content):
+    """Write str or bytes ``content``; bytes let a test write a file that is not UTF-8."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
 @pytest.fixture
 def synth_dir(tmp_path):
     cfg = write_json(tmp_path / "synth.json", SYNTH_CFG)
@@ -140,6 +149,16 @@ class TestCandidates:
         assert capsys.readouterr().err == (
             "error: a validation ratio of 0.05 leaves no validation cell among 8 cells\n"
         )
+
+    @pytest.mark.parametrize("name", ["cells.csv", "edges.csv"])
+    def test_non_utf8_file_exit_2(self, synth_dir, tmp_path, capsys, name):
+        paths = {other: str(synth_dir / other) for other in ("cells.csv", "edges.csv")}
+        # a byte 0xff on the second line, which no UTF-8 text holds
+        header, rest = (synth_dir / name).read_bytes().split(b"\n", 1)
+        paths[name] = write_file(tmp_path / name, header + b"\n\xff" + rest)
+        code = main(["candidates", "--cells", paths["cells.csv"], "--edges", paths["edges.csv"], "--k", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {paths[name]} is not UTF-8 text (invalid start byte)\n"
 
     def test_nan_max_distance_exit_2(self, synth_dir, capsys):
         code = main([
@@ -317,7 +336,8 @@ def test_candidates_defaults_to_the_experiment_seed(tmp_path, capsys):
     assert report.read_bytes() == (out / "reports" / "candidate_0.json").read_bytes()
 
 
-# (subcommand, --config file text) pairs that used to end in a traceback
+# (subcommand, --config file text or bytes) pairs that used to end in a
+# traceback, or in an error line naming no file
 MALFORMED_CONFIGS = [
     ("synth", "[1, 2]"),
     ("synth", '{"sites": "ten"}'),
@@ -328,20 +348,24 @@ MALFORMED_CONFIGS = [
     ("experiment", "{"),
     ("train", "[1]"),
     ("eval", "[1]"),
+    ("synth", b'{"sites": 10}\xff'),
+    ("experiment", b"\xff{}"),
 ]
 
 
 @pytest.mark.parametrize("command, text", MALFORMED_CONFIGS)
 def test_malformed_config_exit_2(tmp_path, capsys, command, text):
-    config = tmp_path / "config.json"
-    config.write_text(text)
-    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    config = write_file(tmp_path / "config.json", text)
+    argv = [command, "--config", config, "--out", str(tmp_path / "out")]
     if command == "eval":
         params = tmp_path / "params.json"
         params.write_text(models.params_to_json(models.init_params(models.MLP_KIND, seed=0)))
         argv += ["--params", str(params)]
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if isinstance(text, bytes):
+        assert f"{config} is not UTF-8 text" in err
 
 
 # --new-cell file text made from a valid cell's raw features
@@ -355,6 +379,8 @@ NEW_CELL_DEFECTS = {
     "huge_integer": lambda cell: json.dumps({**cell, "tx_power": "big"}).replace('"big"', "9" * 400),
     "latitude_out_of_range": lambda cell: json.dumps({**cell, "lat": 95.0}),
     "longitude_out_of_range": lambda cell: json.dumps({**cell, "lon": -181.0}),
+    "boolean_value": lambda cell: json.dumps({**cell, "band": True}),
+    "not_utf8": lambda cell: json.dumps(cell).encode() + b"\xff",
 }
 
 
@@ -590,15 +616,15 @@ class TestTrainEvalPredict:
         with open(data_dir / "cells.csv") as fh:
             header = fh.readline().strip().split(",")
             first_row = fh.readline().strip().split(",")
-        cell_path = tmp_path / "new.json"
-        cell_path.write_text(NEW_CELL_DEFECTS[new_cell](dict(zip(header[1:], map(float, first_row[1:])))))
+        cell = dict(zip(header[1:], map(float, first_row[1:])))
+        cell_path = write_file(tmp_path / "new.json", NEW_CELL_DEFECTS[new_cell](cell))
         code = main([
             "predict",
             "--params", str(out / "params_mlp.json"),
             "--norm-params", str(out / "norm_params.json"),
             "--cells", str(data_dir / "cells.csv"),
             "--edges", str(data_dir / "edges.csv"),
-            "--new-cell", str(cell_path),
+            "--new-cell", cell_path,
         ])
         err = capsys.readouterr().err
         assert code == 2
@@ -639,7 +665,8 @@ PARAM_DEFECTS = {
     "broken_layer_chain": _broken_layer_chain,
     "non_finite": _non_finite,
     "wrong_feature_width": _wrong_feature_width,
-    "not_json": lambda obj: "{",  # a defect returning text replaces the whole file
+    "not_json": lambda obj: "{",  # a defect returning text or bytes replaces the whole file
+    "not_utf8": lambda obj: b"\xff",
     "unknown_kind": lambda obj: obj.update(kind="cnn"),
     "arrays_not_an_object": lambda obj: obj.update(arrays=[]),
     "shape_not_a_list": lambda obj: obj["arrays"]["w1"].update(shape=6),
@@ -653,6 +680,7 @@ NORM_DEFECTS = {
     "non_finite_mean": lambda obj: obj["mean"].__setitem__(0, float("inf")),
     "negative_std": lambda obj: obj["std"].__setitem__(0, -1.0),
     "not_json": lambda obj: "{",
+    "not_utf8": lambda obj: b"\xff",
     "non_string_columns": lambda obj: obj["columns"].__setitem__(0, 1),
     "non_numeric_mean": lambda obj: obj["mean"].__setitem__(0, "x"),
 }
@@ -672,9 +700,7 @@ class TestMalformedModelFiles:
     def broken_copy(path, defect, tmp_path):
         obj = json.loads(path.read_text())
         text = defect(obj)
-        broken = tmp_path / f"broken_{path.name}"
-        broken.write_text(json.dumps(obj) if text is None else text)
-        return str(broken)
+        return write_file(tmp_path / f"broken_{path.name}", json.dumps(obj) if text is None else text)
 
     @staticmethod
     def predict(out, tmp_path, params, norm_params):

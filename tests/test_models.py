@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
+from grad_oracle import make_loss_fn
 from ran_topo import models
 from ran_topo.errors import ValidationError
 from ran_topo.neural import sigmoid
@@ -139,15 +140,16 @@ class TestGnnScore:
         params = with_sage(np.zeros((1, 2)), tiny_mlp([[1.0, 1.0]], [[1.0]], [[1.0]]))
         assert pair_score(params, [0.5], [1.5]) == pytest.approx(sigmoid(2.0), rel=1e-15)
 
-    def test_no_edges_degenerates_to_feature_mlp(self):
-        # with every edge removed the embedding uses only own features
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_no_edges_degenerates_to_feature_mlp(self, kind):
+        # with every edge removed the embedding uses only own features, as a
+        # new cell's row does
         g_empty = make_graph(3, [])
-        params = models.init_params("gnn", k=2, hidden=3, embed=3, seed=5)
+        params = models.init_params(kind, k=2, hidden=3, embed=3, seed=5)
         x = np.array([[1.0, -1.0], [0.5, 2.0], [3.0, 0.0]])
-        emb = models.sage_embed(params, x, g_empty)
+        rows = models.node_rows(params, x, g_empty)
         for v in range(3):
-            expected = models.new_node_embedding(params, x[v])
-            assert np.array_equal(emb[v], expected)
+            assert np.array_equal(rows[v], models.new_node_row(params, x[v]))
 
 
 class TestSymmetricScore:
@@ -344,7 +346,7 @@ class TestLossFn:
         x = rng.normal(size=(5, 3))
         pairs = np.array([[0, 1], [2, 4], [3, 0]])
         labels = np.array([1.0, 0.0, 1.0])
-        loss_fn = models.make_loss_fn(kind, x, pairs, labels, graph=graph if kind == "gnn" else None)
+        loss_fn = make_loss_fn(kind, x, pairs, labels, graph=graph if kind == "gnn" else None)
         init = models.init_params(kind, k=3, hidden=4, embed=4, seed=2)
         d = {name: arr + rng.normal(scale=0.1, size=arr.shape) for name, arr in init.items()}
         for name, arr in d.items():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from grad_oracle import grad_check
 from ran_topo.errors import ValidationError
 from ran_topo import models
 from ran_topo.neural import (
@@ -10,7 +11,6 @@ from ran_topo.neural import (
     adam_step,
     bce_loss,
     glorot_uniform,
-    grad_check,
     sigmoid,
 )
 

@@ -341,6 +341,22 @@ class TestTrain:
         assert result.best_val_accuracy == max(accs)
         assert result.best_epoch == accs.index(max(accs))
 
+    @pytest.mark.parametrize("kind, seed", [("mlp", 5), ("gnn", 4)])
+    def test_best_val_accuracy_is_the_scorers(self, kind, seed):
+        # validation scores the deployed graph the way evaluation does; at
+        # these seeds the best epoch is not the last, so the returned params
+        # must be that epoch's
+        graph, split, x, _ = experiment_fixture()
+        cfg = TrainConfig(epochs=4, batch_size=128, seed=seed)
+        result = train(kind, graph, x, split, cfg, hidden=8, embed=8)
+        assert result.best_epoch < len(result.history) - 1
+        report = evaluate(
+            make_scorer(result.params, x, graph), graph, split.val_nodes, Balanced(),
+            seed=subseed(cfg.seed, "val_pairs"),
+        )
+        assert result.history[result.best_epoch]["val_accuracy"] == result.best_val_accuracy
+        assert result.best_val_accuracy == report.accuracy
+
     def test_patience_stops_early(self):
         graph, split, x, _ = experiment_fixture()
         cfg = TrainConfig(epochs=50, batch_size=128, learning_rate=0.0, seed=9, patience=2)
@@ -419,16 +435,17 @@ class TestPredictNewNode:
         with pytest.raises(ValidationError, match="the params take 8 features per cell, the data has 9"):
             predict_new_node(params, graph, x, np.append(x[0], 0.0), coords, CandidateConfig(k=k))
 
-    def test_gnn_new_node_uses_empty_neighborhood(self):
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_new_node_uses_empty_neighborhood(self, kind):
         graph, x, _ = self.setup_scene()
-        params = models.init_params("gnn", k=x.shape[1], hidden=8, embed=8, seed=1)
+        params = models.init_params(kind, k=x.shape[1], hidden=8, embed=8, seed=1)
         coords = tuple(graph.features.coords()[0])
         pred = predict_new_node(
             params, graph, x, x[0], coords, CandidateConfig(k=5), cutoff=0.0
         )
         # manual recomputation of the top candidate's score
-        emb = models.sage_embed(params, x, graph)
-        new_emb = models.new_node_embedding(params, x[0])
+        emb = models.node_rows(params, x, graph)
+        new_emb = models.new_node_row(params, x[0])
         rows = np.vstack([emb, new_emb[None, :]])
         top_id, top_p = pred.neighbors[0]
         j = graph.index_of(top_id)

@@ -87,6 +87,14 @@ class GeoIndex:
         order = np.lexsort((hits, dist))[: cfg.k]
         return hits[order], dist[order]
 
+    def query_rows(self, rows, cfg: CandidateConfig) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's candidate list, its own row excluded, as aligned
+        (row, candidate) index arrays: each of ``rows`` in turn, its
+        candidates in ``query``'s order. The one per-cell query loop."""
+        rows = np.asarray(rows, dtype=np.int64)
+        found = [self.query(self.coords[r], cfg, exclude=r)[0] for r in rows.tolist()]
+        return np.repeat(rows, [len(c) for c in found]), np.concatenate([rows[:0], *found])
+
 
 def candidates(
     graph: RanGraph, node: CellId, cfg: CandidateConfig
@@ -116,30 +124,18 @@ def evaluate_candidates(graph: RanGraph, eval_nodes, cfg: CandidateConfig) -> Ev
 
     AUC is omitted: candidate membership is a hard binary prediction.
     """
-    eval_idx = sorted(graph.index_of(node) for node in eval_nodes)
-    if not eval_idx:
+    eval_idx = graph.rows_of(eval_nodes)
+    if not len(eval_idx):
         raise ValidationError("no evaluation nodes given")
 
     # Each eval node is scored against every other node; pairs between two
     # eval nodes are therefore counted once per direction, since each node
     # has its own candidate list.
-    index = graph.geo_index
-    tp = fp = fn = 0
-    n_pairs = 0
-    for i in eval_idx:
-        predicted, _ = index.query(index.coords[i], cfg, exclude=i)
-        hits = int(graph.has_edges(i, predicted).sum())
-        tp += hits
-        fp += len(predicted) - hits
-        fn += int(graph.degree[i]) - hits
-        n_pairs += graph.n - 1
-    tn = n_pairs - tp - fp - fn
+    rows, predicted = graph.geo_index.query_rows(eval_idx, cfg)
+    tp = int(graph.has_edges(rows, predicted).sum())
+    fp = len(predicted) - tp
+    fn = int(graph.degree[eval_idx].sum()) - tp
+    tn = len(eval_idx) * (graph.n - 1) - tp - fp - fn
     return EvalReport.from_counts(
-        mode=f"candidate(k={cfg.k},m={cfg.max_dist})",
-        cutoff=0.5,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        auc=None,
+        mode=f"candidate(k={cfg.k},m={cfg.max_dist})", cutoff=0.5, tp=tp, fp=fp, tn=tn, fn=fn, auc=None
     )

@@ -37,9 +37,10 @@ class MissingPolicy(str, Enum):  # a str, so a config holding one writes as JSON
 
 @contextmanager
 def open_input(path):
-    """``path`` opened as UTF-8 text, the encoding of every input file; bytes
-    that are not UTF-8 raise ValidationError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    """``path`` opened as UTF-8 text, the encoding of every input file, with
+    a leading byte-order mark skipped; bytes that are not UTF-8 raise
+    ValidationError naming the file."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -66,12 +67,12 @@ def _check_coordinates(lat: float, lon: float, where: str) -> None:
         raise ValidationError(f"{where}longitude {lon} outside [-180, 180]")
 
 
-def parse_cells_csv(source) -> tuple[list[CellId], FeatureMatrix, np.ndarray]:
-    """Read an open cells.csv text file into (ids, features, missing mask).
+def parse_cells_csv(source) -> tuple[list[CellId], FeatureMatrix]:
+    """Read an open cells.csv text file into (ids, features).
 
-    Row order is preserved. The mask is True where a field was empty,
-    non-numeric or not finite (``nan``, ``inf``, ``1e400``); such values
-    read as NaN. Present coordinates must lie in valid ranges.
+    Row order is preserved. A field that is empty, non-numeric or not finite
+    (``nan``, ``inf``, ``1e400``) is missing and reads as NaN, the one mark
+    of a missing value. Present coordinates must lie in valid ranges.
     """
     reader = csv.reader(source)
     header = next(reader, None)
@@ -102,7 +103,7 @@ def parse_cells_csv(source) -> tuple[list[CellId], FeatureMatrix, np.ndarray]:
         rows.append(values)
 
     values = np.array(rows) if rows else np.empty((0, len(columns)))
-    return ids, FeatureMatrix(columns, values), np.isnan(values)
+    return ids, FeatureMatrix(columns, values)
 
 
 def parse_new_cell(obj, features: FeatureMatrix) -> FeatureMatrix:
@@ -177,20 +178,14 @@ def write_edges_csv(path, edges) -> None:
     write_csv(path, ["cell_id_a", "cell_id_b"], edges)
 
 
-def apply_missing_policy(
-    features: FeatureMatrix, mask: np.ndarray, policy: MissingPolicy
-) -> tuple[FeatureMatrix, list[int]]:
-    """Resolve missing entries; returns the cleaned matrix and kept row indices.
+def apply_missing_policy(features: FeatureMatrix, policy: MissingPolicy) -> tuple[FeatureMatrix, list[int]]:
+    """Resolve missing (NaN) entries; returns the cleaned matrix and kept row indices.
 
     DROP_ROW removes any row with a missing entry. FILL_COLUMN_MEAN replaces
     missing entries with the column mean over non-missing entries and keeps
     every row; non-missing entries are untouched.
     """
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != features.values.shape:
-        raise ValidationError(
-            f"mask shape {mask.shape} does not match features {features.values.shape}"
-        )
+    mask = np.isnan(features.values)
     if policy is MissingPolicy.DROP_ROW:
         kept = np.flatnonzero(~mask.any(axis=1))
         return features.take_rows(kept), kept.tolist()
@@ -217,17 +212,17 @@ def read_network(cells_path, edges_path, policy: MissingPolicy | None = None) ->
     dropped rows are dropped with them.
     """
     with open_input(cells_path) as fh:
-        ids, features, mask = parse_cells_csv(fh)
+        ids, features = parse_cells_csv(fh)
     with open_input(edges_path) as fh:
         edge_pairs = parse_edges_csv(fh)
     if policy is None:
-        if mask.any():
+        if np.isnan(features.values).any():
             raise ValidationError(
                 "input has missing feature values; run them through an experiment "
                 "config with a missing_policy instead"
             )
         return build_graph(ids, edge_pairs, features)
-    features, kept = apply_missing_policy(features, mask, policy)
+    features, kept = apply_missing_policy(features, policy)
     kept_ids = [ids[i] for i in kept]
     kept_set = set(kept_ids)
     edge_pairs = [(a, b) for a, b in edge_pairs if a in kept_set and b in kept_set]

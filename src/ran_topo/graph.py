@@ -24,6 +24,16 @@ from .errors import ValidationError
 CellId = str | int
 
 
+def pair_keys(i, j, n: int) -> np.ndarray:
+    """Canonical key ``min * n + max`` of index pairs (i, j) of an n-node graph."""
+    return np.minimum(i, j) * n + np.maximum(i, j)
+
+
+def key_pairs(keys: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``pair_keys``: the keys' (min, max) index pairs, shape (K, 2)."""
+    return np.column_stack([keys // n, keys % n])
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """N x k table of per-cell attributes with named columns.
@@ -126,8 +136,8 @@ class RanGraph:
 
     @cached_property
     def edge_keys(self) -> np.ndarray:
-        """``i * N + j`` per edge, ascending: a searchable edge index."""
-        keys = self.edge_array[:, 0] * self.n + self.edge_array[:, 1]
+        """``pair_keys`` of the edges, ascending: a searchable edge index."""
+        keys = pair_keys(self.edge_array[:, 0], self.edge_array[:, 1], self.n)
         keys.setflags(write=False)
         return keys
 
@@ -139,8 +149,7 @@ class RanGraph:
 
     def has_edges(self, i, j) -> np.ndarray:
         """Elementwise: is (i, j) an edge? Either endpoint order."""
-        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
-        keys = np.minimum(i, j) * self.n + np.maximum(i, j)
+        keys = pair_keys(np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64), self.n)
         pos = np.searchsorted(self.edge_keys, keys)
         found = np.zeros(keys.shape, dtype=bool)
         inside = pos < len(self.edge_keys)
@@ -154,6 +163,10 @@ class RanGraph:
             return self._index[node]
         except (KeyError, TypeError):
             raise ValidationError(f"unknown cell id {node!r}") from None
+
+    def rows_of(self, nodes) -> np.ndarray:
+        """``index_of`` each cell id, in order, as an int64 array."""
+        return np.array([self.index_of(node) for node in nodes], dtype=np.int64)
 
     def edge_list(self) -> list[tuple[CellId, CellId]]:
         """Edges as external-id pairs, sorted by index pair."""
@@ -197,9 +210,8 @@ def build_graph(
                 raise ValidationError(f"edge endpoint {node!r} is not a node")
         raise ValidationError(f"self-loop on node {a!r}")
 
-    n = len(ids)
-    keys = np.unique(ends.min(axis=1) * n + ends.max(axis=1))
-    return RanGraph(ids, np.column_stack([keys // n, keys % n]), features, index)
+    keys = np.unique(pair_keys(ends[:, 0], ends[:, 1], len(ids)))
+    return RanGraph(ids, key_pairs(keys, len(ids)), features, index)
 
 
 def remove_nodes(graph: RanGraph, removed) -> RanGraph:
@@ -209,7 +221,7 @@ def remove_nodes(graph: RanGraph, removed) -> RanGraph:
     the input graph is untouched.
     """
     keep = np.ones(graph.n, dtype=bool)
-    keep[np.array([graph.index_of(node) for node in removed], dtype=np.int64)] = False
+    keep[graph.rows_of(removed)] = False
     new_index = np.cumsum(keep) - 1
     kept = np.flatnonzero(keep)
     kept_ids = tuple(graph.ids[i] for i in kept.tolist())

@@ -34,16 +34,13 @@ import math
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .errors import ValidationError
 from .graph import RanGraph
 from .neural import bce_loss, glorot_uniform, sigmoid
 
 MLP_KIND = "mlp"
 GNN_KIND = "gnn"
-
-DEFAULT_K = 8
-DEFAULT_HIDDEN = 64
-DEFAULT_EMBED = 64
 
 # pairs scored at a time: bounds the pair inputs and activations in memory.
 # Blocks of 8,192 pairs scored all-pairs evaluation about 20% slower than one
@@ -101,12 +98,12 @@ def params_from_dict(kind: str, arrays: dict) -> dict[str, np.ndarray]:
 
 def init_params(
     kind: str,
-    k: int = DEFAULT_K,
-    hidden: int = DEFAULT_HIDDEN,
-    embed: int = DEFAULT_EMBED,
+    k: int,
+    hidden: int = ExperimentConfig.hidden,
+    embed: int = ExperimentConfig.embed,
     seed: int = 0,
 ) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights, zero biases, deterministic per seed."""
+    """Glorot-uniform weights, zero biases, deterministic per seed; ``k`` is the data's width."""
     if min(k, hidden, embed) <= 0:
         raise ValidationError(f"dims must be positive, got k={k} h={hidden} d={embed}")
     rng = np.random.default_rng(seed)

@@ -27,7 +27,7 @@ from .candidate import evaluate_candidates
 from .config import CandidateConfig, ExperimentConfig, SynthConfig, TrainConfig, check_cutoff
 from .data_io import NormParams, read_network, write_csv, write_text, zscore_apply, zscore_fit
 from .errors import StageError, ValidationError
-from .graph import NodeSplit, RanGraph, split_nodes
+from .graph import NodeSplit, RanGraph, key_pairs, pair_keys, split_nodes
 from .report import EvalReport
 from .synth import export, generate
 
@@ -90,14 +90,14 @@ class PairSet:
 
 
 def _labeled(graph: RanGraph, keys: np.ndarray) -> PairSet:
-    """PairSet for canonical pair keys ``i * N + j`` (i < j), in the given order."""
-    pairs = np.column_stack([keys // graph.n, keys % graph.n])
+    """PairSet for canonical ``pair_keys``, in the given order."""
+    pairs = key_pairs(keys, graph.n)
     return PairSet(pairs, graph.has_edges(pairs[:, 0], pairs[:, 1]).astype(np.int64))
 
 
 def _incident_keys(graph: RanGraph, eval_idx: np.ndarray) -> np.ndarray:
-    """Sorted keys of every (eval node, other node) pair; a pair of two eval
-    nodes is taken once, from its lower index."""
+    """Sorted keys of every (eval node, other node) pair, each once: a pair
+    of two (distinct) eval nodes is taken from its lower index."""
     n = graph.n
     is_eval = np.zeros(n, dtype=bool)
     is_eval[eval_idx] = True
@@ -105,7 +105,7 @@ def _incident_keys(graph: RanGraph, eval_idx: np.ndarray) -> np.ndarray:
     j = np.tile(np.arange(n, dtype=np.int64), len(eval_idx))
     keep = (j != e) & ~(is_eval[j] & (j < e))
     e, j = e[keep], j[keep]
-    return np.sort(np.minimum(e, j) * n + np.maximum(e, j))
+    return np.sort(pair_keys(e, j, n))
 
 
 def _positive_keys(graph: RanGraph, eval_idx: np.ndarray) -> np.ndarray:
@@ -131,7 +131,7 @@ def _rejection_negatives(
         batch = max(64, 2 * (needed - len(chosen)))
         es = eval_idx[rng.integers(0, len(eval_idx), size=batch)]
         js = rng.integers(0, n, size=batch)
-        keys = np.minimum(es, js) * n + np.maximum(es, js)
+        keys = pair_keys(es, js, n)
         valid = (js != es) & ~graph.has_edges(es, js) & ~np.isin(keys, chosen)
         keys = keys[valid]
         _, first = np.unique(keys, return_index=True)
@@ -147,18 +147,14 @@ def sample_pairs(
 
     Pairs are canonical: a pair between two eval nodes appears once.
     """
-    eval_idx = np.sort(np.array([graph.index_of(node) for node in eval_nodes], dtype=np.int64))
+    eval_idx = np.unique(graph.rows_of(eval_nodes))
     if not len(eval_idx):
         raise ValidationError("no evaluation nodes given")
     n = graph.n
 
     if isinstance(mode, CandidateFiltered):
-        index = graph.geo_index
-        keys = [np.empty(0, dtype=np.int64)]
-        for e in eval_idx.tolist():
-            cand, _ = index.query(index.coords[e], mode.config, exclude=e)
-            keys.append(np.minimum(e, cand) * n + np.maximum(e, cand))
-        return _labeled(graph, np.unique(np.concatenate(keys)))
+        rows, cand = graph.geo_index.query_rows(eval_idx, mode.config)
+        return _labeled(graph, np.unique(pair_keys(rows, cand, n)))
 
     if isinstance(mode, AllPairs):
         return _labeled(graph, _incident_keys(graph, eval_idx))
@@ -176,7 +172,7 @@ def sample_pairs(
     rng = np.random.default_rng(seed)
     if needed > available // 2:
         # dense case: enumerate everything and choose without replacement
-        pool = np.unique(_incident_keys(graph, eval_idx))
+        pool = _incident_keys(graph, eval_idx)
         pool = pool[~np.isin(pool, graph.edge_keys)]
         negatives = pool[rng.choice(len(pool), size=needed, replace=False)]
     else:
@@ -279,7 +275,7 @@ def mask_to_train_edges(graph: RanGraph, train_nodes) -> RanGraph:
     covering every node index.
     """
     is_train = np.zeros(graph.n, dtype=bool)
-    is_train[np.array([graph.index_of(node) for node in train_nodes], dtype=np.int64)] = True
+    is_train[graph.rows_of(train_nodes)] = True
     return graph.with_edges(is_train[graph.edge_array].all(axis=1))
 
 
@@ -289,8 +285,8 @@ def train(
     features_norm: np.ndarray,
     split: NodeSplit,
     cfg: TrainConfig,
-    hidden: int = models.DEFAULT_HIDDEN,
-    embed: int = models.DEFAULT_EMBED,
+    hidden: int = ExperimentConfig.hidden,
+    embed: int = ExperimentConfig.embed,
 ) -> TrainResult:
     """Train one model on balanced pairs from the masked training graph.
 
@@ -309,8 +305,7 @@ def train(
         raise ValidationError("training graph has no edges")
 
     # features aligned with the train graph's dense indices
-    train_rows = [graph.index_of(node) for node in train_graph.ids]
-    x_train = features_norm[train_rows]
+    x_train = features_norm[graph.rows_of(train_graph.ids)]
     k = x_train.shape[1]
 
     params = models.init_params(
@@ -469,8 +464,7 @@ def prepare_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Exp
         split = split_nodes(graph, cfg.split, seed=subseed(cfg.seed, "split"))
 
     with stage("normalize"):
-        train_rows = [graph.index_of(node) for node in split.train_nodes]
-        norm_params = zscore_fit(graph.features, train_rows)
+        norm_params = zscore_fit(graph.features, graph.rows_of(split.train_nodes))
         features_norm = zscore_apply(norm_params, graph.features).values
 
     return ExperimentData(

@@ -88,14 +88,14 @@ def generate(cfg: SynthConfig) -> GroundTruth:
     x[:, 6] = rng.uniform(*CAPACITY_RANGE, size=n)
     x[:, 7] = rng.normal(0.0, cfg.feature_noise, size=n)
 
-    # site pairs (s, t), s <= t, within the radius: one query per site of an
-    # index over the sites, not the cells
+    # site pairs (s, t), s <= t, within the radius, from an index over the
+    # sites, not the cells; build_graph sorts the edges they give
     sites = GeoIndex(np.column_stack([site_lat, site_lon]))
     near = CandidateConfig(k=cfg.sites, max_dist=cfg.radius_km)
-    site_t = [sites.query(sites.coords[s], near)[0] for s in range(cfg.sites)]
-    site_t = [t[t >= s] for s, t in enumerate(site_t)]
-    site_s = np.repeat(np.arange(cfg.sites), [len(t) for t in site_t])
-    site_t = np.concatenate(site_t)
+    site_s, site_t = sites.query_rows(np.arange(cfg.sites), near)
+    above = site_t > site_s
+    site_s = np.concatenate([site_s[above], np.arange(cfg.sites)])
+    site_t = np.concatenate([site_t[above], np.arange(cfg.sites)])
 
     # every cell pair (a, b) those site pairs span, a < b
     width = cells_per_site[site_t]

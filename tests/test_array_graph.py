@@ -48,7 +48,7 @@ def oracle_neighbor_mean(graph, x):
 
 
 def oracle_sample_pairs(graph, eval_nodes, mode, seed=0):
-    eval_idx = sorted(graph.index_of(node) for node in eval_nodes)
+    eval_idx = sorted(graph.rows_of(eval_nodes).tolist())
     eval_set = set(eval_idx)
     n = graph.n
     edges = edge_set(graph)

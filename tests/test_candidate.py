@@ -155,27 +155,39 @@ class TestEvaluateCandidates:
     def test_counts_match_exhaustive_enumeration(self):
         coords = [(0, 0), (0, 0.01), (0, 0.03), (0, 0.1)]
         edges = [(0, 1), (0, 3)]
-        g = make_graph(4, edges, coords=coords)
-        cfg = CandidateConfig(k=2, max_dist=3.0)
-        report = evaluate_candidates(g, g.ids, cfg)
-        # independent oracle: per eval node, compare candidate set to true
-        # neighbors over all ordered (eval, other) pairs
-        adjacency = adjacency_sets(g.n, edges)
-        tp = fp = fn = pairs = 0
-        for i in range(g.n):
-            predicted = {cid for cid, _ in brute_force_candidates(g, i, cfg)}
-            actual = {g.ids[j] for j in adjacency[i]}
-            for j in range(g.n):
-                if i == j:
-                    continue
-                pairs += 1
-                p, t = g.ids[j] in predicted, g.ids[j] in actual
-                tp += p and t
-                fp += p and not t
-                fn += t and not p
-        assert (report.tp, report.fp, report.fn) == (tp, fp, fn)
-        assert report.pairs == pairs
-        assert report.tn == pairs - tp - fp - fn
+        cases = [(make_graph(4, edges, coords=coords), range(4), CandidateConfig(k=2, max_dist=3.0))]
+        # random graphs in a small box, with site-mates, scored on eval subsets
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(2, 30))
+            sites = np.column_stack([rng.uniform(57.0, 57.05, n), rng.uniform(12.0, 12.05, n)])
+            coords = sites[rng.integers(0, n, n)].tolist()
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            edges = [pair for pair in pairs if rng.random() < 0.3]
+            eval_idx = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+            cfg = CandidateConfig(k=int(rng.integers(0, n + 1)), max_dist=float(rng.choice([0.0, 1.0, 3.0, math.inf])))
+            cases.append((make_graph(n, edges, coords=coords), eval_idx, cfg))
+        for g, eval_idx, cfg in cases:
+            report = evaluate_candidates(g, [g.ids[i] for i in eval_idx], cfg)
+            # independent oracle: per eval node, compare candidate set to true
+            # neighbors over all ordered (eval, other) pairs, so a pair of two
+            # eval nodes counts once per direction
+            adjacency = adjacency_sets(g.n, g.edge_array.tolist())
+            tp = fp = fn = pairs = 0
+            for i in eval_idx:
+                predicted = {cid for cid, _ in brute_force_candidates(g, i, cfg)}
+                actual = {g.ids[j] for j in adjacency[i]}
+                for j in range(g.n):
+                    if i == j:
+                        continue
+                    pairs += 1
+                    p, t = g.ids[j] in predicted, g.ids[j] in actual
+                    tp += p and t
+                    fp += p and not t
+                    fn += t and not p
+            assert (report.tp, report.fp, report.fn) == (tp, fp, fn)
+            assert report.pairs == pairs == len(eval_idx) * (g.n - 1)
+            assert report.tn == pairs - tp - fp - fn
 
     def test_empty_eval_set(self):
         g = make_graph(3, [(0, 1)])
@@ -249,14 +261,40 @@ SHIPPED_FILTER = CandidateConfig(k=60, max_dist=4.0)
 HALF_CIRCLE_KM = math.pi * EARTH_RADIUS_KM
 
 
+@pytest.fixture(scope="module")
+def predict_network_coords():
+    """(lat, lon) of the 1,500-site, 7,443-cell network of the predict benchmark workload."""
+    return generate(SynthConfig(sites=1500, bbox=(56.8, 59.036, 11.0, 15.472))).graph.features.coords()
+
+
 class TestGeoIndexMatchesScan:
-    def test_every_cell_of_the_predict_network(self):
-        # the 1,500-site, 7,443-cell network of the predict benchmark workload
-        cfg = SynthConfig(sites=1500, bbox=(56.8, 59.036, 11.0, 15.472))
-        coords = generate(cfg).graph.features.coords()
+    def test_every_cell_of_the_predict_network(self, predict_network_coords):
+        coords = predict_network_coords
         index = GeoIndex(coords)
         for i in range(len(coords)):
             assert_same_as_scan(index, coords, coords[i], SHIPPED_FILTER, exclude=i)
+
+    @pytest.mark.parametrize("cfg", [SHIPPED_FILTER, CandidateConfig(k=60), CandidateConfig(k=0)],
+                             ids=["shipped", "uncapped", "k0"])
+    def test_query_rows_is_the_per_row_loop(self, predict_network_coords, cfg):
+        coords = predict_network_coords
+        index = GeoIndex(coords)
+        rng = np.random.default_rng(9)
+        # every row in a shuffled order; the uncapped scan reads every cell per
+        # query, so it takes 300 random rows, repeats allowed
+        capped = cfg.max_dist < math.inf
+        rows = rng.permutation(len(coords)) if capped else rng.integers(0, len(coords), 300)
+        got_rows, got_cand = index.query_rows(rows, cfg)
+        want = [index.query(coords[r], cfg, exclude=r)[0] for r in rows.tolist()]
+        assert got_rows.dtype == got_cand.dtype == np.int64
+        assert np.array_equal(got_rows, np.repeat(rows, [len(w) for w in want]))
+        assert np.array_equal(got_cand, np.concatenate([np.empty(0, dtype=np.int64), *want]))
+        assert not (got_rows == got_cand).any()
+
+    def test_query_rows_of_no_rows(self, predict_network_coords):
+        got_rows, got_cand = GeoIndex(predict_network_coords).query_rows([], SHIPPED_FILTER)
+        assert got_rows.shape == got_cand.shape == (0,)
+        assert got_rows.dtype == got_cand.dtype == np.int64
 
     @pytest.mark.parametrize(
         "coords",

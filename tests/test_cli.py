@@ -359,13 +359,52 @@ def test_malformed_config_exit_2(tmp_path, capsys, command, text):
     argv = [command, "--config", config, "--out", str(tmp_path / "out")]
     if command == "eval":
         params = tmp_path / "params.json"
-        params.write_text(models.params_to_json(models.init_params(models.MLP_KIND, seed=0)))
+        params.write_text(models.params_to_json(models.init_params(models.MLP_KIND, k=8, seed=0)))
         argv += ["--params", str(params)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err
     if isinstance(text, bytes):
         assert f"{config} is not UTF-8 text" in err
+
+
+# every kind of input file -> the command that reads it, from the file paths
+# of an experiment bundle and an output directory; a UTF-8 byte-order mark at
+# the start of the file changes nothing the command prints or writes
+BOM_INPUTS = {
+    "cells_csv": lambda f, out: ["candidates", "--cells", f["cells_csv"], "--edges", f["edges_csv"],
+                                 "--k", "10", "--eval-split", "0.8,0.1,0.1"],
+    "edges_csv": lambda f, out: ["candidates", "--cells", f["cells_csv"], "--edges", f["edges_csv"], "--k", "10"],
+    "config": lambda f, out: ["synth", "--config", f["config"], "--out", out],
+    **{name: lambda f, out: ["predict", "--params", f["params"], "--norm-params", f["norm_params"],
+                             "--cells", f["cells_csv"], "--edges", f["edges_csv"],
+                             "--new-cell", f["new_cell"], "--cutoff", "0"]
+       for name in ("new_cell", "params", "norm_params")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOM_INPUTS))
+def test_byte_order_mark_is_skipped(experiment_bundle, tmp_path, capsys, name):
+    _, bundle = experiment_bundle
+    header, first_row = (bundle / "data" / "cells.csv").read_text().splitlines()[:2]
+    new_cell = dict(zip(header.split(",")[1:], map(float, first_row.split(",")[1:])))
+    files = {
+        "cells_csv": str(bundle / "data" / "cells.csv"), "edges_csv": str(bundle / "data" / "edges.csv"),
+        "config": write_json(tmp_path / "synth.json", SYNTH_CFG),
+        "new_cell": write_json(tmp_path / "new.json", new_cell),
+        "params": str(bundle / "params_mlp.json"), "norm_params": str(bundle / "norm_params.json"),
+    }
+
+    def run(files, out):
+        code = main(BOM_INPUTS[name](files, str(out)))
+        written = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
+        return code, capsys.readouterr(), written
+
+    code, plain, written = run(files, tmp_path / "plain")
+    with open(files[name], "rb") as fh:
+        bom = write_file(tmp_path / f"bom_{name}", b"\xef\xbb\xbf" + fh.read())
+    assert code == 0 and plain.err == ""
+    assert run({**files, name: bom}, tmp_path / "bom") == (0, plain, written)
 
 
 # --new-cell file text made from a valid cell's raw features

@@ -26,11 +26,11 @@ STD_123 = math.sqrt(2.0 / 3.0)
 
 class TestParseCells:
     def test_single_row(self):
-        ids, fm, mask = parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\na,0,0,1.5\n"))
+        ids, fm = parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\na,0,0,1.5\n"))
         assert ids == ["a"]
         assert fm.columns == ("lat", "lon", "f1")
         assert fm.values.tolist() == [[0.0, 0.0, 1.5]]
-        assert not mask.any()
+        assert not np.isnan(fm.values).any()
 
     def test_duplicate_id(self):
         text = "cell_id,lat,lon,f1\na,0,0,1\na,1,1,2\n"
@@ -60,22 +60,22 @@ class TestParseCells:
             parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\na,0,0\n"))
 
     def test_blank_lines_skipped(self):
-        ids, fm, _ = parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\n\na,0,0,1\n \n"))
+        ids, fm = parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\n\na,0,0,1\n \n"))
         assert ids == ["a"] and fm.values.tolist() == [[0.0, 0.0, 1.0]]
 
     def test_missing_values_masked(self):
-        ids, fm, mask = parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\na,0,0,\nb,1,1,2\n"))
-        assert mask.tolist() == [[False, False, True], [False, False, False]]
+        ids, fm = parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\na,0,0,\nb,1,1,2\n"))
+        # NaN is the one mark of a missing value
+        assert np.isnan(fm.values).tolist() == [[False, False, True], [False, False, False]]
 
     @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400", "abc"])
     def test_non_finite_values_masked(self, field):
-        ids, fm, mask = parse_cells_csv(io.StringIO(f"cell_id,lat,lon,f1\na,0,0,{field}\nb,{field},1,2\n"))
-        assert mask.tolist() == [[False, False, True], [True, False, False]]
-        assert np.isnan(fm.values[mask]).all()
+        ids, fm = parse_cells_csv(io.StringIO(f"cell_id,lat,lon,f1\na,0,0,{field}\nb,{field},1,2\n"))
+        assert np.isnan(fm.values).tolist() == [[False, False, True], [True, False, False]]
         # a missing value follows the missing-data policy like an empty field
-        filled, _ = apply_missing_policy(fm, mask, MissingPolicy.FILL_COLUMN_MEAN)
+        filled, _ = apply_missing_policy(fm, MissingPolicy.FILL_COLUMN_MEAN)
         assert filled.values.tolist() == [[0.0, 0.0, 2.0], [0.0, 1.0, 2.0]]
-        _, kept = apply_missing_policy(fm, mask, MissingPolicy.DROP_ROW)
+        _, kept = apply_missing_policy(fm, MissingPolicy.DROP_ROW)
         assert kept == []
 
 
@@ -114,45 +114,39 @@ class TestParseEdges:
 
 class TestMissingPolicy:
     def test_fill_column_mean(self):
-        fm = make_features([(0, 0), (0, 1), (0, 2)], extra=[[1.0], [5.0], [3.0]])
-        mask = np.zeros((3, 3), dtype=bool)
-        mask[1, 2] = True
-        out, kept = apply_missing_policy(fm, mask, MissingPolicy.FILL_COLUMN_MEAN)
+        fm = make_features([(0, 0), (0, 1), (0, 2)], extra=[[1.0], [math.nan], [3.0]])
+        out, kept = apply_missing_policy(fm, MissingPolicy.FILL_COLUMN_MEAN)
         # mean of {1, 3} = 2
         assert out.values[1, 2] == 2.0
         assert kept == [0, 1, 2]
 
     def test_drop_row(self):
-        fm = make_features([(0, 0), (0, 1)], extra=[[1.0, 2.0], [0.0, 4.0]])
-        mask = np.zeros((2, 4), dtype=bool)
-        mask[1, 2] = True
-        out, kept = apply_missing_policy(fm, mask, MissingPolicy.DROP_ROW)
+        fm = make_features([(0, 0), (0, 1)], extra=[[1.0, 2.0], [math.nan, 4.0]])
+        out, kept = apply_missing_policy(fm, MissingPolicy.DROP_ROW)
         assert kept == [0]
         assert out.values.shape == (1, 4)
 
     def test_no_missing_identity(self):
         fm = make_features([(0, 0), (0, 1)], extra=[[1.0], [2.0]])
-        mask = np.zeros((2, 3), dtype=bool)
         for policy in MissingPolicy:
-            out, kept = apply_missing_policy(fm, mask, policy)
+            out, kept = apply_missing_policy(fm, policy)
             assert out.values.tolist() == fm.values.tolist()
             assert kept == [0, 1]
 
     def test_fill_preserves_non_missing_bits(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(10, 4))
-        fm = FeatureMatrix(("lat", "lon", "a", "b"), values)
         mask = rng.random((10, 4)) < 0.2
         mask[:, 0] = False  # keep a valid column somewhere
-        out, _ = apply_missing_policy(fm, mask, MissingPolicy.FILL_COLUMN_MEAN)
+        values[mask] = math.nan
+        fm = FeatureMatrix(("lat", "lon", "a", "b"), values)
+        out, _ = apply_missing_policy(fm, MissingPolicy.FILL_COLUMN_MEAN)
         assert np.array_equal(out.values[~mask], fm.values[~mask])
 
     def test_all_missing_column(self):
-        fm = make_features([(0, 0), (0, 1)], extra=[[1.0], [2.0]])
-        mask = np.zeros((2, 3), dtype=bool)
-        mask[:, 2] = True
+        fm = make_features([(0, 0), (0, 1)], extra=[[math.nan], [math.nan]])
         with pytest.raises(ValidationError, match="column 'f0' has no values"):
-            apply_missing_policy(fm, mask, MissingPolicy.FILL_COLUMN_MEAN)
+            apply_missing_policy(fm, MissingPolicy.FILL_COLUMN_MEAN)
 
 
 class TestZScore:
@@ -241,11 +235,11 @@ class TestRoundTrip:
         ids = [f"cell{i}" for i in range(15)]
         write_cells_csv(tmp_path / "cells.csv", ids, fm)
         with open(tmp_path / "cells.csv") as fh:
-            ids2, fm2, mask = parse_cells_csv(fh)
+            ids2, fm2 = parse_cells_csv(fh)
         assert ids2 == ids
         assert fm2.columns == fm.columns
         assert np.array_equal(fm2.values, fm.values)
-        assert not mask.any()
+        assert not np.isnan(fm2.values).any()
 
     def test_edges_round_trip(self, tmp_path):
         write_edges_csv(tmp_path / "edges.csv", [("a", "b"), ("c", "d")])

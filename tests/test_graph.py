@@ -3,7 +3,7 @@ import pytest
 
 from conftest import csr_neighbors, edge_set, make_features, make_graph, random_graph
 from ran_topo.errors import ValidationError
-from ran_topo.graph import build_graph, remove_nodes, split_nodes
+from ran_topo.graph import build_graph, key_pairs, pair_keys, remove_nodes, split_nodes
 
 
 class TestBuildGraph:
@@ -43,6 +43,28 @@ class TestBuildGraph:
         g = build_graph(ids, [tuple(ids)], make_features([(0, 0), (0, 1)]))
         with pytest.raises(ValidationError, match="unknown cell id"):
             g.index_of(node)
+        with pytest.raises(ValidationError, match="unknown cell id"):
+            g.rows_of([ids[0], node])
+
+    def test_rows_of_keeps_order_and_repeats(self):
+        g = build_graph(["a", "b", "c"], [], make_features([(0, 0), (0, 1), (0, 2)]))
+        rows = g.rows_of(["c", "a", "c"])
+        assert rows.dtype == np.int64 and rows.tolist() == [2, 0, 2]
+        assert g.rows_of(()).dtype == np.int64 and g.rows_of(()).shape == (0,)
+
+
+class TestPairKeys:
+    def test_one_key_per_unordered_pair_and_back(self):
+        n = 7
+        i, j = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        keys = pair_keys(i, j, n)
+        assert np.array_equal(keys, pair_keys(j, i, n))
+        pairs = key_pairs(keys, n)
+        assert np.array_equal(pairs, np.column_stack([np.minimum(i, j), np.maximum(i, j)]))
+        # (min, max) order is key order, and distinct pairs get distinct keys
+        lower = i < j
+        assert np.array_equal(np.argsort(keys[lower]), np.lexsort((j[lower], i[lower])))
+        assert len(np.unique(keys)) == n * (n + 1) // 2
 
 
 class TestRemoveNodes:

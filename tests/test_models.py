@@ -197,14 +197,14 @@ class TestScoreBlocks:
 
 class TestInitParams:
     def test_same_seed_identical(self):
-        a = models.init_params("gnn", seed=11)
-        b = models.init_params("gnn", seed=11)
+        a = models.init_params("gnn", k=8, seed=11)
+        b = models.init_params("gnn", k=8, seed=11)
         for name, arr in a.items():
             assert np.array_equal(arr, b[name])
 
     def test_different_seeds_differ(self):
-        a = models.init_params("mlp", seed=1)
-        b = models.init_params("mlp", seed=2)
+        a = models.init_params("mlp", k=8, seed=1)
+        b = models.init_params("mlp", k=8, seed=2)
         assert not np.array_equal(a["w1"], b["w1"])
 
     def test_glorot_bounds(self):
@@ -216,11 +216,11 @@ class TestInitParams:
             assert np.all(params["b" + layer] == 0.0)
 
     def test_default_paper_shapes(self):
-        mlp = models.init_params("mlp")
+        mlp = models.init_params("mlp", k=8)
         assert mlp["w1"].shape == (64, 16)
         assert mlp["w2"].shape == (64, 64)
         assert mlp["w3"].shape == (1, 64)
-        gnn = models.init_params("gnn")
+        gnn = models.init_params("gnn", k=8)
         assert gnn["ws"].shape == (64, 16)
         # concat of two 64-dim embeddings: the head widens to 128 inputs
         assert gnn["w1"].shape == (64, 128)
@@ -229,7 +229,7 @@ class TestInitParams:
         with pytest.raises(ValidationError, match="dims must be positive, got k=0"):
             models.init_params("mlp", k=0)
         with pytest.raises(ValidationError, match="unknown model kind 'vae'"):
-            models.init_params("vae")
+            models.init_params("vae", k=8)
 
 
 class TestConstructionEquivalence:
@@ -322,8 +322,8 @@ class TestParamsFromDict:
         assert all(arr.dtype == np.float64 for arr in params.values())
 
     def test_kind_is_read_from_the_keys(self):
-        assert models.kind_of(models.init_params("mlp", seed=0)) == "mlp"
-        assert models.kind_of(models.init_params("gnn", seed=0)) == "gnn"
+        assert models.kind_of(models.init_params("mlp", k=8, seed=0)) == "mlp"
+        assert models.kind_of(models.init_params("gnn", k=8, seed=0)) == "gnn"
 
 
 class TestSerialization:

@@ -69,7 +69,7 @@ class TestSamplePairs:
             except ValidationError as exc:
                 assert "negative pairs but only" in str(exc)
                 continue
-            eval_idx = {g.index_of(node) for node in eval_nodes}
+            eval_idx = set(g.rows_of(eval_nodes).tolist())
             edges = edge_set(g)
             for (i, j), y in zip(ps.pairs.tolist(), ps.labels.tolist()):
                 assert i < j
@@ -128,6 +128,17 @@ class TestSamplePairs:
         g = make_graph(3, [(0, 1)])
         with pytest.raises(ValidationError, match="no evaluation nodes given"):
             sample_pairs(g, [], Balanced())
+
+    @pytest.mark.parametrize("mode", [Balanced(), AllPairs(), CandidateFiltered(CandidateConfig(k=4))],
+                             ids=["balanced", "all_pairs", "candidate_filtered"])
+    def test_repeated_eval_node_counts_once(self, mode):
+        # dense and sparse graphs, so both of Balanced's negative samplers run
+        for edge_prob in (0.1, 0.45):
+            g = random_graph(np.random.default_rng(5), max_nodes=14, edge_prob=edge_prob)
+            once = sample_pairs(g, g.ids[:3], mode, seed=1)
+            repeated = sample_pairs(g, [g.ids[1], *g.ids[:3], g.ids[0]], mode, seed=1)
+            assert np.array_equal(repeated.pairs, once.pairs)
+            assert np.array_equal(repeated.labels, once.labels)
 
 
 class TestAuc:
@@ -281,8 +292,7 @@ def experiment_fixture(seed=13):
     split = split_nodes(graph, (0.7, 0.15, 0.15), seed=1)
     from ran_topo.data_io import zscore_apply, zscore_fit
 
-    train_rows = [graph.index_of(node) for node in split.train_nodes]
-    norm = zscore_fit(graph.features, train_rows)
+    norm = zscore_fit(graph.features, graph.rows_of(split.train_nodes))
     x = zscore_apply(norm, graph.features).values
     return graph, split, x, norm
 

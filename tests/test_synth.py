@@ -212,10 +212,10 @@ class TestExport:
         gt = generate(small_config(seed=40))
         export(gt, tmp_path)
         with open(tmp_path / "cells.csv") as fh:
-            ids, features, mask = parse_cells_csv(fh)
+            ids, features = parse_cells_csv(fh)
         with open(tmp_path / "edges.csv") as fh:
             edges = parse_edges_csv(fh)
-        assert not mask.any()
+        assert not np.isnan(features.values).any()
         rebuilt = build_graph(ids, edges, features)
         assert rebuilt.ids == gt.graph.ids
         assert np.array_equal(rebuilt.edge_array, gt.graph.edge_array)

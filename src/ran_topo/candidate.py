@@ -41,8 +41,6 @@ def geo_distance(a, b) -> float:
 
 def _distances_to_all(coords: np.ndarray, point) -> np.ndarray:
     """Vectorized distances from one (lat, lon) point to every row of coords."""
-    if coords.size == 0:
-        return np.empty(0)
     lat1 = math.radians(point[0])
     lon1 = math.radians(point[1])
     lat2 = np.radians(coords[:, 0])

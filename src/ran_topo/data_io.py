@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .graph import CellId, FeatureMatrix, RanGraph, build_graph
+from .graph import CellId, FeatureMatrix, RanGraph, build_graph, remove_nodes
 
 # std below this is treated as a constant column and normalizes to zero
 DEGENERATE_STD = 1e-12
@@ -207,9 +207,9 @@ def apply_missing_policy(features: FeatureMatrix, policy: MissingPolicy) -> tupl
 def read_network(cells_path, edges_path, policy: MissingPolicy | None = None) -> RanGraph:
     """The network in a cells.csv and an edges.csv file: the one reader.
 
-    With no policy a missing feature value raises ValidationError. With a
-    policy it is resolved by ``apply_missing_policy``, and the edges of
-    dropped rows are dropped with them.
+    Every edge must name two listed cells. With no policy a missing feature
+    value raises ValidationError; a policy resolves it by
+    ``apply_missing_policy``, and a dropped row's edges go with it.
     """
     with open_input(cells_path) as fh:
         ids, features = parse_cells_csv(fh)
@@ -222,11 +222,10 @@ def read_network(cells_path, edges_path, policy: MissingPolicy | None = None) ->
                 "config with a missing_policy instead"
             )
         return build_graph(ids, edge_pairs, features)
-    features, kept = apply_missing_policy(features, policy)
-    kept_ids = [ids[i] for i in kept]
-    kept_set = set(kept_ids)
-    edge_pairs = [(a, b) for a, b in edge_pairs if a in kept_set and b in kept_set]
-    return build_graph(kept_ids, edge_pairs, features)
+    resolved, kept = apply_missing_policy(features, policy)
+    dropped = [ids[i] for i in sorted(set(range(len(ids))) - set(kept))]
+    graph = remove_nodes(build_graph(ids, edge_pairs, features), dropped)
+    return RanGraph(graph.ids, graph.edge_array, resolved)
 
 
 @dataclass(frozen=True)

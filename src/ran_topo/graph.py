@@ -172,10 +172,6 @@ class RanGraph:
         """Edges as external-id pairs, sorted by index pair."""
         return [(self.ids[i], self.ids[j]) for i, j in self.edge_array.tolist()]
 
-    def with_edges(self, keep: np.ndarray) -> "RanGraph":
-        """Same nodes and features, only the edges selected by a boolean mask."""
-        return RanGraph(self.ids, self.edge_array[keep], self.features, self._index)
-
 
 def build_graph(
     nodes: list[CellId],
@@ -232,12 +228,11 @@ def remove_nodes(graph: RanGraph, removed) -> RanGraph:
 
 @dataclass(frozen=True)
 class NodeSplit:
-    """Disjoint train/val/test node sets plus the edge-masked training graph."""
+    """Disjoint train/val/test cell lists, each in graph order."""
 
     train_nodes: tuple[CellId, ...]
     val_nodes: tuple[CellId, ...]
     test_nodes: tuple[CellId, ...]
-    train_graph: RanGraph
 
 
 def check_ratios(ratios) -> None:
@@ -251,11 +246,10 @@ def check_ratios(ratios) -> None:
 
 
 def split_nodes(graph: RanGraph, ratios, seed: int) -> NodeSplit:
-    """Seeded uniform node split with masked training graph.
+    """Seeded uniform node split.
 
     Val/test sizes are floor(N * ratio); remainder nodes go to train. A
     split with no validation cell is refused; an empty test set is allowed.
-    The training graph keeps only edges with both endpoints in the train set.
     """
     check_ratios(ratios)
     _, val_r, test_r = ratios
@@ -276,10 +270,8 @@ def split_nodes(graph: RanGraph, ratios, seed: int) -> NodeSplit:
     val_idx = sorted(order[n_train : n_train + n_val].tolist())
     test_idx = sorted(order[n_train + n_val :].tolist())
 
-    masked = remove_nodes(graph, [graph.ids[i] for i in val_idx + test_idx])
     return NodeSplit(
         train_nodes=tuple(graph.ids[i] for i in train_idx),
         val_nodes=tuple(graph.ids[i] for i in val_idx),
         test_nodes=tuple(graph.ids[i] for i in test_idx),
-        train_graph=masked,
     )

@@ -14,6 +14,9 @@ import numpy as np
 from .errors import ValidationError
 
 BCE_EPS = 1e-12
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def sigmoid(x):
@@ -23,8 +26,6 @@ def sigmoid(x):
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -34,10 +35,7 @@ def bce_loss(p, y):
     if not np.all((y_arr == 0) | (y_arr == 1)):
         raise ValidationError("labels must be 0 or 1")
     p_arr = np.clip(np.asarray(p, dtype=np.float64), BCE_EPS, 1.0 - BCE_EPS)
-    loss = -(y_arr * np.log(p_arr) + (1.0 - y_arr) * np.log(1.0 - p_arr))
-    if loss.ndim == 0:
-        return float(loss)
-    return loss
+    return -(y_arr * np.log(p_arr) + (1.0 - y_arr) * np.log(1.0 - p_arr))
 
 
 def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -51,9 +49,6 @@ class AdamState:
     the parameters ``adam_step`` flattens; None before the first step."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -82,14 +77,14 @@ def adam_step(
     state.step += 1
     t = state.step
     # m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g, in place
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * g * g
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * g * g
     # flat -= (lr m_hat) / (sqrt(v_hat) + eps); flat is a fresh copy
-    update = state.m / (1.0 - state.beta1**t)
+    update = state.m / (1.0 - ADAM_BETA1**t)
     update *= state.lr
-    update /= np.sqrt(state.v / (1.0 - state.beta2**t)) + state.eps
+    update /= np.sqrt(state.v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS
     flat -= update
     new_params, start = {}, 0
     for name, value in params.items():

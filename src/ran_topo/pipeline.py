@@ -27,7 +27,8 @@ from .candidate import evaluate_candidates
 from .config import CandidateConfig, ExperimentConfig, SynthConfig, TrainConfig, check_cutoff
 from .data_io import NormParams, read_network, write_csv, write_text, zscore_apply, zscore_fit
 from .errors import StageError, ValidationError
-from .graph import NodeSplit, RanGraph, key_pairs, pair_keys, split_nodes
+from .graph import NodeSplit, RanGraph, key_pairs, pair_keys, remove_nodes, split_nodes
+from .neural import AdamState, adam_step
 from .report import EvalReport
 from .synth import export, generate
 
@@ -276,7 +277,7 @@ def mask_to_train_edges(graph: RanGraph, train_nodes) -> RanGraph:
     """
     is_train = np.zeros(graph.n, dtype=bool)
     is_train[graph.rows_of(train_nodes)] = True
-    return graph.with_edges(is_train[graph.edge_array].all(axis=1))
+    return RanGraph(graph.ids, graph.edge_array[is_train[graph.edge_array].all(axis=1)], graph.features)
 
 
 def train(
@@ -288,7 +289,7 @@ def train(
     hidden: int = ExperimentConfig.hidden,
     embed: int = ExperimentConfig.embed,
 ) -> TrainResult:
-    """Train one model on balanced pairs from the masked training graph.
+    """Train one model on balanced pairs among the split's training cells.
 
     Each positive and sampled negative pair is presented in both concat
     orders. The training graph's ``models.model_input`` is computed once per
@@ -296,11 +297,9 @@ def train(
     through ``make_scorer``, as ``eval`` does. Returns the parameters of the
     epoch with the best balanced validation accuracy.
     """
-    from .neural import AdamState, adam_step
-
     if not split.train_nodes:
         raise ValidationError("no training nodes")
-    train_graph = split.train_graph
+    train_graph = remove_nodes(graph, split.val_nodes + split.test_nodes)
     if not train_graph.num_edges:
         raise ValidationError("training graph has no edges")
 
@@ -324,10 +323,12 @@ def train(
     shuffle_rng = np.random.default_rng(subseed(cfg.seed, "shuffle"))
 
     history: list[dict] = []
-    best_acc = -1.0
     best_epoch = -1
     best_params = params  # adam_step returns new arrays: a reference is a snapshot
-    since_best = 0
+
+    def accuracy_at(epoch: int) -> float:
+        # -1.0 before a best epoch: a NaN accuracy (no validation pairs) is never best
+        return history[epoch]["val_accuracy"] if epoch >= 0 else -1.0
 
     for epoch in range(cfg.epochs):
         neg_seed = sample_rng_seed + epoch if cfg.resample_negatives else sample_rng_seed
@@ -354,21 +355,17 @@ def train(
         history.append(
             {"epoch": epoch, "train_loss": train_loss, "val_accuracy": val_acc}
         )
-        if val_acc > best_acc:
-            best_acc = val_acc
+        if val_acc > accuracy_at(best_epoch):
             best_epoch = epoch
             best_params = params
-            since_best = 0
-        else:
-            since_best += 1
-            if cfg.patience is not None and since_best >= cfg.patience:
-                break
+        elif cfg.patience is not None and epoch - best_epoch >= cfg.patience:
+            break
 
     return TrainResult(
         params=best_params,
         history=history,
         best_epoch=best_epoch,
-        best_val_accuracy=best_acc,
+        best_val_accuracy=accuracy_at(best_epoch),
     )
 
 
@@ -475,7 +472,7 @@ def prepare_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Exp
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     data: ExperimentData
-    candidate_reports: list  # (CandidateConfig, EvalReport)
+    candidate_reports: list  # EvalReport per candidate config
     model_results: dict  # kind -> TrainResult
     model_reports: dict  # (kind, mode name) -> EvalReport
 
@@ -516,7 +513,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     data = prepare_experiment(cfg, out_dir)
     with stage("candidate"):
         cand_reports = [
-            (cand_cfg, evaluate_candidates(data.graph, data.split.val_nodes, cand_cfg))
+            evaluate_candidates(data.graph, data.split.val_nodes, cand_cfg)
             for cand_cfg in cfg.candidate_configs
         ]
 
@@ -564,8 +561,7 @@ def write_reports(out_dir: str, model_reports: dict) -> None:
 def summary_rows(result: ExperimentResult) -> list[tuple[str, str, EvalReport]]:
     """(model, mode, report) per summary line: candidate baselines first."""
     return [
-        (f"candidate(k={cfg.k},m={cfg.max_dist})", "all_pairs", report)
-        for cfg, report in result.candidate_reports
+        (report.mode, "all_pairs", report) for report in result.candidate_reports
     ] + [(kind, mode, report) for (kind, mode), report in result.model_reports.items()]
 
 
@@ -579,7 +575,7 @@ def write_bundle(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) 
     os.makedirs(reports_dir, exist_ok=True)
     write_text(os.path.join(out_dir, "config.json"), json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     write_models(out_dir, result.model_results, result.data.norm_params)
-    for idx, (_, report) in enumerate(result.candidate_reports):
+    for idx, report in enumerate(result.candidate_reports):
         write_text(os.path.join(reports_dir, f"candidate_{idx}.json"), report.to_json())
     write_reports(reports_dir, result.model_reports)
     write_csv(

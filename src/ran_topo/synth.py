@@ -118,10 +118,9 @@ def generate(cfg: SynthConfig) -> GroundTruth:
     return GroundTruth(graph=graph, config=cfg, site_of=tuple(site_of.tolist()))
 
 
-def export(gt: GroundTruth, out_dir) -> tuple[str, str]:
+def export(gt: GroundTruth, out_dir) -> None:
     """Write cells.csv and edges.csv; re-ingestion reproduces the graph."""
     cells_path = os.path.join(out_dir, "cells.csv")
     edges_path = os.path.join(out_dir, "edges.csv")
     write_cells_csv(cells_path, gt.graph.ids, gt.graph.features)
     write_edges_csv(edges_path, gt.graph.edge_list())
-    return cells_path, edges_path

@@ -336,6 +336,21 @@ def test_candidates_defaults_to_the_experiment_seed(tmp_path, capsys):
     assert report.read_bytes() == (out / "reports" / "candidate_0.json").read_bytes()
 
 
+@pytest.mark.parametrize("policy", ["drop_row", "fill_column_mean"])
+def test_edge_to_an_unlisted_cell_exit_2(experiment_bundle, tmp_path, capsys, policy):
+    """Every edge must name a listed cell under a missing-value policy too,
+    as ``candidates`` requires; a policy used to drop such an edge silently."""
+    _, bundle = experiment_bundle
+    cells = bundle / "data" / "cells.csv"
+    first_id = cells.read_text().splitlines()[1].split(",")[0]
+    edges = write_file(tmp_path / "edges.csv", (bundle / "data" / "edges.csv").read_text() + f"{first_id},NOPE\n")
+    data = {"cells_csv": str(cells), "edges_csv": edges, "missing_policy": policy}
+    cfg = write_json(tmp_path / "exp.json", {**EXPERIMENT_CFG, "data": data})
+    code = main(["experiment", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: [data] edge endpoint 'NOPE' is not a node"]
+
+
 # (subcommand, --config file text or bytes) pairs that used to end in a
 # traceback, or in an error line naming no file
 MALFORMED_CONFIGS = [

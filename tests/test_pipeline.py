@@ -325,6 +325,30 @@ class TestTrain:
         assert calls == [kind]
         assert models.kind_of(result.params) == kind
 
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_trains_on_training_cells_only(self, kind, monkeypatch):
+        # the optimizer's input is built once, over the training cells and
+        # the edges among them: no held-out cell or relation is in it
+        graph, split, x, _ = experiment_fixture()
+        calls = []
+        original = models.model_input
+
+        def spy(params, x_in, g=None, rows=None):
+            calls.append((x_in, g))
+            return original(params, x_in, g, rows)
+
+        monkeypatch.setattr(models, "model_input", spy)
+        train(kind, graph, x, split, TrainConfig(epochs=1, batch_size=128, seed=3), hidden=8, embed=8)
+        trained = [(x_in, g) for x_in, g in calls if g is not graph]
+        assert len(trained) == 1
+        x_train, train_graph = trained[0]
+        assert train_graph.ids == split.train_nodes
+        assert np.array_equal(x_train, x[graph.rows_of(split.train_nodes)])
+        train_cells = set(split.train_nodes)
+        among = {frozenset(e) for e in graph.edge_list() if train_cells.issuperset(e)}
+        assert 0 < len(among) < graph.num_edges
+        assert {frozenset(e) for e in train_graph.edge_list()} == among
+
     def test_deterministic(self):
         graph, split, x, _ = experiment_fixture()
         cfg = TrainConfig(epochs=3, batch_size=128, seed=5)
@@ -491,7 +515,7 @@ class TestRunExperiment:
         result = pipeline.run_experiment(ExperimentConfig.from_dict(self.small_config()), str(tmp_path))
         assert len(result.candidate_reports) == 2
         # unlimited candidate list catches every true neighbor
-        assert result.candidate_reports[0][1].recall == 1.0
+        assert result.candidate_reports[0].recall == 1.0
         assert set(result.model_results) == {"mlp", "gnn"}
         assert set(result.model_reports) == {
             (kind, mode)

@@ -93,11 +93,9 @@ def cmd_train(args) -> int:
     kinds = [args.model] if args.model != "both" else [models.MLP_KIND, models.GNN_KIND]
     results = {}
     for kind in kinds:
-        results[kind] = result = pipeline.train_model(kind, data, cfg)
-        log.info(
-            "%s: best val accuracy %.4f at epoch %d",
-            kind, result.best_val_accuracy, result.best_epoch,
-        )
+        results[kind] = result = pipeline.train(kind, data, cfg)
+        best_accuracy = result.history[result.best_epoch]["val_accuracy"]
+        log.info("%s: best val accuracy %.4f at epoch %d", kind, best_accuracy, result.best_epoch)
     with pipeline.stage("write"):
         pipeline.write_models(args.out, results, data.norm_params)
     return EXIT_OK

@@ -137,7 +137,6 @@ class TrainConfig(_Section):
     epochs: int = 6
     batch_size: int = 512
     learning_rate: float = 1e-3
-    seed: int = 0  # an experiment derives it per model kind from its own seed
     resample_negatives: bool = True
     patience: int | None = None
 

@@ -2,10 +2,11 @@
 (balanced, all-pairs, candidate-filtered), AUC, new-node prediction, and the
 end-to-end experiment runner.
 
-``train_model``, ``evaluate_model`` and ``write_models`` are the one
+``train``, ``evaluate_model`` and ``write_models`` are the one
 config -> train -> evaluate -> write path: ``run_experiment`` and the
 ``train`` and ``eval`` subcommands all go through them, so both model kinds
-are trained, scored and written by the same code.
+are trained, scored and written by the same code. Training validates each
+epoch through ``evaluate``, the function that writes the reports.
 
 Everything is seeded: one experiment seed fans out into named stage
 sub-seeds, so any stage can be reproduced on its own and a full run is
@@ -18,13 +19,13 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import models
 from .candidate import evaluate_candidates
-from .config import CandidateConfig, ExperimentConfig, SynthConfig, TrainConfig, check_cutoff
+from .config import CandidateConfig, ExperimentConfig, SynthConfig, check_cutoff
 from .data_io import NormParams, read_network, write_csv, write_text, zscore_apply, zscore_fit
 from .errors import StageError, ValidationError
 from .graph import NodeSplit, RanGraph, key_pairs, pair_keys, remove_nodes, split_nodes
@@ -266,7 +267,6 @@ class TrainResult:
     params: dict[str, np.ndarray]
     history: list[dict]  # epoch, train_loss, val_accuracy
     best_epoch: int
-    best_val_accuracy: float
 
 
 def mask_to_train_edges(graph: RanGraph, train_nodes) -> RanGraph:
@@ -280,93 +280,73 @@ def mask_to_train_edges(graph: RanGraph, train_nodes) -> RanGraph:
     return RanGraph(graph.ids, graph.edge_array[is_train[graph.edge_array].all(axis=1)], graph.features)
 
 
-def train(
-    kind: str,
-    graph: RanGraph,
-    features_norm: np.ndarray,
-    split: NodeSplit,
-    cfg: TrainConfig,
-    hidden: int = ExperimentConfig.hidden,
-    embed: int = ExperimentConfig.embed,
-) -> TrainResult:
-    """Train one model on balanced pairs among the split's training cells.
+def train(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult:
+    """Train one model kind on balanced pairs among the split's training
+    cells, with the config's ``train`` section and dims, on a seed derived
+    from the experiment's; failures carry the stage ``train_<kind>``.
 
     Each positive and sampled negative pair is presented in both concat
     orders. The training graph's ``models.model_input`` is computed once per
-    call. Each epoch scores the validation pairs over the deployed graph
-    through ``make_scorer``, as ``eval`` does. Returns the parameters of the
-    epoch with the best balanced validation accuracy.
+    call. Each epoch is validated by ``evaluate``: balanced pairs of the
+    validation cells, scored over the deployed graph at the config's
+    cutoff, as ``eval`` does. Returns the parameters of the epoch with the
+    best validation accuracy.
     """
-    if not split.train_nodes:
-        raise ValidationError("no training nodes")
-    train_graph = remove_nodes(graph, split.val_nodes + split.test_nodes)
-    if not train_graph.num_edges:
-        raise ValidationError("training graph has no edges")
+    with stage(f"train_{kind}"):
+        graph, split, train_cfg = data.graph, data.split, cfg.train
+        seed = subseed(cfg.seed, f"train_{kind}")
+        if not split.train_nodes:
+            raise ValidationError("no training nodes")
+        train_graph = remove_nodes(graph, split.val_nodes + split.test_nodes)
+        if not train_graph.num_edges:
+            raise ValidationError("training graph has no edges")
+        if not graph.degree[graph.rows_of(split.val_nodes)].any():
+            raise ValidationError("no validation cell has a relation")
 
-    # features aligned with the train graph's dense indices
-    x_train = features_norm[graph.rows_of(train_graph.ids)]
-    k = x_train.shape[1]
-
-    params = models.init_params(
-        kind, k=k, hidden=hidden, embed=embed, seed=subseed(cfg.seed, "init")
-    )
-    adam = AdamState(lr=cfg.learning_rate)
-
-    # fixed balanced validation pair set; embeddings for validation come from
-    # the full deployed graph, mirroring how the model is used at inference
-    val_pairs = sample_pairs(
-        graph, split.val_nodes, Balanced(), seed=subseed(cfg.seed, "val_pairs")
-    )
-    train_input = models.model_input(params, x_train, train_graph)
-
-    sample_rng_seed = subseed(cfg.seed, "negatives")
-    shuffle_rng = np.random.default_rng(subseed(cfg.seed, "shuffle"))
-
-    history: list[dict] = []
-    best_epoch = -1
-    best_params = params  # adam_step returns new arrays: a reference is a snapshot
-
-    def accuracy_at(epoch: int) -> float:
-        # -1.0 before a best epoch: a NaN accuracy (no validation pairs) is never best
-        return history[epoch]["val_accuracy"] if epoch >= 0 else -1.0
-
-    for epoch in range(cfg.epochs):
-        neg_seed = sample_rng_seed + epoch if cfg.resample_negatives else sample_rng_seed
-        epoch_pairs = sample_pairs(
-            train_graph, train_graph.ids, Balanced(), seed=neg_seed
+        # features aligned with the train graph's dense indices
+        x_train = data.features_norm[graph.rows_of(train_graph.ids)]
+        params = models.init_params(
+            kind, k=x_train.shape[1], hidden=cfg.hidden, embed=cfg.embed, seed=subseed(seed, "init")
         )
-        # both concat orders for every pair
-        ordered = np.concatenate([epoch_pairs.pairs, epoch_pairs.pairs[:, ::-1]])
-        labels = np.concatenate([epoch_pairs.labels, epoch_pairs.labels]).astype(np.float64)
-        order = shuffle_rng.permutation(len(ordered))
-        ordered, labels = ordered[order], labels[order]
+        adam = AdamState(lr=train_cfg.learning_rate)
+        train_input = models.model_input(params, x_train, train_graph)
 
-        total_loss = 0.0
-        for start in range(0, len(ordered), cfg.batch_size):
-            batch = slice(start, start + cfg.batch_size)
-            loss, grads = models.loss_and_grads(params, train_input, ordered[batch], labels[batch])
-            total_loss += loss * len(labels[batch])
-            params, adam = adam_step(params, grads, adam)
-        train_loss = total_loss / len(labels)
+        sample_rng_seed = subseed(seed, "negatives")
+        shuffle_rng = np.random.default_rng(subseed(seed, "shuffle"))
 
-        val_scores = make_scorer(params, features_norm, graph)(val_pairs.pairs)
-        val_acc = float(np.mean((val_scores >= ExperimentConfig.cutoff) == (val_pairs.labels == 1)))
+        history: list[dict] = []
+        best_epoch, best_params = -1, params  # adam_step returns new arrays: a reference is a snapshot
+        for epoch in range(train_cfg.epochs):
+            neg_seed = sample_rng_seed + epoch if train_cfg.resample_negatives else sample_rng_seed
+            epoch_pairs = sample_pairs(
+                train_graph, train_graph.ids, Balanced(), seed=neg_seed
+            )
+            # both concat orders for every pair
+            ordered = np.concatenate([epoch_pairs.pairs, epoch_pairs.pairs[:, ::-1]])
+            labels = np.concatenate([epoch_pairs.labels, epoch_pairs.labels]).astype(np.float64)
+            order = shuffle_rng.permutation(len(ordered))
+            ordered, labels = ordered[order], labels[order]
 
-        history.append(
-            {"epoch": epoch, "train_loss": train_loss, "val_accuracy": val_acc}
-        )
-        if val_acc > accuracy_at(best_epoch):
-            best_epoch = epoch
-            best_params = params
-        elif cfg.patience is not None and epoch - best_epoch >= cfg.patience:
-            break
+            total_loss = 0.0
+            for start in range(0, len(ordered), train_cfg.batch_size):
+                batch = slice(start, start + train_cfg.batch_size)
+                loss, grads = models.loss_and_grads(params, train_input, ordered[batch], labels[batch])
+                total_loss += loss * len(labels[batch])
+                params, adam = adam_step(params, grads, adam)
 
-    return TrainResult(
-        params=best_params,
-        history=history,
-        best_epoch=best_epoch,
-        best_val_accuracy=accuracy_at(best_epoch),
-    )
+            val_acc = evaluate(
+                make_scorer(params, data.features_norm, graph), graph, split.val_nodes,
+                Balanced(), cfg.cutoff, seed=subseed(seed, "val_pairs"),
+            ).accuracy
+            history.append(
+                {"epoch": epoch, "train_loss": total_loss / len(labels), "val_accuracy": val_acc}
+            )
+            if best_epoch < 0 or val_acc > history[best_epoch]["val_accuracy"]:
+                best_epoch, best_params = epoch, params
+            elif train_cfg.patience is not None and epoch - best_epoch >= train_cfg.patience:
+                break
+
+        return TrainResult(params=best_params, history=history, best_epoch=best_epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -477,17 +457,6 @@ class ExperimentResult:
     model_reports: dict  # (kind, mode name) -> EvalReport
 
 
-def train_model(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult:
-    """Train one model kind with the config's ``train`` section and dims, on
-    a seed derived from the experiment's; failures carry ``train_<kind>``."""
-    with stage(f"train_{kind}"):
-        train_cfg = replace(cfg.train, seed=subseed(cfg.seed, f"train_{kind}"))
-        return train(
-            kind, data.graph, data.features_norm, data.split, train_cfg,
-            hidden=cfg.hidden, embed=cfg.embed,
-        )
-
-
 def evaluate_model(params: dict[str, np.ndarray], data: ExperimentData, cfg: ExperimentConfig) -> dict:
     """(kind, mode name) -> EvalReport for the three evaluation modes over
     the validation cells, with the config's cutoff and candidate ``filter``.
@@ -520,7 +489,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     model_results: dict = {}
     model_reports: dict = {}
     for kind in (models.MLP_KIND, models.GNN_KIND):
-        model_results[kind] = train_model(kind, data, cfg)
+        model_results[kind] = train(kind, data, cfg)
         model_reports.update(evaluate_model(model_results[kind].params, data, cfg))
 
     result = ExperimentResult(

@@ -1,4 +1,6 @@
+import csv
 import json
+import logging
 
 import pytest
 
@@ -26,6 +28,7 @@ EXPERIMENT_CFG = {
     "train": {"epochs": 3, "batch_size": 256, "learning_rate": 1e-3},
     "cutoff": 0.5,
 }
+EPOCHS = EXPERIMENT_CFG["train"]["epochs"]
 
 
 def write_json(path, obj):
@@ -256,11 +259,13 @@ STAGE_FAILURES = {
     "split": (lambda config, out, mp: mp.setattr(pipeline, "split_nodes", _raiser(ValidationError("broken"))), 2),
     "normalize": (lambda config, out, mp: mp.setattr(pipeline, "zscore_fit", _raiser(InternalError("broken"))), 4),
     "candidate": (lambda config, out, mp: mp.setattr(pipeline, "evaluate_candidates", _raiser(ValidationError("broken"))), 2),
-    "train_mlp": (lambda config, out, mp: _fail_after(mp, "train", 0, ValidationError("broken")), 2),
-    "train_gnn": (lambda config, out, mp: _fail_after(mp, "train", 1, InternalError("broken")), 4),
-    "eval_mlp": (lambda config, out, mp: _fail_after(mp, "evaluate", 0, ValidationError("broken")), 2),
-    # one evaluate call per mode: balanced, all_pairs, candidate_filtered
-    "eval_gnn": (lambda config, out, mp: _fail_after(mp, "evaluate", 3, OSError("disk gone")), 3),
+    # train() builds its training graph with one remove_nodes call
+    "train_mlp": (lambda config, out, mp: _fail_after(mp, "remove_nodes", 0, ValidationError("broken")), 2),
+    "train_gnn": (lambda config, out, mp: _fail_after(mp, "remove_nodes", 1, InternalError("broken")), 4),
+    # one evaluate call per training epoch (validation), then one per mode:
+    # balanced, all_pairs, candidate_filtered
+    "eval_mlp": (lambda config, out, mp: _fail_after(mp, "evaluate", EPOCHS, ValidationError("broken")), 2),
+    "eval_gnn": (lambda config, out, mp: _fail_after(mp, "evaluate", 2 * EPOCHS + 3, OSError("disk gone")), 3),
     "write": (_reports_dir_is_a_file, 3),
 }
 
@@ -455,6 +460,20 @@ class TestOnePath:
         assert main(["train", "--config", cfg, "--out", str(out), "--model", "both"]) == 0
         for name in ("norm_params.json", "params_mlp.json", "params_gnn.json", "history_mlp.csv", "history_gnn.csv"):
             assert (out / name).read_bytes() == (bundle / name).read_bytes(), name
+
+    def test_train_logs_the_best_history_row(self, experiment_bundle, tmp_path, monkeypatch, caplog):
+        """Under RAN_TOPO_LOG=INFO, ``train`` logs each kind's best epoch and
+        its validation accuracy: the first history row with the top accuracy."""
+        cfg, _ = experiment_bundle
+        out = tmp_path / "model"
+        monkeypatch.setenv("RAN_TOPO_LOG", "INFO")
+        caplog.set_level(logging.INFO, logger="ran_topo")
+        assert main(["train", "--config", cfg, "--out", str(out), "--model", "both"]) == 0
+        for kind in ("mlp", "gnn"):
+            with open(out / f"history_{kind}.csv", newline="") as fh:
+                best = max(csv.DictReader(fh), key=lambda row: float(row["val_accuracy"]))
+            line = f"{kind}: best val accuracy {float(best['val_accuracy']):.4f} at epoch {best['epoch']}"
+            assert line in caplog.messages
 
     @pytest.mark.parametrize("kind", ["mlp", "gnn"])
     def test_eval_reproduces_the_experiment_reports(self, experiment_bundle, tmp_path, kind):

@@ -4,14 +4,14 @@ import pytest
 from conftest import edge_set, make_graph, random_graph
 from ran_topo import models, pipeline
 from ran_topo.candidate import CandidateConfig
-from ran_topo.config import ExperimentConfig
-from ran_topo.errors import ValidationError
-from ran_topo.graph import split_nodes
+from ran_topo.config import ExperimentConfig, TrainConfig
+from ran_topo.data_io import zscore_apply, zscore_fit
+from ran_topo.errors import StageError, ValidationError
+from ran_topo.graph import NodeSplit, split_nodes
 from ran_topo.pipeline import (
     AllPairs,
     Balanced,
     CandidateFiltered,
-    TrainConfig,
     auc,
     evaluate,
     make_scorer,
@@ -290,28 +290,36 @@ def experiment_fixture(seed=13):
     gt = generate(cfg)
     graph = gt.graph
     split = split_nodes(graph, (0.7, 0.15, 0.15), seed=1)
-    from ran_topo.data_io import zscore_apply, zscore_fit
-
     norm = zscore_fit(graph.features, graph.rows_of(split.train_nodes))
     x = zscore_apply(norm, graph.features).values
     return graph, split, x, norm
 
 
+def train_on(kind, fixture, seed, cutoff=0.5, hidden=8, embed=8, **train_keys):
+    """``train`` on an experiment fixture, with the experiment seed ``seed``
+    and the ``train`` section ``train_keys``."""
+    graph, split, x, norm = fixture
+    data = pipeline.ExperimentData(graph=graph, split=split, norm_params=norm, features_norm=x)
+    cfg = ExperimentConfig(seed=seed, hidden=hidden, embed=embed, cutoff=cutoff, train=TrainConfig(**train_keys))
+    return train(kind, data, cfg)
+
+
+def kind_seed(seed, kind, name):
+    """The sub-seed ``train`` derives for ``name`` from the experiment seed."""
+    return subseed(subseed(seed, f"train_{kind}"), name)
+
+
 class TestTrain:
     def test_lr_zero_keeps_init_params(self):
-        graph, split, x, _ = experiment_fixture()
-        cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=0.0, seed=3)
-        result = train("mlp", graph, x, split, cfg, hidden=8)
-        init = models.init_params(
-            "mlp", k=x.shape[1], hidden=8, seed=subseed(cfg.seed, "init")
-        )
+        _, _, x, _ = fixture = experiment_fixture()
+        result = train_on("mlp", fixture, 3, epochs=2, batch_size=64, learning_rate=0.0)
+        init = models.init_params("mlp", k=x.shape[1], hidden=8, seed=kind_seed(3, "mlp", "init"))
         for name, arr in result.params.items():
             assert np.array_equal(arr, init[name])
 
     @pytest.mark.parametrize("kind", ["mlp", "gnn"])
     def test_params_validated_once(self, kind, monkeypatch):
         # the optimizer steps on the validated dict; only init builds params
-        graph, split, x, _ = experiment_fixture()
         calls = []
         original = models.params_from_dict
 
@@ -320,8 +328,7 @@ class TestTrain:
             return original(kind, arrays)
 
         monkeypatch.setattr(models, "params_from_dict", counting)
-        cfg = TrainConfig(epochs=2, batch_size=64, seed=3)
-        result = train(kind, graph, x, split, cfg, hidden=8, embed=8)
+        result = train_on(kind, experiment_fixture(), 3, epochs=2, batch_size=64)
         assert calls == [kind]
         assert models.kind_of(result.params) == kind
 
@@ -329,7 +336,7 @@ class TestTrain:
     def test_trains_on_training_cells_only(self, kind, monkeypatch):
         # the optimizer's input is built once, over the training cells and
         # the edges among them: no held-out cell or relation is in it
-        graph, split, x, _ = experiment_fixture()
+        graph, split, x, norm = fixture = experiment_fixture()
         calls = []
         original = models.model_input
 
@@ -338,7 +345,7 @@ class TestTrain:
             return original(params, x_in, g, rows)
 
         monkeypatch.setattr(models, "model_input", spy)
-        train(kind, graph, x, split, TrainConfig(epochs=1, batch_size=128, seed=3), hidden=8, embed=8)
+        train_on(kind, fixture, 3, epochs=1, batch_size=128)
         trained = [(x_in, g) for x_in, g in calls if g is not graph]
         assert len(trained) == 1
         x_train, train_graph = trained[0]
@@ -350,53 +357,73 @@ class TestTrain:
         assert {frozenset(e) for e in train_graph.edge_list()} == among
 
     def test_deterministic(self):
-        graph, split, x, _ = experiment_fixture()
-        cfg = TrainConfig(epochs=3, batch_size=128, seed=5)
-        a = train("gnn", graph, x, split, cfg, hidden=8, embed=8)
-        b = train("gnn", graph, x, split, cfg, hidden=8, embed=8)
+        fixture = experiment_fixture()
+        a = train_on("gnn", fixture, 5, epochs=3, batch_size=128)
+        b = train_on("gnn", fixture, 5, epochs=3, batch_size=128)
         assert a.history == b.history
         for name, arr in a.params.items():
             assert np.array_equal(arr, b.params[name])
 
     def test_loss_decreases_on_separable_problem(self):
-        graph, split, x, _ = experiment_fixture()
-        cfg = TrainConfig(epochs=30, batch_size=256, seed=7, resample_negatives=False)
-        result = train("mlp", graph, x, split, cfg, hidden=16)
+        result = train_on(
+            "mlp", experiment_fixture(), 7, hidden=16, epochs=30, batch_size=256, resample_negatives=False
+        )
         losses = [row["train_loss"] for row in result.history]
         assert losses[-1] < losses[0] * 0.8
-        assert result.best_val_accuracy > 0.6
+        assert result.history[result.best_epoch]["val_accuracy"] > 0.6
 
     def test_history_schema_and_best_epoch(self):
-        graph, split, x, _ = experiment_fixture()
-        cfg = TrainConfig(epochs=4, batch_size=128, seed=8)
-        result = train("mlp", graph, x, split, cfg, hidden=8)
+        result = train_on("mlp", experiment_fixture(), 8, epochs=4, batch_size=128)
         assert [row["epoch"] for row in result.history] == [0, 1, 2, 3]
         accs = [row["val_accuracy"] for row in result.history]
-        assert result.best_val_accuracy == max(accs)
         assert result.best_epoch == accs.index(max(accs))
 
-    @pytest.mark.parametrize("kind, seed", [("mlp", 5), ("gnn", 4)])
+    @pytest.mark.parametrize("kind, seed", [("mlp", 0), ("gnn", 10)])
     def test_best_val_accuracy_is_the_scorers(self, kind, seed):
         # validation scores the deployed graph the way evaluation does; at
         # these seeds the best epoch is not the last, so the returned params
         # must be that epoch's
-        graph, split, x, _ = experiment_fixture()
-        cfg = TrainConfig(epochs=4, batch_size=128, seed=seed)
-        result = train(kind, graph, x, split, cfg, hidden=8, embed=8)
+        graph, split, x, _ = fixture = experiment_fixture()
+        result = train_on(kind, fixture, seed, epochs=4, batch_size=128)
         assert result.best_epoch < len(result.history) - 1
         report = evaluate(
             make_scorer(result.params, x, graph), graph, split.val_nodes, Balanced(),
-            seed=subseed(cfg.seed, "val_pairs"),
+            seed=kind_seed(seed, kind, "val_pairs"),
         )
-        assert result.history[result.best_epoch]["val_accuracy"] == result.best_val_accuracy
-        assert result.best_val_accuracy == report.accuracy
+        assert result.history[result.best_epoch]["val_accuracy"] == report.accuracy
+
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_best_epoch_is_picked_at_the_config_cutoff(self, kind):
+        # the validation accuracy of the best epoch is the one evaluation
+        # reports at the config's cutoff, which here differs from 0.5's
+        graph, split, x, _ = fixture = experiment_fixture()
+        result = train_on(kind, fixture, 3, cutoff=0.7, epochs=4, batch_size=128)
+        scorer = make_scorer(result.params, x, graph)
+        at = {
+            cutoff: evaluate(
+                scorer, graph, split.val_nodes, Balanced(), cutoff, seed=kind_seed(3, kind, "val_pairs")
+            ).accuracy
+            for cutoff in (0.5, 0.7)
+        }
+        assert at[0.7] != at[0.5]
+        assert result.history[result.best_epoch]["val_accuracy"] == at[0.7]
 
     def test_patience_stops_early(self):
-        graph, split, x, _ = experiment_fixture()
-        cfg = TrainConfig(epochs=50, batch_size=128, learning_rate=0.0, seed=9, patience=2)
-        result = train("mlp", graph, x, split, cfg, hidden=8)
+        result = train_on(
+            "mlp", experiment_fixture(), 9, epochs=50, batch_size=128, learning_rate=0.0, patience=2
+        )
         # lr 0 never improves after the first epoch
         assert len(result.history) == 3
+
+    def test_refuses_validation_cells_without_relations(self):
+        # the one validation cell is isolated: no epoch could be judged
+        graph = make_graph(12, [(i, i + 1) for i in range(10)], extra=np.arange(12.0))
+        split = NodeSplit(train_nodes=graph.ids[:11], val_nodes=(graph.ids[11],), test_nodes=())
+        norm = zscore_fit(graph.features, graph.rows_of(split.train_nodes))
+        fixture = (graph, split, zscore_apply(norm, graph.features).values, norm)
+        with pytest.raises(StageError, match=r"^\[train_mlp\] no validation cell has a relation$") as info:
+            train_on("mlp", fixture, 0, epochs=3, batch_size=8)
+        assert isinstance(info.value.cause, ValidationError)
 
 
 class TestMaskToTrainEdges:

@@ -28,17 +28,6 @@ EARTH_RADIUS_KM = 6371.0
 BAD_COORDS = "{} need finite coordinates with latitude in [-90, 90]"
 
 
-def geo_distance(a, b) -> float:
-    """Haversine distance in km, on a sphere of radius 6371 km, between two
-    (lat, lon) points in degrees."""
-    lat1, lon1, lat2, lon2 = map(math.radians, (a[0], a[1], b[0], b[1]))
-    s = (
-        math.sin((lat2 - lat1) / 2) ** 2
-        + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(s)))
-
-
 def _distances_to_all(coords: np.ndarray, point) -> np.ndarray:
     """Vectorized distances from one (lat, lon) point to every row of coords."""
     lat1 = math.radians(point[0])

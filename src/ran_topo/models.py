@@ -337,7 +337,7 @@ def params_from_json(text: str) -> dict[str, np.ndarray]:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"params file is not valid JSON: {exc}") from None
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind not in _PARAM_ARRAYS:
+    if not isinstance(kind, str) or kind not in _PARAM_ARRAYS:
         raise ValidationError(f"params kind must be {MLP_KIND!r} or {GNN_KIND!r}, got {kind!r}")
     specs = obj.get("arrays")
     if not isinstance(specs, dict):

@@ -5,8 +5,9 @@ end-to-end experiment runner.
 ``train``, ``evaluate_model`` and ``write_models`` are the one
 config -> train -> evaluate -> write path: ``run_experiment`` and the
 ``train`` and ``eval`` subcommands all go through them, so both model kinds
-are trained, scored and written by the same code. Training validates each
-epoch through ``evaluate``, the function that writes the reports.
+are trained, scored and written by the same code. Training draws its
+validation pairs once and scores them each epoch through ``score_pairs``, the
+function behind every report ``evaluate`` writes.
 
 Everything is seeded: one experiment seed fans out into named stage
 sub-seeds, so any stage can be reproduced on its own and a full run is
@@ -87,14 +88,15 @@ def mode_name(mode: PairMode) -> str:
 class PairSet:
     """Labeled node-index pairs; label 1 iff the pair is an edge."""
 
+    mode: str  # mode_name of the mode that drew them
     pairs: np.ndarray  # (B, 2) int
     labels: np.ndarray  # (B,) int
 
 
-def _labeled(graph: RanGraph, keys: np.ndarray) -> PairSet:
+def _labeled(graph: RanGraph, keys: np.ndarray, mode: PairMode) -> PairSet:
     """PairSet for canonical ``pair_keys``, in the given order."""
     pairs = key_pairs(keys, graph.n)
-    return PairSet(pairs, graph.has_edges(pairs[:, 0], pairs[:, 1]).astype(np.int64))
+    return PairSet(mode_name(mode), pairs, graph.has_edges(pairs[:, 0], pairs[:, 1]).astype(np.int64))
 
 
 def _incident_keys(graph: RanGraph, eval_idx: np.ndarray) -> np.ndarray:
@@ -156,10 +158,10 @@ def sample_pairs(
 
     if isinstance(mode, CandidateFiltered):
         rows, cand = graph.geo_index.query_rows(eval_idx, mode.config)
-        return _labeled(graph, np.unique(pair_keys(rows, cand, n)))
+        return _labeled(graph, np.unique(pair_keys(rows, cand, n)), mode)
 
     if isinstance(mode, AllPairs):
-        return _labeled(graph, _incident_keys(graph, eval_idx))
+        return _labeled(graph, _incident_keys(graph, eval_idx), mode)
 
     positives = _positive_keys(graph, eval_idx)
     needed = len(positives)
@@ -180,7 +182,7 @@ def sample_pairs(
     else:
         negatives = _rejection_negatives(graph, eval_idx, needed, rng)
 
-    return _labeled(graph, np.concatenate([positives, np.sort(negatives)]))
+    return _labeled(graph, np.concatenate([positives, np.sort(negatives)]), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +226,12 @@ def make_scorer(
     return lambda pairs: models.symmetric_score_batch(params, rows, pairs)
 
 
-def evaluate(
-    scorer,
-    graph: RanGraph,
-    eval_nodes,
-    mode: PairMode,
-    cutoff: float = ExperimentConfig.cutoff,
-    seed: int = 0,
-) -> EvalReport:
-    """Score sampled pairs, threshold at the cutoff, report counts and AUC.
+def score_pairs(scorer, pair_set: PairSet, cutoff: float) -> EvalReport:
+    """Score a pair set, threshold at the cutoff, report counts and AUC.
 
     ``scorer`` is any callable mapping an (B, 2) index-pair array to
     probabilities, such as the symmetric one ``make_scorer`` builds.
     """
-    check_cutoff(cutoff)
-    pair_set = sample_pairs(graph, eval_nodes, mode, seed=seed)
-    if pair_set.pairs.size == 0:
-        return EvalReport(
-            mode=mode_name(mode), cutoff=cutoff, pairs=0,
-            tp=0, fp=0, tn=0, fn=0,
-            accuracy=0.0, precision=0.0, recall=0.0, auc=None,
-        )
     scores = np.asarray(scorer(pair_set.pairs), dtype=np.float64)
     predicted = scores >= cutoff
     actual = pair_set.labels == 1
@@ -255,8 +242,21 @@ def evaluate(
     # AUC is undefined when every pair is one class
     auc_value = auc(scores, pair_set.labels) if actual.any() and not actual.all() else None
     return EvalReport.from_counts(
-        mode=mode_name(mode), cutoff=cutoff, tp=tp, fp=fp, tn=tn, fn=fn, auc=auc_value
+        mode=pair_set.mode, cutoff=cutoff, tp=tp, fp=fp, tn=tn, fn=fn, auc=auc_value
     )
+
+
+def evaluate(
+    scorer,
+    graph: RanGraph,
+    eval_nodes,
+    mode: PairMode,
+    cutoff: float = ExperimentConfig.cutoff,
+    seed: int = 0,
+) -> EvalReport:
+    """``score_pairs`` on the pairs ``sample_pairs`` draws."""
+    check_cutoff(cutoff)
+    return score_pairs(scorer, sample_pairs(graph, eval_nodes, mode, seed=seed), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +287,8 @@ def train(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult
 
     Each positive and sampled negative pair is presented in both concat
     orders. The training graph's ``models.model_input`` is computed once per
-    call. Each epoch is validated by ``evaluate``: balanced pairs of the
-    validation cells, scored over the deployed graph at the config's
+    call. The validation cells' balanced pairs are drawn once; each epoch
+    ``score_pairs`` scores them over the deployed graph at the config's
     cutoff, as ``eval`` does. Returns the parameters of the epoch with the
     best validation accuracy.
     """
@@ -300,7 +300,8 @@ def train(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult
         train_graph = remove_nodes(graph, split.val_nodes + split.test_nodes)
         if not train_graph.num_edges:
             raise ValidationError("training graph has no edges")
-        if not graph.degree[graph.rows_of(split.val_nodes)].any():
+        val_pairs = sample_pairs(graph, split.val_nodes, Balanced(), seed=subseed(seed, "val_pairs"))
+        if not val_pairs.labels.any():
             raise ValidationError("no validation cell has a relation")
 
         # features aligned with the train graph's dense indices
@@ -334,10 +335,7 @@ def train(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult
                 total_loss += loss * len(labels[batch])
                 params, adam = adam_step(params, grads, adam)
 
-            val_acc = evaluate(
-                make_scorer(params, data.features_norm, graph), graph, split.val_nodes,
-                Balanced(), cfg.cutoff, seed=subseed(seed, "val_pairs"),
-            ).accuracy
+            val_acc = score_pairs(make_scorer(params, data.features_norm, graph), val_pairs, cfg.cutoff).accuracy
             history.append(
                 {"epoch": epoch, "train_loss": total_loss / len(labels), "val_accuracy": val_acc}
             )

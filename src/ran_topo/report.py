@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .errors import InternalError
-
 
 def safe_ratio(num: int, den: int) -> float:
     """num/den with 0 for an empty denominator, so reports stay numeric."""
@@ -41,8 +39,6 @@ class EvalReport:
         auc: float | None,
     ) -> "EvalReport":
         total = tp + fp + tn + fn
-        if total <= 0:
-            raise InternalError("evaluation produced zero pairs")
         return cls(
             mode=mode,
             cutoff=cutoff,

@@ -47,10 +47,9 @@ CAPACITY_RANGE = (50.0, 500.0)
 
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Generated graph plus the oracle rule parameters that produced it."""
+    """Generated graph plus each cell's site, which the oracle rule reads."""
 
     graph: RanGraph
-    config: SynthConfig
     site_of: tuple[int, ...] = field(repr=False)  # site index per cell
 
 
@@ -115,7 +114,7 @@ def generate(cfg: SynthConfig) -> GroundTruth:
     id_of = np.array(ids, dtype=object)
     edges = zip(id_of[a[keep]].tolist(), id_of[b[keep]].tolist())
     graph = build_graph(ids, edges, FeatureMatrix(FEATURE_COLUMNS, x))
-    return GroundTruth(graph=graph, config=cfg, site_of=tuple(site_of.tolist()))
+    return GroundTruth(graph=graph, site_of=tuple(site_of.tolist()))
 
 
 def export(gt: GroundTruth, out_dir) -> None:

@@ -13,9 +13,10 @@ import pytest
 from scipy.stats import rankdata
 
 from conftest import adjacency_sets, csr_neighbors, edge_set, make_graph
+from geo_oracle import geo_distance
 from grad_oracle import grad_check, make_loss_fn
 from ran_topo import models, pipeline
-from ran_topo.candidate import CandidateConfig, candidates, evaluate_candidates, geo_distance
+from ran_topo.candidate import CandidateConfig, candidates, evaluate_candidates
 from ran_topo.cli import main as cli_main
 from ran_topo.config import ExperimentConfig
 from ran_topo.synth import SITE_MEAN_RULE, SynthConfig, generate
@@ -145,8 +146,8 @@ class TestCriterion3:
     def test_criterion_3_candidate_recall(self):
         t0 = time.monotonic()
         cfg = ExperimentConfig().to_dict()
-        gt = generate(SynthConfig.from_dict(cfg["data"]["synthetic"]))
-        graph = gt.graph
+        synth_cfg = SynthConfig.from_dict(cfg["data"]["synthetic"])
+        graph = generate(synth_cfg).graph
         from ran_topo.graph import split_nodes
 
         split = split_nodes(
@@ -157,7 +158,7 @@ class TestCriterion3:
         )
         shrunk = evaluate_candidates(
             graph, split.val_nodes,
-            CandidateConfig(k=graph.n, max_dist=gt.config.radius_km / 2.0),
+            CandidateConfig(k=graph.n, max_dist=synth_cfg.radius_km / 2.0),
         )
         elapsed = time.monotonic() - t0
         ok = unlimited.recall == 1.0 and shrunk.recall < 1.0 and elapsed < 10.0

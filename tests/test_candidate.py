@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import adjacency_sets, make_graph
+from geo_oracle import geo_distance
 from ran_topo.candidate import (
     EARTH_RADIUS_KM,
     CandidateConfig,
@@ -12,7 +13,6 @@ from ran_topo.candidate import (
     candidates,
     candidates_for_new,
     evaluate_candidates,
-    geo_distance,
 )
 from ran_topo.config import SynthConfig
 from ran_topo.errors import ValidationError

@@ -28,7 +28,6 @@ EXPERIMENT_CFG = {
     "train": {"epochs": 3, "batch_size": 256, "learning_rate": 1e-3},
     "cutoff": 0.5,
 }
-EPOCHS = EXPERIMENT_CFG["train"]["epochs"]
 
 
 def write_json(path, obj):
@@ -262,10 +261,10 @@ STAGE_FAILURES = {
     # train() builds its training graph with one remove_nodes call
     "train_mlp": (lambda config, out, mp: _fail_after(mp, "remove_nodes", 0, ValidationError("broken")), 2),
     "train_gnn": (lambda config, out, mp: _fail_after(mp, "remove_nodes", 1, InternalError("broken")), 4),
-    # one evaluate call per training epoch (validation), then one per mode:
-    # balanced, all_pairs, candidate_filtered
-    "eval_mlp": (lambda config, out, mp: _fail_after(mp, "evaluate", EPOCHS, ValidationError("broken")), 2),
-    "eval_gnn": (lambda config, out, mp: _fail_after(mp, "evaluate", 2 * EPOCHS + 3, OSError("disk gone")), 3),
+    # training validates through score_pairs; evaluation calls evaluate once
+    # per mode: balanced, all_pairs, candidate_filtered
+    "eval_mlp": (lambda config, out, mp: _fail_after(mp, "evaluate", 0, ValidationError("broken")), 2),
+    "eval_gnn": (lambda config, out, mp: _fail_after(mp, "evaluate", 3, OSError("disk gone")), 3),
     "write": (_reports_dir_is_a_file, 3),
 }
 
@@ -741,6 +740,7 @@ PARAM_DEFECTS = {
     "not_json": lambda obj: "{",  # a defect returning text or bytes replaces the whole file
     "not_utf8": lambda obj: b"\xff",
     "unknown_kind": lambda obj: obj.update(kind="cnn"),
+    "kind_not_a_string": lambda obj: obj.update(kind=["mlp"]),
     "arrays_not_an_object": lambda obj: obj.update(arrays=[]),
     "shape_not_a_list": lambda obj: obj["arrays"]["w1"].update(shape=6),
     "non_numeric_data": lambda obj: obj["arrays"]["w1"]["data"].__setitem__(0, "x"),

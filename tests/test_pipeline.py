@@ -21,6 +21,7 @@ from ran_topo.pipeline import (
     subseed,
     train,
 )
+from ran_topo.report import EvalReport
 from ran_topo.synth import SynthConfig, generate
 
 
@@ -227,8 +228,10 @@ class TestEvaluate:
             lambda p: np.zeros(len(p)), g, ["n3"],
             CandidateFiltered(CandidateConfig(k=0)),
         )
-        assert rep.pairs == 0
-        assert rep.auc is None
+        assert rep == EvalReport(
+            mode="candidate_filtered", cutoff=0.5, pairs=0, tp=0, fp=0, tn=0, fn=0,
+            accuracy=0.0, precision=0.0, recall=0.0, auc=None,
+        )
 
     def test_single_class_auc_none(self):
         g = make_graph(4, [])
@@ -371,6 +374,23 @@ class TestTrain:
         losses = [row["train_loss"] for row in result.history]
         assert losses[-1] < losses[0] * 0.8
         assert result.history[result.best_epoch]["val_accuracy"] > 0.6
+
+    def test_draws_validation_pairs_once(self, monkeypatch):
+        # every epoch scores the one validation pair set; only the training
+        # pairs are drawn per epoch
+        _, split, _, _ = fixture = experiment_fixture()
+        calls = []
+        original = pipeline.sample_pairs
+
+        def spy(g, eval_nodes, mode, seed=0):
+            calls.append(tuple(eval_nodes))
+            return original(g, eval_nodes, mode, seed=seed)
+
+        monkeypatch.setattr(pipeline, "sample_pairs", spy)
+        result = train_on("gnn", fixture, 3, epochs=4, batch_size=128)
+        assert len(result.history) == 4
+        assert calls.count(tuple(split.val_nodes)) == 1
+        assert len(calls) == 1 + len(result.history)
 
     def test_history_schema_and_best_epoch(self):
         result = train_on("mlp", experiment_fixture(), 8, epochs=4, batch_size=128)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import adjacency_sets, csr_neighbors, edge_set
-from ran_topo.candidate import geo_distance
+from geo_oracle import geo_distance
 from ran_topo.data_io import parse_cells_csv, parse_edges_csv
 from ran_topo.errors import ValidationError
 from ran_topo.graph import build_graph
@@ -21,10 +21,9 @@ from ran_topo.synth import (
 )
 
 
-def brute_force_edges(gt: GroundTruth) -> set:
-    """Independent O(N^2) re-evaluation of the oracle rule."""
+def brute_force_edges(gt: GroundTruth, cfg: SynthConfig) -> set:
+    """Independent O(N^2) re-evaluation of the oracle rule ``cfg`` names."""
     g = gt.graph
-    cfg = gt.config
     x = g.features.values
     coords = g.features.coords()
     band = g.features.column("band")
@@ -111,16 +110,18 @@ class TestRules:
 
     @pytest.mark.parametrize("case", sorted(BRUTE_FORCE_CASES))
     def test_band_rule_brute_force(self, case):
-        gt = generate(SynthConfig(**{**BRUTE_FORCE_CASES[case], "edge_rule": BAND_RULE}))
-        expected = brute_force_edges(gt)
+        cfg = SynthConfig(**{**BRUTE_FORCE_CASES[case], "edge_rule": BAND_RULE})
+        gt = generate(cfg)
+        expected = brute_force_edges(gt, cfg)
         assert edge_set(gt.graph) == expected
         assert csr_neighbors(gt.graph) == adjacency_sets(gt.graph.n, expected)
         assert gt.graph.num_edges > 0
 
     @pytest.mark.parametrize("case", sorted(BRUTE_FORCE_CASES))
     def test_site_mean_rule_brute_force(self, case):
-        gt = generate(SynthConfig(**{**BRUTE_FORCE_CASES[case], "edge_rule": SITE_MEAN_RULE}))
-        expected = brute_force_edges(gt)
+        cfg = SynthConfig(**{**BRUTE_FORCE_CASES[case], "edge_rule": SITE_MEAN_RULE})
+        gt = generate(cfg)
+        expected = brute_force_edges(gt, cfg)
         assert edge_set(gt.graph) == expected
         assert csr_neighbors(gt.graph) == adjacency_sets(gt.graph.n, expected)
 

@@ -1,10 +1,10 @@
 """Command-line surface: ``ran-topo <subcommand>``.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 I/O error,
-4 internal invariant violation. ``main`` is the one place that maps a
-failure to its code: a StageError by its cause, an OSError to 3, an
-InternalError to 4, any other package error to 2. Log level comes from the
-RAN_TOPO_LOG environment variable; a name that is not a level exits 2.
+4 a bug: a failure the package did not raise. ``main`` alone maps a
+failure to its code, a StageError by its cause: an OSError to 3, any other
+package error to 2, anything else to 4. RAN_TOPO_LOG sets the log level (a
+name that is not a level exits 2); DEBUG also logs a failure's traceback.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import models, pipeline
 from .candidate import evaluate_candidates
 from .config import CandidateConfig, ExperimentConfig, SynthConfig
 from .data_io import NormParams, open_input, parse_new_cell, read_network, write_text, zscore_apply
-from .errors import InternalError, RanTopoError, StageError, ValidationError
+from .errors import RanTopoError, StageError, ValidationError
 from .graph import split_nodes
 from .synth import export, generate
 
@@ -213,14 +213,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RanTopoError, OSError) as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
+        log.debug("traceback of the failure", exc_info=True)
         cause = exc.cause if isinstance(exc, StageError) else exc
         if isinstance(cause, OSError):
             return EXIT_IO
-        if isinstance(cause, InternalError):
-            return EXIT_INTERNAL
-        return EXIT_CONFIG
+        if isinstance(cause, RanTopoError):
+            return EXIT_CONFIG
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

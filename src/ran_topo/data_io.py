@@ -1,8 +1,9 @@
 """CSV/JSON ingestion of cells and relations, missing-data handling, and
 z-score normalization with train-only statistics. ``open_input`` opens
-every input file, ``read_network`` is the one reader of a network's files,
-``write_csv`` the one CSV writer and ``write_text`` the one writer of JSON
-files.
+every input file, ``read_network`` is the one reader of a network's files
+(``fill_column_means`` fills missing values before it builds the graph,
+``remove_nodes`` drops their rows after), ``write_csv`` the one CSV writer
+and ``write_text`` the one writer of JSON files.
 
 File formats:
   cells.csv  header ``cell_id,lat,lon,<feature names...>``, UTF-8, ``.``
@@ -178,54 +179,43 @@ def write_edges_csv(path, edges) -> None:
     write_csv(path, ["cell_id_a", "cell_id_b"], edges)
 
 
-def apply_missing_policy(features: FeatureMatrix, policy: MissingPolicy) -> tuple[FeatureMatrix, list[int]]:
-    """Resolve missing (NaN) entries; returns the cleaned matrix and kept row indices.
-
-    DROP_ROW removes any row with a missing entry. FILL_COLUMN_MEAN replaces
-    missing entries with the column mean over non-missing entries and keeps
-    every row; non-missing entries are untouched.
-    """
-    mask = np.isnan(features.values)
-    if policy is MissingPolicy.DROP_ROW:
-        kept = np.flatnonzero(~mask.any(axis=1))
-        return features.take_rows(kept), kept.tolist()
-
+def fill_column_means(features: FeatureMatrix) -> FeatureMatrix:
+    """``features`` with each missing (NaN) entry replaced by the mean of the
+    present entries of its column; present entries keep their bits. A column
+    with missing entries and no present one raises ValidationError."""
     values = features.values.copy()
-    for k in range(features.n_cols):
-        col_missing = mask[:, k]
-        if not col_missing.any():
-            continue
-        if col_missing.all():
+    mask = np.isnan(values)
+    for k in np.flatnonzero(mask.any(axis=0)):
+        if mask[:, k].all():
             raise ValidationError(f"column {features.columns[k]!r} has no values")
-        values[col_missing, k] = values[~col_missing, k].mean()
-    return (
-        FeatureMatrix(features.columns, values, features.coord_cols),
-        list(range(features.n_rows)),
-    )
+        values[mask[:, k], k] = values[~mask[:, k], k].mean()
+    return FeatureMatrix(features.columns, values, features.coord_cols)
 
 
 def read_network(cells_path, edges_path, policy: MissingPolicy | None = None) -> RanGraph:
     """The network in a cells.csv and an edges.csv file: the one reader.
 
     Every edge must name two listed cells. With no policy a missing feature
-    value raises ValidationError; a policy resolves it by
-    ``apply_missing_policy``, and a dropped row's edges go with it.
+    value raises ValidationError. ``FILL_COLUMN_MEAN`` fills it by
+    ``fill_column_means``; ``DROP_ROW`` drops every cell with one, and the
+    cell's edges with it, keeping the other cells in file order.
     """
     with open_input(cells_path) as fh:
         ids, features = parse_cells_csv(fh)
     with open_input(edges_path) as fh:
         edge_pairs = parse_edges_csv(fh)
-    if policy is None:
-        if np.isnan(features.values).any():
-            raise ValidationError(
-                "input has missing feature values; run them through an experiment "
-                "config with a missing_policy instead"
-            )
-        return build_graph(ids, edge_pairs, features)
-    resolved, kept = apply_missing_policy(features, policy)
-    dropped = [ids[i] for i in sorted(set(range(len(ids))) - set(kept))]
-    graph = remove_nodes(build_graph(ids, edge_pairs, features), dropped)
-    return RanGraph(graph.ids, graph.edge_array, resolved)
+    missing = np.isnan(features.values).any(axis=1)
+    if policy is None and missing.any():
+        raise ValidationError(
+            "input has missing feature values; run them through an experiment "
+            "config with a missing_policy instead"
+        )
+    if policy is MissingPolicy.FILL_COLUMN_MEAN:
+        features = fill_column_means(features)
+    graph = build_graph(ids, edge_pairs, features)
+    if policy is MissingPolicy.DROP_ROW:
+        graph = remove_nodes(graph, [ids[i] for i in np.flatnonzero(missing)])
+    return graph
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
 """Exception hierarchy shared across the package.
 
-Two families matter for the CLI exit codes: configuration / validation
-problems (exit 2) and violated internal invariants (exit 4). I/O problems
-stay the OSError they are (exit 3). Everything raised by this package
-derives from RanTopoError so callers can catch one type; within a family
-the message, not a subclass, says what was refused.
+Everything raised by this package derives from RanTopoError, so callers can
+catch one type, and the CLI exits 2 for it: bad input or configuration. I/O
+problems stay the OSError they are (exit 3); any other exception is a bug
+(exit 4). The message, not a subclass, says what was refused.
 """
 
 
@@ -14,10 +13,6 @@ class RanTopoError(Exception):
 
 class ValidationError(RanTopoError):
     """Bad input data or configuration (CLI exit code 2)."""
-
-
-class InternalError(RanTopoError):
-    """An internal invariant was violated (CLI exit code 4)."""
 
 
 class StageError(RanTopoError):

@@ -525,11 +525,18 @@ def write_reports(out_dir: str, model_reports: dict) -> None:
         write_text(os.path.join(out_dir, f"{kind}_{mode}.json"), report.to_json())
 
 
-def summary_rows(result: ExperimentResult) -> list[tuple[str, str, EvalReport]]:
-    """(model, mode, report) per summary line: candidate baselines first."""
+def summary_rows(result: ExperimentResult) -> list[list[str]]:
+    """The six text cells of each summary line, candidate baselines first:
+    model, mode, accuracy, precision and recall in percent, and AUC (""
+    where undefined)."""
+    labeled = [(report.mode, "all_pairs", report) for report in result.candidate_reports] + [
+        (kind, mode, report) for (kind, mode), report in result.model_reports.items()
+    ]
     return [
-        (report.mode, "all_pairs", report) for report in result.candidate_reports
-    ] + [(kind, mode, report) for (kind, mode), report in result.model_reports.items()]
+        [model_name, mode, *(f"{100 * ratio:.2f}" for ratio in (rep.accuracy, rep.precision, rep.recall)),
+         "" if rep.auc is None else f"{rep.auc:.4f}"]
+        for model_name, mode, rep in labeled
+    ]
 
 
 def write_bundle(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) -> None:
@@ -548,27 +555,14 @@ def write_bundle(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) 
     write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["model", "mode", "acc_pct", "precision_pct", "recall_pct", "auc"],
-        (
-            [
-                model_name,
-                mode,
-                f"{100 * report.accuracy:.2f}",
-                f"{100 * report.precision:.2f}",
-                f"{100 * report.recall:.2f}",
-                "" if report.auc is None else f"{report.auc:.4f}",
-            ]
-            for model_name, mode, report in summary_rows(result)
-        ),
+        summary_rows(result),
     )
 
 
 def format_summary(result: ExperimentResult) -> str:
-    """Human-readable table mirroring the report columns."""
-    lines = [f"{'model':<34} {'mode':<20} {'ACC %':>7} {'Prec %':>7} {'Rec %':>7} {'AUC':>7}"]
-    for model_name, mode, rep in summary_rows(result):
-        auc_text = "-" if rep.auc is None else f"{rep.auc:.4f}"
-        lines.append(
-            f"{model_name:<34} {mode:<20} {100 * rep.accuracy:>7.2f}"
-            f" {100 * rep.precision:>7.2f} {100 * rep.recall:>7.2f} {auc_text:>7}"
-        )
-    return "\n".join(lines)
+    """Human-readable table of ``summary_rows``, an undefined AUC shown as -."""
+    header = ["model", "mode", "ACC %", "Prec %", "Rec %", "AUC"]
+    return "\n".join(
+        f"{model_name:<34} {mode:<20} " + " ".join(f"{cell or '-':>7}" for cell in numbers)
+        for model_name, mode, *numbers in [header, *summary_rows(result)]
+    )

@@ -7,7 +7,7 @@ import pytest
 from conftest import adjacency_sets
 from ran_topo import models, pipeline
 from ran_topo.cli import main
-from ran_topo.errors import InternalError, ValidationError
+from ran_topo.errors import ValidationError
 
 SYNTH_CFG = {
     "sites": 15,
@@ -250,17 +250,18 @@ def _reports_dir_is_a_file(config, out, monkeypatch):
 
 # every stage a StageError can name -> (a change to the experiment, or a fault
 # injected into a function only that stage calls, that makes the stage fail;
-# the exit code of the failure's cause: 3 for an OSError, 4 for an
-# InternalError, 2 otherwise). A bad config value fails in the config stage.
+# the exit code of the failure's cause: 3 for an OSError, 2 for any other
+# package error, 4 for an exception the package does not raise itself, such
+# as the IndexError of a bug). A bad config value fails in the config stage.
 STAGE_FAILURES = {
     "config": (lambda config, out, mp: config.update(train={"epochs": 0}), 2),
     "data": (_missing_network, 3),
     "split": (lambda config, out, mp: mp.setattr(pipeline, "split_nodes", _raiser(ValidationError("broken"))), 2),
-    "normalize": (lambda config, out, mp: mp.setattr(pipeline, "zscore_fit", _raiser(InternalError("broken"))), 4),
+    "normalize": (lambda config, out, mp: mp.setattr(pipeline, "zscore_fit", _raiser(IndexError("broken"))), 4),
     "candidate": (lambda config, out, mp: mp.setattr(pipeline, "evaluate_candidates", _raiser(ValidationError("broken"))), 2),
     # train() builds its training graph with one remove_nodes call
     "train_mlp": (lambda config, out, mp: _fail_after(mp, "remove_nodes", 0, ValidationError("broken")), 2),
-    "train_gnn": (lambda config, out, mp: _fail_after(mp, "remove_nodes", 1, InternalError("broken")), 4),
+    "train_gnn": (lambda config, out, mp: _fail_after(mp, "remove_nodes", 1, IndexError("broken")), 4),
     # training validates through score_pairs; evaluation calls evaluate once
     # per mode: balanced, all_pairs, candidate_filtered
     "eval_mlp": (lambda config, out, mp: _fail_after(mp, "evaluate", 0, ValidationError("broken")), 2),
@@ -278,6 +279,27 @@ def test_stage_failure_names_stage_and_maps_exit_code(tmp_path, capsys, monkeypa
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
     assert code == expected_code
     assert len(errors) == 1 and errors[0].startswith(f"error: [{stage}] "), errors
+
+
+def test_bug_in_predict_exit_4(experiment_bundle, tmp_path, capsys, monkeypatch, caplog):
+    """An exception the package does not raise itself is a bug: outside any
+    stage too, it exits 4 with one error line, and RAN_TOPO_LOG=DEBUG logs
+    its traceback."""
+    _, bundle = experiment_bundle
+    header, first_row = (bundle / "data" / "cells.csv").read_text().splitlines()[:2]
+    new_cell = write_json(tmp_path / "new.json", dict(zip(header.split(",")[1:], map(float, first_row.split(",")[1:]))))
+    monkeypatch.setattr(pipeline, "predict_new_node", _raiser(IndexError("index 9 is out of bounds")))
+    monkeypatch.setenv("RAN_TOPO_LOG", "DEBUG")
+    caplog.set_level(logging.DEBUG, logger="ran_topo")
+    code = main([
+        "predict", "--params", str(bundle / "params_mlp.json"), "--norm-params", str(bundle / "norm_params.json"),
+        "--cells", str(bundle / "data" / "cells.csv"), "--edges", str(bundle / "data" / "edges.csv"),
+        "--new-cell", new_cell,
+    ])
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert code == 4
+    assert errors == ["error: index 9 is out of bounds"]
+    assert [record.exc_info[0] for record in caplog.records if record.exc_info] == [IndexError]
 
 
 # experiment-config changes that used to run anyway, or fail late -> exit 2

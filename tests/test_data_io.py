@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_features
+from conftest import edge_set, make_features
 from ran_topo.data_io import (
     MissingPolicy,
     NormParams,
-    apply_missing_policy,
+    fill_column_means,
     parse_cells_csv,
     parse_edges_csv,
     parse_new_cell,
+    read_network,
     write_cells_csv,
     write_edges_csv,
     zscore_apply,
@@ -22,6 +23,14 @@ from ran_topo.graph import FeatureMatrix
 
 # population std of [1, 2, 3]: sqrt(((1-2)^2 + 0 + (3-2)^2) / 3)
 STD_123 = math.sqrt(2.0 / 3.0)
+
+
+def write_network(tmp_path, cells_text, edges_text="cell_id_a,cell_id_b\n"):
+    """(cells.csv, edges.csv) paths holding the given texts."""
+    cells, edges = tmp_path / "cells.csv", tmp_path / "edges.csv"
+    cells.write_text(cells_text)
+    edges.write_text(edges_text)
+    return cells, edges
 
 
 class TestParseCells:
@@ -69,14 +78,16 @@ class TestParseCells:
         assert np.isnan(fm.values).tolist() == [[False, False, True], [False, False, False]]
 
     @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "1e400", "abc"])
-    def test_non_finite_values_masked(self, field):
-        ids, fm = parse_cells_csv(io.StringIO(f"cell_id,lat,lon,f1\na,0,0,{field}\nb,{field},1,2\n"))
+    def test_non_finite_values_masked(self, tmp_path, field):
+        text = f"cell_id,lat,lon,f1\na,0,0,{field}\nb,{field},1,2\n"
+        ids, fm = parse_cells_csv(io.StringIO(text))
         assert np.isnan(fm.values).tolist() == [[False, False, True], [True, False, False]]
         # a missing value follows the missing-data policy like an empty field
-        filled, _ = apply_missing_policy(fm, MissingPolicy.FILL_COLUMN_MEAN)
-        assert filled.values.tolist() == [[0.0, 0.0, 2.0], [0.0, 1.0, 2.0]]
-        _, kept = apply_missing_policy(fm, MissingPolicy.DROP_ROW)
-        assert kept == []
+        assert fill_column_means(fm).values.tolist() == [[0.0, 0.0, 2.0], [0.0, 1.0, 2.0]]
+        paths = write_network(tmp_path, text)
+        filled = read_network(*paths, MissingPolicy.FILL_COLUMN_MEAN)
+        assert filled.features.values.tolist() == [[0.0, 0.0, 2.0], [0.0, 1.0, 2.0]]
+        assert read_network(*paths, MissingPolicy.DROP_ROW).ids == ()
 
 
 class TestParseNewCell:
@@ -113,25 +124,36 @@ class TestParseEdges:
 
 
 class TestMissingPolicy:
-    def test_fill_column_mean(self):
+    # b misses its f0 value; its edges are a-b and b-c
+    CELLS = "cell_id,lat,lon,f0\na,0,0,1\nb,0,1,\nc,0,2,3\nd,0,3,5\n"
+    EDGES = "cell_id_a,cell_id_b\na,b\nb,c\nc,d\na,d\n"
+
+    def test_fill_column_mean(self, tmp_path):
         fm = make_features([(0, 0), (0, 1), (0, 2)], extra=[[1.0], [math.nan], [3.0]])
-        out, kept = apply_missing_policy(fm, MissingPolicy.FILL_COLUMN_MEAN)
-        # mean of {1, 3} = 2
-        assert out.values[1, 2] == 2.0
-        assert kept == [0, 1, 2]
+        out = fill_column_means(fm)
+        # mean of {1, 3} = 2; the rows keep their order
+        assert out.values.tolist() == [[0.0, 0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 2.0, 3.0]]
+        assert (out.columns, out.coord_cols) == (fm.columns, fm.coord_cols)
+        graph = read_network(*write_network(tmp_path, self.CELLS, self.EDGES), MissingPolicy.FILL_COLUMN_MEAN)
+        assert graph.ids == ("a", "b", "c", "d")
+        assert graph.features.values[:, 2].tolist() == [1.0, 3.0, 3.0, 5.0]  # mean of {1, 3, 5}
+        assert edge_set(graph) == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
-    def test_drop_row(self):
-        fm = make_features([(0, 0), (0, 1)], extra=[[1.0, 2.0], [math.nan, 4.0]])
-        out, kept = apply_missing_policy(fm, MissingPolicy.DROP_ROW)
-        assert kept == [0]
-        assert out.values.shape == (1, 4)
+    def test_drop_row(self, tmp_path):
+        graph = read_network(*write_network(tmp_path, self.CELLS, self.EDGES), MissingPolicy.DROP_ROW)
+        # b and its edges go; a, c, d keep their order and get fresh indices
+        assert graph.ids == ("a", "c", "d")
+        assert graph.features.values.tolist() == [[0.0, 0.0, 1.0], [0.0, 2.0, 3.0], [0.0, 3.0, 5.0]]
+        assert edge_set(graph) == {(1, 2), (0, 2)}
 
-    def test_no_missing_identity(self):
-        fm = make_features([(0, 0), (0, 1)], extra=[[1.0], [2.0]])
+    def test_no_missing_identity(self, tmp_path):
+        paths = write_network(tmp_path, self.CELLS.replace("b,0,1,", "b,0,1,2"), self.EDGES)
+        plain = read_network(*paths)
         for policy in MissingPolicy:
-            out, kept = apply_missing_policy(fm, policy)
-            assert out.values.tolist() == fm.values.tolist()
-            assert kept == [0, 1]
+            graph = read_network(*paths, policy)
+            assert graph.ids == plain.ids
+            assert graph.edge_array.tolist() == plain.edge_array.tolist()
+            assert graph.features.values.tolist() == plain.features.values.tolist()
 
     def test_fill_preserves_non_missing_bits(self):
         rng = np.random.default_rng(0)
@@ -140,13 +162,18 @@ class TestMissingPolicy:
         mask[:, 0] = False  # keep a valid column somewhere
         values[mask] = math.nan
         fm = FeatureMatrix(("lat", "lon", "a", "b"), values)
-        out, _ = apply_missing_policy(fm, MissingPolicy.FILL_COLUMN_MEAN)
+        out = fill_column_means(fm)
         assert np.array_equal(out.values[~mask], fm.values[~mask])
+        assert not np.isnan(out.values).any()
 
     def test_all_missing_column(self):
         fm = make_features([(0, 0), (0, 1)], extra=[[math.nan], [math.nan]])
         with pytest.raises(ValidationError, match="column 'f0' has no values"):
-            apply_missing_policy(fm, MissingPolicy.FILL_COLUMN_MEAN)
+            fill_column_means(fm)
+
+    def test_zero_rows_not_refused(self):
+        fm = FeatureMatrix(("lat", "lon", "f0"), np.empty((0, 3)))
+        assert fill_column_means(fm).values.shape == (0, 3)
 
 
 class TestZScore:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -608,6 +610,17 @@ class TestRunExperiment:
         assert len(text.splitlines()) == 1 + 2 + 6  # header + candidates + model rows
         assert "balanced" in text
         assert "candidate_filtered" in text
+
+    def test_printed_summary_matches_summary_csv(self, tmp_path):
+        """Each printed line holds its summary.csv row's cells, "-" for an empty one."""
+        result = pipeline.run_experiment(ExperimentConfig.from_dict(self.small_config()), str(tmp_path))
+        printed = pipeline.format_summary(result).splitlines()
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["model", "mode", "acc_pct", "precision_pct", "recall_pct", "auc"]
+        assert printed[0].split() == ["model", "mode", "ACC", "%", "Prec", "%", "Rec", "%", "AUC"]
+        assert [line.split() for line in printed[1:]] == [[cell or "-" for cell in row] for row in rows]
+        assert [row[5] for row in rows[:2]] == ["", ""]  # the candidate baselines have no AUC
 
 
 class TestScorer:

@@ -107,9 +107,7 @@ def cmd_eval(args) -> int:
         params = models.params_from_json(fh.read())
     data = pipeline.prepare_experiment(cfg)
     reports = pipeline.evaluate_model(params, data, cfg)
-    for (kind, name), report in reports.items():
-        print(f"{kind} {name}: acc={report.accuracy:.4f} precision={report.precision:.4f} "
-              f"recall={report.recall:.4f} auc={report.auc}")
+    print(pipeline.format_summary([], reports))
     with pipeline.stage("write"):
         pipeline.write_reports(args.out, reports)
     return EXIT_OK
@@ -140,7 +138,7 @@ def cmd_predict(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = _experiment_config(args)
     result = pipeline.run_experiment(cfg, args.out)
-    print(pipeline.format_summary(result))
+    print(pipeline.format_summary(result.candidate_reports, result.model_reports))
     return EXIT_OK
 
 

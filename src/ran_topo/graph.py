@@ -6,10 +6,10 @@ by a dense index in [0, N) assigned in input order.
 
 The topology is stored as arrays: a sorted (E, 2) int64 edge array with
 i < j, and CSR arrays (``indptr``, ``indices``, ``degree``) built from it
-once per graph; they are the one representation. The searchable edge keys
-and the geographic candidate index are derived from them on first use and
-cached. All operations that look like mutation return a new graph; instances
-are safe to share across threads.
+once per graph; they are the one representation. The id -> index map, the
+searchable edge keys and the geographic candidate index are derived on
+first use and cached. All operations that look like mutation return a new
+graph; instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -69,16 +69,9 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
-
     def coords(self) -> np.ndarray:
         """Raw (lat, lon) pairs, shape (N, 2)."""
         return self.values[:, list(self.coord_cols)]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.columns.index(name)]
 
     def take_rows(self, rows) -> "FeatureMatrix":
         return FeatureMatrix(self.columns, self.values[np.asarray(rows)], self.coord_cols)
@@ -100,16 +93,12 @@ class RanGraph:
     ids: tuple[CellId, ...]
     edge_array: np.ndarray  # (E, 2) int64, rows (i, j) with i < j, ascending
     features: FeatureMatrix
-    # id -> index; built from ids when not given
-    _index: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
     indptr: np.ndarray = field(init=False, repr=False)  # (N + 1,) int64
     indices: np.ndarray = field(init=False, repr=False)  # (2E,) int64
     degree: np.ndarray = field(init=False, repr=False)  # (N,) int64
 
     def __post_init__(self):
         n = len(self.ids)
-        if len(self._index) != n:
-            object.__setattr__(self, "_index", {node: i for i, node in enumerate(self.ids)})
         edges = np.asarray(self.edge_array, dtype=np.int64).reshape(-1, 2)
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
         cols = np.concatenate([edges[:, 1], edges[:, 0]])
@@ -133,6 +122,10 @@ class RanGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edge_array)
+
+    @cached_property
+    def _index(self) -> dict:
+        return {node: i for i, node in enumerate(self.ids)}
 
     @cached_property
     def edge_keys(self) -> np.ndarray:
@@ -207,7 +200,7 @@ def build_graph(
         raise ValidationError(f"self-loop on node {a!r}")
 
     keys = np.unique(pair_keys(ends[:, 0], ends[:, 1], len(ids)))
-    return RanGraph(ids, key_pairs(keys, len(ids)), features, index)
+    return RanGraph(ids, key_pairs(keys, len(ids)), features)
 
 
 def remove_nodes(graph: RanGraph, removed) -> RanGraph:

@@ -219,8 +219,8 @@ def make_scorer(
     """Symmetric pair scorer: maps an (B, 2) index-pair array to probabilities.
 
     The rows it scores are computed once. The GNN needs the graph whose
-    edges the SAGE layer may aggregate over (the masked graph during
-    evaluation of unseen nodes, the deployed graph in production).
+    edges the SAGE layer aggregates over. Evaluation and ``train()``'s
+    validation pass the deployed graph, held-out cells' edges included.
     """
     rows = models.node_rows(params, features_norm, embed_graph)
     return lambda pairs: models.symmetric_score_batch(params, rows, pairs)
@@ -272,8 +272,8 @@ class TrainResult:
 def mask_to_train_edges(graph: RanGraph, train_nodes) -> RanGraph:
     """All nodes of ``graph`` but only edges between train nodes.
 
-    Keeps val/test edges out of anything the optimizer can see while still
-    covering every node index.
+    No ``src/`` caller: training uses ``remove_nodes``. Embedding held-out
+    cells over this graph is ROADMAP item 1's fix for the edge leak.
     """
     is_train = np.zeros(graph.n, dtype=bool)
     is_train[graph.rows_of(train_nodes)] = True
@@ -459,8 +459,8 @@ def evaluate_model(params: dict[str, np.ndarray], data: ExperimentData, cfg: Exp
     """(kind, mode name) -> EvalReport for the three evaluation modes over
     the validation cells, with the config's cutoff and candidate ``filter``.
 
-    Scores use the deployed graph; edges are only masked while training. A
-    failure carries the stage ``eval_<kind>``.
+    Scores embed over the deployed graph, validation edges included; ``train()``
+    removes the validation and test cells. A failure carries stage ``eval_<kind>``.
     """
     kind = models.kind_of(params)
     with stage(f"eval_{kind}"):
@@ -525,12 +525,12 @@ def write_reports(out_dir: str, model_reports: dict) -> None:
         write_text(os.path.join(out_dir, f"{kind}_{mode}.json"), report.to_json())
 
 
-def summary_rows(result: ExperimentResult) -> list[list[str]]:
+def summary_rows(candidate_reports: list, model_reports: dict) -> list[list[str]]:
     """The six text cells of each summary line, candidate baselines first:
     model, mode, accuracy, precision and recall in percent, and AUC (""
     where undefined)."""
-    labeled = [(report.mode, "all_pairs", report) for report in result.candidate_reports] + [
-        (kind, mode, report) for (kind, mode), report in result.model_reports.items()
+    labeled = [(report.mode, "all_pairs", report) for report in candidate_reports] + [
+        (kind, mode, report) for (kind, mode), report in model_reports.items()
     ]
     return [
         [model_name, mode, *(f"{100 * ratio:.2f}" for ratio in (rep.accuracy, rep.precision, rep.recall)),
@@ -555,14 +555,14 @@ def write_bundle(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) 
     write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["model", "mode", "acc_pct", "precision_pct", "recall_pct", "auc"],
-        summary_rows(result),
+        summary_rows(result.candidate_reports, result.model_reports),
     )
 
 
-def format_summary(result: ExperimentResult) -> str:
+def format_summary(candidate_reports: list, model_reports: dict) -> str:
     """Human-readable table of ``summary_rows``, an undefined AUC shown as -."""
     header = ["model", "mode", "ACC %", "Prec %", "Rec %", "AUC"]
     return "\n".join(
         f"{model_name:<34} {mode:<20} " + " ".join(f"{cell or '-':>7}" for cell in numbers)
-        for model_name, mode, *numbers in [header, *summary_rows(result)]
+        for model_name, mode, *numbers in [header, *summary_rows(candidate_reports, model_reports)]
     )

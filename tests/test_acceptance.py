@@ -354,8 +354,8 @@ class TestCriterion9:
             gt = generate(cfg)
             graph = gt.graph
             coords = graph.features.coords()
-            band = graph.features.column("band")
-            tx = graph.features.column("tx_power")
+            band = graph.features.values[:, graph.features.columns.index("band")]
+            tx = graph.features.values[:, graph.features.columns.index("tx_power")]
             site = np.array(gt.site_of)
             edges, expected = edge_set(graph), set()
             mate = np.zeros(graph.n)

@@ -222,7 +222,7 @@ class TestCandidateOnlyEmbedding:
     @pytest.mark.parametrize("k", [1, 2, 7, 60])
     def test_scores_match_full_embedding(self, k, network):
         g = network
-        x = np.random.default_rng(k).normal(size=(g.n, g.features.n_cols))
+        x = np.random.default_rng(k).normal(size=(g.n, g.features.values.shape[1]))
         params = models.init_params("gnn", k=x.shape[1], hidden=16, embed=16, seed=k)
         new_x = x[3] + 0.1
         coords = tuple(g.features.coords()[3])

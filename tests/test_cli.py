@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import logging
 
@@ -468,7 +470,10 @@ NEW_CELL_DEFECTS = {
 def experiment_bundle(tmp_path_factory):
     base = tmp_path_factory.mktemp("one_path")
     cfg = write_json(base / "exp.json", EXPERIMENT_CFG)
-    assert main(["experiment", "--config", cfg, "--out", str(base / "bundle")]) == 0
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(["experiment", "--config", cfg, "--out", str(base / "bundle")]) == 0
+    (base / "printed.txt").write_text(printed.getvalue())  # beside the bundle, not in it
     return cfg, base / "bundle"
 
 
@@ -506,6 +511,18 @@ class TestOnePath:
         )
         for path in out.iterdir():
             assert path.read_bytes() == (bundle / "reports" / path.name).read_bytes(), path.name
+
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_eval_prints_the_experiment_rows(self, experiment_bundle, tmp_path, capsys, kind):
+        """``eval`` prints the experiment's summary header and its rows for the kind."""
+        cfg, bundle = experiment_bundle
+        header, *rows = (bundle.parent / "printed.txt").read_text().splitlines()
+        capsys.readouterr()
+        assert main(["eval", "--params", str(bundle / f"params_{kind}.json"), "--config", cfg,
+                     "--out", str(tmp_path / "eval")]) == 0
+        expected = [header, *(row for row in rows if row.split()[0] == kind)]
+        assert len(expected) == 1 + 3
+        assert capsys.readouterr().out.splitlines() == expected
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_unwritable_out_fails_in_write_stage(self, experiment_bundle, tmp_path, capsys, command):
@@ -547,12 +564,16 @@ class TestTrainEvalPredict:
             "--config", cfg, "--out", str(eval_out),
         ])
         assert code == 0
-        stdout = capsys.readouterr().out
-        assert "mlp balanced:" in stdout
-        for mode in ("balanced", "all_pairs", "candidate_filtered"):
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["model", "mode", "ACC", "%", "Prec", "%", "Rec", "%", "AUC"]
+        assert len(rows) == 3
+        for row, mode in zip(rows, ("balanced", "all_pairs", "candidate_filtered")):
             report = json.loads((eval_out / f"mlp_{mode}.json").read_text())
             assert report["mode"] == mode
             assert 0.0 <= report["accuracy"] <= 1.0
+            percents = [f"{100 * report[key]:.2f}" for key in ("accuracy", "precision", "recall")]
+            auc = "-" if report["auc"] is None else f"{report['auc']:.4f}"
+            assert row.split() == ["mlp", mode, *percents, auc]
 
     def test_predict_ranked_output(self, trained, tmp_path, capsys):
         cfg, out = trained

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import csr_neighbors, edge_set, make_features, make_graph, random_graph
 from ran_topo.errors import ValidationError
-from ran_topo.graph import build_graph, key_pairs, pair_keys, remove_nodes, split_nodes
+from ran_topo.graph import RanGraph, build_graph, key_pairs, pair_keys, remove_nodes, split_nodes
 
 
 class TestBuildGraph:
@@ -47,10 +47,19 @@ class TestBuildGraph:
             g.rows_of([ids[0], node])
 
     def test_rows_of_keeps_order_and_repeats(self):
-        g = build_graph(["a", "b", "c"], [], make_features([(0, 0), (0, 1), (0, 2)]))
-        rows = g.rows_of(["c", "a", "c"])
-        assert rows.dtype == np.int64 and rows.tolist() == [2, 0, 2]
-        assert g.rows_of(()).dtype == np.int64 and g.rows_of(()).shape == (0,)
+        """Also on a graph built from index pairs, as remove_nodes and the
+        generator build theirs: its id map is derived on first lookup."""
+        fm = make_features([(0, 0), (0, 1), (0, 2)])
+        for g in (
+            build_graph(["a", "b", "c"], [], fm),
+            RanGraph(("a", "b", "c"), np.array([[0, 2]], dtype=np.int64), fm),
+        ):
+            rows = g.rows_of(["c", "a", "c"])
+            assert rows.dtype == np.int64 and rows.tolist() == [2, 0, 2]
+            assert g.rows_of(()).dtype == np.int64 and g.rows_of(()).shape == (0,)
+            assert [g.index_of(node) for node in g.ids] == [0, 1, 2]
+            with pytest.raises(ValidationError, match="unknown cell id"):
+                g.rows_of(["a", 1])
 
 
 class TestPairKeys:

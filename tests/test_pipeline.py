@@ -606,15 +606,18 @@ class TestRunExperiment:
 
     def test_format_summary_lists_all_rows(self):
         result = pipeline.run_experiment(ExperimentConfig.from_dict(self.small_config()))
-        text = pipeline.format_summary(result)
+        text = pipeline.format_summary(result.candidate_reports, result.model_reports)
         assert len(text.splitlines()) == 1 + 2 + 6  # header + candidates + model rows
         assert "balanced" in text
         assert "candidate_filtered" in text
+        # without candidate reports: the same header and model rows
+        lines = text.splitlines()
+        assert pipeline.format_summary([], result.model_reports).splitlines() == [lines[0], *lines[3:]]
 
     def test_printed_summary_matches_summary_csv(self, tmp_path):
         """Each printed line holds its summary.csv row's cells, "-" for an empty one."""
         result = pipeline.run_experiment(ExperimentConfig.from_dict(self.small_config()), str(tmp_path))
-        printed = pipeline.format_summary(result).splitlines()
+        printed = pipeline.format_summary(result.candidate_reports, result.model_reports).splitlines()
         with open(tmp_path / "summary.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["model", "mode", "acc_pct", "precision_pct", "recall_pct", "auc"]

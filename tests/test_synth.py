@@ -26,8 +26,8 @@ def brute_force_edges(gt: GroundTruth, cfg: SynthConfig) -> set:
     g = gt.graph
     x = g.features.values
     coords = g.features.coords()
-    band = g.features.column("band")
-    tx = g.features.column("tx_power")
+    band = g.features.values[:, g.features.columns.index("band")]
+    tx = g.features.values[:, g.features.columns.index("tx_power")]
     site = np.array(gt.site_of)
 
     mate_mean = np.zeros(g.n)
@@ -155,7 +155,7 @@ class TestGeneration:
     def test_feature_schema(self):
         gt = generate(small_config())
         assert gt.graph.features.columns == FEATURE_COLUMNS
-        band = gt.graph.features.column("band")
+        band = gt.graph.features.values[:, gt.graph.features.columns.index("band")]
         assert np.all((band >= 0) & (band < small_config().bands))
         assert np.array_equal(band, band.astype(int))
 
@@ -210,17 +210,27 @@ class TestGeneration:
 
 class TestExport:
     def test_round_trip(self, tmp_path):
-        gt = generate(small_config(seed=40))
-        export(gt, tmp_path)
-        with open(tmp_path / "cells.csv") as fh:
-            ids, features = parse_cells_csv(fh)
-        with open(tmp_path / "edges.csv") as fh:
-            edges = parse_edges_csv(fh)
-        assert not np.isnan(features.values).any()
-        rebuilt = build_graph(ids, edges, features)
-        assert rebuilt.ids == gt.graph.ids
-        assert np.array_equal(rebuilt.edge_array, gt.graph.edge_array)
-        assert np.array_equal(rebuilt.features.values, gt.graph.features.values)
+        """The generator builds its edge array from index pairs; re-reading the
+        export through build_graph gives the same canonical graph, under both
+        rules and on a network of a few hundred sites."""
+        for name, cfg in (
+            ("band", small_config(seed=40)),
+            ("site_mean", small_config(seed=40, edge_rule=SITE_MEAN_RULE)),
+            ("300_sites", SynthConfig(sites=300, seed=40)),
+        ):
+            gt = generate(cfg)
+            (tmp_path / name).mkdir()
+            export(gt, tmp_path / name)
+            with open(tmp_path / name / "cells.csv") as fh:
+                ids, features = parse_cells_csv(fh)
+            with open(tmp_path / name / "edges.csv") as fh:
+                edges = parse_edges_csv(fh)
+            assert not np.isnan(features.values).any()
+            rebuilt = build_graph(ids, edges, features)
+            assert rebuilt.ids == gt.graph.ids
+            assert np.array_equal(rebuilt.edge_array, gt.graph.edge_array), name
+            assert np.array_equal(rebuilt.features.values, gt.graph.features.values)
+            assert gt.graph.rows_of(ids[::-1]).tolist() == list(range(len(ids)))[::-1]
 
     def test_empty_edges_header_only(self, tmp_path):
         cfg = small_config(

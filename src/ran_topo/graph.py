@@ -200,7 +200,9 @@ def build_graph(
         raise ValidationError(f"self-loop on node {a!r}")
 
     keys = np.unique(pair_keys(ends[:, 0], ends[:, 1], len(ids)))
-    return RanGraph(ids, key_pairs(keys, len(ids)), features)
+    graph = RanGraph(ids, key_pairs(keys, len(ids)), features)
+    graph.__dict__["_index"] = index  # where cached_property keeps it: not built twice
+    return graph
 
 
 def remove_nodes(graph: RanGraph, removed) -> RanGraph:

@@ -55,33 +55,8 @@ def stage(name: str):
 # ---------------------------------------------------------------------------
 # pair sampling
 
-@dataclass(frozen=True)
-class Balanced:
-    """All positive pairs incident to the eval nodes plus an equal number of
-    uniformly sampled negative pairs."""
-
-
-@dataclass(frozen=True)
-class AllPairs:
-    """Every (eval node, other node) pair exactly once."""
-
-
-@dataclass(frozen=True)
-class CandidateFiltered:
-    """Only pairs whose other node is in the eval node's candidate set."""
-
-    config: CandidateConfig
-
-
-PairMode = Balanced | AllPairs | CandidateFiltered
-
-
-def mode_name(mode: PairMode) -> str:
-    if isinstance(mode, Balanced):
-        return "balanced"
-    if isinstance(mode, AllPairs):
-        return "all_pairs"
-    return "candidate_filtered"
+def mode_name(mode) -> str:
+    return "candidate_filtered" if isinstance(mode, CandidateConfig) else mode
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +68,7 @@ class PairSet:
     labels: np.ndarray  # (B,) int
 
 
-def _labeled(graph: RanGraph, keys: np.ndarray, mode: PairMode) -> PairSet:
+def _labeled(graph: RanGraph, keys: np.ndarray, mode) -> PairSet:
     """PairSet for canonical ``pair_keys``, in the given order."""
     pairs = key_pairs(keys, graph.n)
     return PairSet(mode_name(mode), pairs, graph.has_edges(pairs[:, 0], pairs[:, 1]).astype(np.int64))
@@ -145,23 +120,29 @@ def _rejection_negatives(
 
 
 def sample_pairs(
-    graph: RanGraph, eval_nodes, mode: PairMode, seed: int = 0
+    graph: RanGraph, eval_nodes, mode, seed: int = 0
 ) -> PairSet:
     """Draw labeled pairs connecting eval nodes to the rest of the graph.
 
-    Pairs are canonical: a pair between two eval nodes appears once.
+    Mode ``"balanced"`` draws all positive pairs incident to the eval nodes
+    plus an equal number of uniformly sampled negative pairs; ``"all_pairs"``
+    every (eval node, other node) pair exactly once; a ``CandidateConfig``
+    (candidate-filtered) only pairs whose other node is in the eval node's
+    candidate set. Pairs are canonical: a pair between two eval nodes appears once.
     """
     eval_idx = np.unique(graph.rows_of(eval_nodes))
     if not len(eval_idx):
         raise ValidationError("no evaluation nodes given")
     n = graph.n
 
-    if isinstance(mode, CandidateFiltered):
-        rows, cand = graph.geo_index.query_rows(eval_idx, mode.config)
+    if isinstance(mode, CandidateConfig):
+        rows, cand = graph.geo_index.query_rows(eval_idx, mode)
         return _labeled(graph, np.unique(pair_keys(rows, cand, n)), mode)
 
-    if isinstance(mode, AllPairs):
+    if mode == "all_pairs":
         return _labeled(graph, _incident_keys(graph, eval_idx), mode)
+    if mode != "balanced":
+        raise ValidationError(f"unknown pair mode {mode!r}")
 
     positives = _positive_keys(graph, eval_idx)
     needed = len(positives)
@@ -250,7 +231,7 @@ def evaluate(
     scorer,
     graph: RanGraph,
     eval_nodes,
-    mode: PairMode,
+    mode,
     cutoff: float = ExperimentConfig.cutoff,
     seed: int = 0,
 ) -> EvalReport:
@@ -300,7 +281,7 @@ def train(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult
         train_graph = remove_nodes(graph, split.val_nodes + split.test_nodes)
         if not train_graph.num_edges:
             raise ValidationError("training graph has no edges")
-        val_pairs = sample_pairs(graph, split.val_nodes, Balanced(), seed=subseed(seed, "val_pairs"))
+        val_pairs = sample_pairs(graph, split.val_nodes, "balanced", seed=subseed(seed, "val_pairs"))
         if not val_pairs.labels.any():
             raise ValidationError("no validation cell has a relation")
 
@@ -318,10 +299,10 @@ def train(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult
         history: list[dict] = []
         best_epoch, best_params = -1, params  # adam_step returns new arrays: a reference is a snapshot
         for epoch in range(train_cfg.epochs):
-            neg_seed = sample_rng_seed + epoch if train_cfg.resample_negatives else sample_rng_seed
-            epoch_pairs = sample_pairs(
-                train_graph, train_graph.ids, Balanced(), seed=neg_seed
-            )
+            if train_cfg.resample_negatives or epoch == 0:
+                epoch_pairs = sample_pairs(
+                    train_graph, train_graph.ids, "balanced", seed=sample_rng_seed + epoch
+                )
             # both concat orders for every pair
             ordered = np.concatenate([epoch_pairs.pairs, epoch_pairs.pairs[:, ::-1]])
             labels = np.concatenate([epoch_pairs.labels, epoch_pairs.labels]).astype(np.float64)
@@ -466,7 +447,7 @@ def evaluate_model(params: dict[str, np.ndarray], data: ExperimentData, cfg: Exp
     with stage(f"eval_{kind}"):
         scorer = make_scorer(params, data.features_norm, embed_graph=data.graph)
         reports = {}
-        for mode in (Balanced(), AllPairs(), CandidateFiltered(cfg.filter)):
+        for mode in ("balanced", "all_pairs", cfg.filter):
             name = mode_name(mode)
             reports[(kind, name)] = evaluate(
                 scorer, data.graph, data.split.val_nodes, mode, cutoff=cfg.cutoff,

@@ -15,9 +15,6 @@ from ran_topo import models
 from ran_topo.candidate import CandidateConfig, candidates
 from ran_topo.errors import ValidationError
 from ran_topo.pipeline import (
-    AllPairs,
-    Balanced,
-    CandidateFiltered,
     predict_new_node,
     sample_pairs,
 )
@@ -67,14 +64,14 @@ def oracle_sample_pairs(graph, eval_nodes, mode, seed=0):
                 out.append((min(e, j), max(e, j)))
         return out
 
-    if isinstance(mode, CandidateFiltered):
+    if isinstance(mode, CandidateConfig):
         seen = set()
         for e in eval_idx:
-            for cand_id, _ in candidates(graph, graph.ids[e], mode.config):
+            for cand_id, _ in candidates(graph, graph.ids[e], mode):
                 j = graph.index_of(cand_id)
                 seen.add((min(e, j), max(e, j)))
         return labeled(sorted(seen))
-    if isinstance(mode, AllPairs):
+    if mode == "all_pairs":
         return labeled(sorted(incident()))
 
     adjacency = adjacency_sets(n, edges)
@@ -197,24 +194,24 @@ class TestSamplePairs:
     def test_balanced_sparse_case(self, seed, network):
         g = network
         eval_nodes = g.ids[seed::9]
-        assert_same_pairs(g, eval_nodes, Balanced(), seed=seed)
-        assert_same_pairs(g, g.ids, Balanced(), seed=seed)  # how training draws
+        assert_same_pairs(g, eval_nodes, "balanced", seed=seed)
+        assert_same_pairs(g, g.ids, "balanced", seed=seed)  # how training draws
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_balanced_dense_case(self, seed):
         rng = np.random.default_rng(seed)
         g = make_graph(10, [(i, j) for i in range(10) for j in range(i + 1, 10) if rng.random() < 0.45])
-        assert_same_pairs(g, g.ids, Balanced(), seed=seed)
-        assert_same_pairs(g, g.ids[:4], Balanced(), seed=seed)
+        assert_same_pairs(g, g.ids, "balanced", seed=seed)
+        assert_same_pairs(g, g.ids[:4], "balanced", seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_pairs(self, seed):
         g = random_graph(np.random.default_rng(seed), max_nodes=25)
-        assert_same_pairs(g, g.ids[::3], AllPairs(), seed=seed)
+        assert_same_pairs(g, g.ids[::3], "all_pairs", seed=seed)
 
     @pytest.mark.parametrize("seed,k,max_dist", [(0, 5, 1.0), (1, 12, 2.5), (2, 40, np.inf)])
     def test_candidate_filtered(self, seed, k, max_dist, network):
-        mode = CandidateFiltered(CandidateConfig(k=k, max_dist=max_dist))
+        mode = CandidateConfig(k=k, max_dist=max_dist)
         assert_same_pairs(network, network.ids[seed::7], mode, seed=seed)
 
 

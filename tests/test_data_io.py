@@ -155,6 +155,12 @@ class TestMissingPolicy:
             assert graph.edge_array.tolist() == plain.edge_array.tolist()
             assert graph.features.values.tolist() == plain.features.values.tolist()
 
+    def test_read_graph_holds_its_id_map(self, tmp_path):
+        paths = write_network(tmp_path, self.CELLS.replace("b,0,1,", "b,0,1,2"), self.EDGES)
+        for policy in (None, MissingPolicy.FILL_COLUMN_MEAN):
+            graph = read_network(*paths, policy)
+            assert graph.__dict__["_index"] == {"a": 0, "b": 1, "c": 2, "d": 3}
+
     def test_fill_preserves_non_missing_bits(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(10, 4))

@@ -46,6 +46,11 @@ class TestBuildGraph:
         with pytest.raises(ValidationError, match="unknown cell id"):
             g.rows_of([ids[0], node])
 
+    def test_holds_the_id_map_it_checked_the_edges_with(self):
+        # the map is built once, while the ids are checked, not again on first lookup
+        g = build_graph(["c", "a", "b"], [("a", "c")], make_features([(0, 0), (0, 1), (0, 2)]))
+        assert g.__dict__["_index"] == {"c": 0, "a": 1, "b": 2}
+
     def test_rows_of_keeps_order_and_repeats(self):
         """Also on a graph built from index pairs, as remove_nodes and the
         generator build theirs: its id map is derived on first lookup."""

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,6 @@ from ran_topo.data_io import zscore_apply, zscore_fit
 from ran_topo.errors import StageError, ValidationError
 from ran_topo.graph import NodeSplit, split_nodes
 from ran_topo.pipeline import (
-    AllPairs,
-    Balanced,
-    CandidateFiltered,
     auc,
     evaluate,
     make_scorer,
@@ -53,7 +51,7 @@ class TestSamplePairs:
     def test_balanced_counts_and_labels(self):
         # path of 5 nodes, eval on the middle: positives (1,2) and (2,3)
         g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        ps = sample_pairs(g, ["n2"], Balanced(), seed=0)
+        ps = sample_pairs(g, ["n2"], "balanced", seed=0)
         assert len(ps.pairs) == 4
         assert ps.labels.sum() == 2
         pos = {tuple(p) for p, y in zip(ps.pairs.tolist(), ps.labels) if y == 1}
@@ -68,7 +66,7 @@ class TestSamplePairs:
             g = random_graph(rng)
             eval_nodes = [g.ids[int(k)] for k in rng.choice(g.n, size=2, replace=False)]
             try:
-                ps = sample_pairs(g, eval_nodes, Balanced(), seed=trial)
+                ps = sample_pairs(g, eval_nodes, "balanced", seed=trial)
             except ValidationError as exc:
                 assert "negative pairs but only" in str(exc)
                 continue
@@ -85,31 +83,31 @@ class TestSamplePairs:
     def test_balanced_not_enough_negatives(self):
         g = make_graph(3, [(0, 1), (0, 2), (1, 2)])  # complete graph
         with pytest.raises(ValidationError, match="need 2 negative pairs but only 0 exist"):
-            sample_pairs(g, ["n0"], Balanced(), seed=0)
+            sample_pairs(g, ["n0"], "balanced", seed=0)
 
     def test_balanced_deterministic(self):
         g = make_graph(20, [(i, i + 1) for i in range(19)])
-        a = sample_pairs(g, ["n3", "n7"], Balanced(), seed=5)
-        b = sample_pairs(g, ["n3", "n7"], Balanced(), seed=5)
+        a = sample_pairs(g, ["n3", "n7"], "balanced", seed=5)
+        b = sample_pairs(g, ["n3", "n7"], "balanced", seed=5)
         assert np.array_equal(a.pairs, b.pairs)
         assert np.array_equal(a.labels, b.labels)
 
     def test_all_pairs_single_eval(self):
         g = make_graph(5, [(0, 1), (1, 2)])
-        ps = sample_pairs(g, ["n1"], AllPairs())
+        ps = sample_pairs(g, ["n1"], "all_pairs")
         assert ps.pairs.tolist() == [[0, 1], [1, 2], [1, 3], [1, 4]]
         assert ps.labels.tolist() == [1, 1, 0, 0]
 
     def test_all_pairs_eval_pair_counted_once(self):
         g = make_graph(4, [(0, 1)])
-        ps = sample_pairs(g, ["n0", "n1"], AllPairs())
+        ps = sample_pairs(g, ["n0", "n1"], "all_pairs")
         # (0,1) once, plus each eval node against nodes 2 and 3
         assert len(ps.pairs) == 5
         assert len({tuple(p) for p in ps.pairs.tolist()}) == 5
 
     def test_candidate_filtered_k_zero_empty(self):
         g = make_graph(4, [(0, 1)])
-        ps = sample_pairs(g, ["n0"], CandidateFiltered(CandidateConfig(k=0)))
+        ps = sample_pairs(g, ["n0"], CandidateConfig(k=0))
         assert ps.pairs.shape == (0, 2)
 
     def test_candidate_filtered_subset_of_all_pairs(self):
@@ -118,24 +116,32 @@ class TestSamplePairs:
             g = random_graph(rng)
             eval_nodes = [g.ids[int(rng.integers(0, g.n))]]
             k = int(rng.integers(0, g.n))
-            full = sample_pairs(g, eval_nodes, AllPairs())
+            full = sample_pairs(g, eval_nodes, "all_pairs")
             filt = sample_pairs(
-                g, eval_nodes, CandidateFiltered(CandidateConfig(k=k))
+                g, eval_nodes, CandidateConfig(k=k)
             )
             full_set = {tuple(p) for p in full.pairs.tolist()}
             filt_set = {tuple(p) for p in filt.pairs.tolist()}
             assert filt_set <= full_set
             _ = trial
 
+    @pytest.mark.parametrize("mode", ["balancd", object()], ids=["misspelt", "object"])
+    def test_unknown_mode_refused(self, mode):
+        g = make_graph(6, [(0, 1), (1, 2)])
+        with pytest.raises(ValidationError, match=re.escape(f"unknown pair mode {mode!r}")):
+            sample_pairs(g, ["n1"], mode)
+        with pytest.raises(ValidationError, match=re.escape(f"unknown pair mode {mode!r}")):
+            evaluate(lambda p: np.zeros(len(p)), g, ["n1"], mode)
+
     def test_empty_eval_set(self):
         g = make_graph(3, [(0, 1)])
         with pytest.raises(ValidationError, match="no evaluation nodes given"):
-            sample_pairs(g, [], Balanced())
+            sample_pairs(g, [], "balanced")
 
-    @pytest.mark.parametrize("mode", [Balanced(), AllPairs(), CandidateFiltered(CandidateConfig(k=4))],
+    @pytest.mark.parametrize("mode", ["balanced", "all_pairs", CandidateConfig(k=4)],
                              ids=["balanced", "all_pairs", "candidate_filtered"])
     def test_repeated_eval_node_counts_once(self, mode):
-        # dense and sparse graphs, so both of Balanced's negative samplers run
+        # dense and sparse graphs, so both of the balanced mode's negative samplers run
         for edge_prob in (0.1, 0.45):
             g = random_graph(np.random.default_rng(5), max_nodes=14, edge_prob=edge_prob)
             once = sample_pairs(g, g.ids[:3], mode, seed=1)
@@ -201,7 +207,7 @@ class TestEvaluate:
 
     def test_oracle_scorer_perfect(self):
         g = make_graph(6, [(0, 1), (1, 2), (2, 3)])
-        rep = evaluate(self.oracle_scorer(g), g, ["n1", "n2"], Balanced(), seed=1)
+        rep = evaluate(self.oracle_scorer(g), g, ["n1", "n2"], "balanced", seed=1)
         assert rep.accuracy == 1.0
         assert rep.precision == 1.0
         assert rep.recall == 1.0
@@ -213,13 +219,13 @@ class TestEvaluate:
         def anti(pairs):
             return 1.0 - self.oracle_scorer(g)(pairs)
 
-        rep = evaluate(anti, g, ["n1", "n2"], Balanced(), seed=1)
+        rep = evaluate(anti, g, ["n1", "n2"], "balanced", seed=1)
         assert rep.accuracy == 0.0
         assert rep.auc == 0.0
 
     def test_constant_scorer_below_cutoff(self):
         g = make_graph(6, [(0, 1), (1, 2)])
-        rep = evaluate(lambda p: np.full(len(p), 0.3), g, ["n1"], Balanced(), seed=0)
+        rep = evaluate(lambda p: np.full(len(p), 0.3), g, ["n1"], "balanced", seed=0)
         assert rep.recall == 0.0
         assert rep.precision == 0.0  # no predicted positives
         assert rep.auc == 0.5
@@ -228,7 +234,7 @@ class TestEvaluate:
         g = make_graph(4, [(0, 1)])
         rep = evaluate(
             lambda p: np.zeros(len(p)), g, ["n3"],
-            CandidateFiltered(CandidateConfig(k=0)),
+            CandidateConfig(k=0),
         )
         assert rep == EvalReport(
             mode="candidate_filtered", cutoff=0.5, pairs=0, tp=0, fp=0, tn=0, fn=0,
@@ -237,10 +243,10 @@ class TestEvaluate:
 
     def test_single_class_auc_none(self):
         g = make_graph(4, [])
-        rep = evaluate(lambda p: np.zeros(len(p)), g, ["n0"], AllPairs())
+        rep = evaluate(lambda p: np.zeros(len(p)), g, ["n0"], "all_pairs")
         assert rep.auc is None
         complete = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-        rep = evaluate(lambda p: np.zeros(len(p)), complete, ["n0"], AllPairs())
+        rep = evaluate(lambda p: np.zeros(len(p)), complete, ["n0"], "all_pairs")
         assert (rep.pairs, rep.tp + rep.fn) == (2, 2) and rep.auc is None
 
     def test_metrics_consistent_with_counts(self):
@@ -252,7 +258,7 @@ class TestEvaluate:
             def noisy(pairs):
                 return np.random.default_rng(trial).random(len(pairs))
 
-            rep = evaluate(noisy, g, eval_nodes, AllPairs(), cutoff=float(rng.random()))
+            rep = evaluate(noisy, g, eval_nodes, "all_pairs", cutoff=float(rng.random()))
             assert rep.pairs == rep.tp + rep.fp + rep.tn + rep.fn
             if rep.pairs:
                 assert rep.accuracy == pytest.approx(
@@ -275,7 +281,7 @@ class TestEvaluate:
             return np.random.default_rng(9).random(len(pairs))
 
         reports = [
-            evaluate(scorer, g, ["n1", "n5"], AllPairs(), cutoff=c)
+            evaluate(scorer, g, ["n1", "n5"], "all_pairs", cutoff=c)
             for c in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
         for lo, hi in zip(reports, reports[1:]):
@@ -394,6 +400,23 @@ class TestTrain:
         assert calls.count(tuple(split.val_nodes)) == 1
         assert len(calls) == 1 + len(result.history)
 
+    @pytest.mark.parametrize("resample, draws", [(False, 1), (True, 4)])
+    def test_draws_training_pairs_once_unless_resampling(self, monkeypatch, resample, draws):
+        # without resampling every epoch's seed is the same, so is its pair set
+        calls = []
+        original = pipeline.sample_pairs
+
+        def spy(g, eval_nodes, mode, seed=0):
+            if eval_nodes is g.ids:  # the training graph's own cells
+                calls.append(seed)
+            return original(g, eval_nodes, mode, seed=seed)
+
+        monkeypatch.setattr(pipeline, "sample_pairs", spy)
+        result = train_on("mlp", experiment_fixture(), 3, epochs=4, batch_size=128, resample_negatives=resample)
+        assert len(result.history) == 4
+        assert len(calls) == draws
+        assert calls == [calls[0] + epoch for epoch in range(draws)]
+
     def test_history_schema_and_best_epoch(self):
         result = train_on("mlp", experiment_fixture(), 8, epochs=4, batch_size=128)
         assert [row["epoch"] for row in result.history] == [0, 1, 2, 3]
@@ -409,7 +432,7 @@ class TestTrain:
         result = train_on(kind, fixture, seed, epochs=4, batch_size=128)
         assert result.best_epoch < len(result.history) - 1
         report = evaluate(
-            make_scorer(result.params, x, graph), graph, split.val_nodes, Balanced(),
+            make_scorer(result.params, x, graph), graph, split.val_nodes, "balanced",
             seed=kind_seed(seed, kind, "val_pairs"),
         )
         assert result.history[result.best_epoch]["val_accuracy"] == report.accuracy
@@ -423,7 +446,7 @@ class TestTrain:
         scorer = make_scorer(result.params, x, graph)
         at = {
             cutoff: evaluate(
-                scorer, graph, split.val_nodes, Balanced(), cutoff, seed=kind_seed(3, kind, "val_pairs")
+                scorer, graph, split.val_nodes, "balanced", cutoff, seed=kind_seed(3, kind, "val_pairs")
             ).accuracy
             for cutoff in (0.5, 0.7)
         }

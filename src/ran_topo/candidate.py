@@ -123,6 +123,6 @@ def evaluate_candidates(graph: RanGraph, eval_nodes, cfg: CandidateConfig) -> Ev
     fp = len(predicted) - tp
     fn = int(graph.degree[eval_idx].sum()) - tp
     tn = len(eval_idx) * (graph.n - 1) - tp - fp - fn
-    return EvalReport.from_counts(
+    return EvalReport(
         mode=f"candidate(k={cfg.k},m={cfg.max_dist})", cutoff=0.5, tp=tp, fp=fp, tn=tn, fn=fn, auc=None
     )

@@ -60,6 +60,13 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
+    """``--k`` and ``--max-dist-km``, defaulting to the experiment's candidate ``filter``."""
+    parser.add_argument("--k", type=int, default=ExperimentConfig.filter.k, help="max candidates per cell")
+    parser.add_argument("--max-dist-km", type=float, default=ExperimentConfig.filter.max_dist,
+                        help="max candidate distance (km); inf for no cap")
+
+
 def _candidate_config(args) -> CandidateConfig:
     return CandidateConfig.from_dict({"k": args.k, "max_dist_km": args.max_dist_km})
 
@@ -107,7 +114,7 @@ def cmd_eval(args) -> int:
         params = models.params_from_json(fh.read())
     data = pipeline.prepare_experiment(cfg)
     reports = pipeline.evaluate_model(params, data, cfg)
-    print(pipeline.format_summary([], reports))
+    print(pipeline.format_summary(None, reports))
     with pipeline.stage("write"):
         pipeline.write_reports(args.out, reports)
     return EXIT_OK
@@ -138,7 +145,7 @@ def cmd_predict(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = _experiment_config(args)
     result = pipeline.run_experiment(cfg, args.out)
-    print(pipeline.format_summary(result.candidate_reports, result.model_reports))
+    print(pipeline.format_summary(result.candidate_report, result.model_reports))
     return EXIT_OK
 
 
@@ -158,8 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("candidates", help="evaluate the geographic candidate baseline")
     p.add_argument("--cells", required=True)
     p.add_argument("--edges", required=True)
-    p.add_argument("--k", type=int, required=True, help="max candidates per cell")
-    p.add_argument("--max-dist-km", type=float, default=None, help="max distance (km)")
+    _add_filter_flags(p)
     p.add_argument("--eval-split", default=",".join(map(str, ExperimentConfig.split)))
     p.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="seed of the split")
     p.add_argument("--out", default=None, help="also write the report JSON here")
@@ -185,9 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cells", required=True)
     p.add_argument("--edges", required=True)
     p.add_argument("--new-cell", required=True, help="JSON with lat, lon, and features")
-    p.add_argument("--k", type=int, default=ExperimentConfig.filter.k)
-    p.add_argument("--max-dist-km", type=float, default=ExperimentConfig.filter.max_dist,
-                   help="max candidate distance (km); inf for no cap")
+    _add_filter_flags(p)
     p.add_argument("--cutoff", type=float, default=ExperimentConfig.cutoff)
     p.add_argument("--max-neighbors", type=int, default=None)
     p.set_defaults(func=cmd_predict)

@@ -174,8 +174,7 @@ class ExperimentConfig:
     seed: int = 7
     data: SynthConfig | NetworkFiles = SynthConfig()
     split: tuple[float, float, float] = (0.9, 0.05, 0.05)  # train, validation, test
-    candidate_configs: tuple[CandidateConfig, ...] = (CandidateConfig(k=100000),)  # baselines
-    filter: CandidateConfig = CandidateConfig(k=60, max_dist=4.0)  # candidate_filtered mode
+    filter: CandidateConfig = CandidateConfig(k=60, max_dist=4.0)  # the baseline and candidate_filtered mode
     hidden: int = 64
     embed: int = 64
     train: TrainConfig = TrainConfig()
@@ -190,7 +189,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, obj) -> ExperimentConfig:
         _checked(obj, "config", {
-            "seed": int, "data": dict, "split": dict, "candidate_configs": list,
+            "seed": int, "data": dict, "split": dict,
             "filter": dict, "dims": dict, "train": dict, "cutoff": float,
         })
         fields = {key: obj[key] for key in ("seed", "cutoff") if key in obj}
@@ -205,9 +204,6 @@ class ExperimentConfig:
         if "split" in obj:
             split = _checked(obj["split"], "split", {"ratios": [float, 3]})
             fields["split"] = tuple(split.get("ratios", cls.split))
-        if "candidate_configs" in obj:
-            fields["candidate_configs"] = tuple(
-                CandidateConfig.from_dict(c, "candidate_configs") for c in obj["candidate_configs"])
         if "filter" in obj:
             fields["filter"] = CandidateConfig.from_dict(obj["filter"], "filter")
         if "dims" in obj:
@@ -223,7 +219,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "data": {"synthetic": self.data.to_dict()} if synthetic else self.data.to_dict(),
             "split": {"ratios": list(self.split)},
-            "candidate_configs": [c.to_dict() for c in self.candidate_configs],
             "filter": self.filter.to_dict(),
             "dims": {"h": self.hidden, "d": self.embed},
             "train": self.train.to_dict(),

@@ -222,7 +222,7 @@ def score_pairs(scorer, pair_set: PairSet, cutoff: float) -> EvalReport:
     tn = int(np.sum(~predicted & ~actual))
     # AUC is undefined when every pair is one class
     auc_value = auc(scores, pair_set.labels) if actual.any() and not actual.all() else None
-    return EvalReport.from_counts(
+    return EvalReport(
         mode=pair_set.mode, cutoff=cutoff, tp=tp, fp=fp, tn=tn, fn=fn, auc=auc_value
     )
 
@@ -431,7 +431,7 @@ def prepare_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Exp
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     data: ExperimentData
-    candidate_reports: list  # EvalReport per candidate config
+    candidate_report: EvalReport  # the candidate filter as the baseline
     model_results: dict  # kind -> TrainResult
     model_reports: dict  # (kind, mode name) -> EvalReport
 
@@ -460,10 +460,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
     """Execute the full pipeline and optionally write the report bundle."""
     data = prepare_experiment(cfg, out_dir)
     with stage("candidate"):
-        cand_reports = [
-            evaluate_candidates(data.graph, data.split.val_nodes, cand_cfg)
-            for cand_cfg in cfg.candidate_configs
-        ]
+        cand_report = evaluate_candidates(data.graph, data.split.val_nodes, cfg.filter)
 
     model_results: dict = {}
     model_reports: dict = {}
@@ -473,7 +470,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
 
     result = ExperimentResult(
         data=data,
-        candidate_reports=cand_reports,
+        candidate_report=cand_report,
         model_results=model_results,
         model_reports=model_reports,
     )
@@ -506,13 +503,13 @@ def write_reports(out_dir: str, model_reports: dict) -> None:
         write_text(os.path.join(out_dir, f"{kind}_{mode}.json"), report.to_json())
 
 
-def summary_rows(candidate_reports: list, model_reports: dict) -> list[list[str]]:
-    """The six text cells of each summary line, candidate baselines first:
-    model, mode, accuracy, precision and recall in percent, and AUC (""
-    where undefined)."""
-    labeled = [(report.mode, "all_pairs", report) for report in candidate_reports] + [
-        (kind, mode, report) for (kind, mode), report in model_reports.items()
-    ]
+def summary_rows(candidate_report: EvalReport | None, model_reports: dict) -> list[list[str]]:
+    """The six text cells of each summary line, the candidate baseline (if
+    given) first: model, mode, accuracy, precision and recall in percent,
+    and AUC ("" where undefined)."""
+    labeled = [(kind, mode, report) for (kind, mode), report in model_reports.items()]
+    if candidate_report is not None:
+        labeled.insert(0, (candidate_report.mode, "all_pairs", candidate_report))
     return [
         [model_name, mode, *(f"{100 * ratio:.2f}" for ratio in (rep.accuracy, rep.precision, rep.recall)),
          "" if rep.auc is None else f"{rep.auc:.4f}"]
@@ -530,20 +527,19 @@ def write_bundle(result: ExperimentResult, cfg: ExperimentConfig, out_dir: str) 
     os.makedirs(reports_dir, exist_ok=True)
     write_text(os.path.join(out_dir, "config.json"), json.dumps(cfg.to_dict(), indent=2, sort_keys=True))
     write_models(out_dir, result.model_results, result.data.norm_params)
-    for idx, report in enumerate(result.candidate_reports):
-        write_text(os.path.join(reports_dir, f"candidate_{idx}.json"), report.to_json())
+    write_text(os.path.join(reports_dir, "candidate.json"), result.candidate_report.to_json())
     write_reports(reports_dir, result.model_reports)
     write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["model", "mode", "acc_pct", "precision_pct", "recall_pct", "auc"],
-        summary_rows(result.candidate_reports, result.model_reports),
+        summary_rows(result.candidate_report, result.model_reports),
     )
 
 
-def format_summary(candidate_reports: list, model_reports: dict) -> str:
+def format_summary(candidate_report: EvalReport | None, model_reports: dict) -> str:
     """Human-readable table of ``summary_rows``, an undefined AUC shown as -."""
     header = ["model", "mode", "ACC %", "Prec %", "Rec %", "AUC"]
     return "\n".join(
         f"{model_name:<34} {mode:<20} " + " ".join(f"{cell or '-':>7}" for cell in numbers)
-        for model_name, mode, *numbers in [header, *summary_rows(candidate_reports, model_reports)]
+        for model_name, mode, *numbers in [header, *summary_rows(candidate_report, model_reports)]
     )

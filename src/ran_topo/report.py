@@ -3,55 +3,32 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-
-
-def safe_ratio(num: int, den: int) -> float:
-    """num/den with 0 for an empty denominator, so reports stay numeric."""
-    return num / den if den else 0.0
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Confusion counts plus derived metrics for one evaluation mode."""
+    """Confusion counts for one evaluation mode; ``pairs`` and the ratios
+    derive from them, a ratio with an empty denominator as 0."""
 
     mode: str
     cutoff: float
-    pairs: int
+    pairs: int = field(init=False)
     tp: int
     fp: int
     tn: int
     fn: int
-    accuracy: float
-    precision: float
-    recall: float
+    accuracy: float = field(init=False)
+    precision: float = field(init=False)
+    recall: float = field(init=False)
     auc: float | None
 
-    @classmethod
-    def from_counts(
-        cls,
-        mode: str,
-        cutoff: float,
-        tp: int,
-        fp: int,
-        tn: int,
-        fn: int,
-        auc: float | None,
-    ) -> "EvalReport":
+    def __post_init__(self):
+        tp, fp, tn, fn = self.tp, self.fp, self.tn, self.fn
         total = tp + fp + tn + fn
-        return cls(
-            mode=mode,
-            cutoff=cutoff,
-            pairs=total,
-            tp=tp,
-            fp=fp,
-            tn=tn,
-            fn=fn,
-            accuracy=safe_ratio(tp + tn, total),
-            precision=safe_ratio(tp, tp + fp),
-            recall=safe_ratio(tp, tp + fn),
-            auc=auc,
-        )
+        object.__setattr__(self, "pairs", total)
+        for name, num, den in (("accuracy", tp + tn, total), ("precision", tp, tp + fp), ("recall", tp, tp + fn)):
+            object.__setattr__(self, name, num / den if den else 0.0)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

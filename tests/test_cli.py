@@ -24,7 +24,6 @@ EXPERIMENT_CFG = {
     "seed": 11,
     "data": {"synthetic": SYNTH_CFG},
     "split": {"ratios": [0.8, 0.1, 0.1]},
-    "candidate_configs": [{"k": 1000, "max_dist_km": None}],
     "filter": {"k": 10, "max_dist_km": 3.0},
     "dims": {"h": 8, "d": 8},
     "train": {"epochs": 3, "batch_size": 256, "learning_rate": 1e-3},
@@ -319,7 +318,9 @@ BAD_CONFIG_VALUES = {
     "misspelt_split_key": {"split": {"ratio": [0.8, 0.1, 0.1]}},
     "two_data_sources": {"data": {"synthetic": SYNTH_CFG, "cells_csv": "cells.csv", "edges_csv": "edges.csv"}},
     "fractional_k": {"filter": {"k": 2.7, "max_dist_km": 3.0}},
-    "boolean_k": {"candidate_configs": [{"k": True, "max_dist_km": None}]},
+    "boolean_k": {"filter": {"k": True}},
+    # the filter is the one baseline: a list of baselines is an unknown key
+    "candidate_configs_key": {"candidate_configs": []},
     "cells_without_edges": {"data": {"cells_csv": "cells.csv"}},
     "ratios_not_summing_to_one": {"split": {"ratios": [0.5, 0.5, 0.5]}},
     "zero_hidden_dim": {"dims": {"h": 0, "d": 64}},
@@ -349,19 +350,19 @@ def test_edgeless_training_graph_exit_2(tmp_path, capsys):
 
 
 def test_candidates_defaults_to_the_experiment_seed(tmp_path, capsys):
-    """``candidates`` at its default --seed splits as an experiment at its
-    default seed does, so it reproduces the bundle's candidate_0.json."""
-    config = {key: value for key, value in EXPERIMENT_CFG.items() if key != "seed"}
+    """``candidates`` at its default --seed, --k and --max-dist-km splits as
+    an experiment at its default seed does and proposes its default
+    ``filter``, so it reproduces the bundle's candidate.json."""
+    config = {key: value for key, value in EXPERIMENT_CFG.items() if key not in ("seed", "filter")}
     out = tmp_path / "run"
     assert main(["experiment", "--config", write_json(tmp_path / "exp.json", config), "--out", str(out)]) == 0
-    baseline, report = config["candidate_configs"][0], tmp_path / "candidate.json"
+    report = tmp_path / "candidate.json"
     assert main([
         "candidates", "--cells", str(out / "data" / "cells.csv"), "--edges", str(out / "data" / "edges.csv"),
-        "--k", str(baseline["k"]), "--eval-split", ",".join(map(str, config["split"]["ratios"])),
-        "--out", str(report),
+        "--eval-split", ",".join(map(str, config["split"]["ratios"])), "--out", str(report),
     ]) == 0
-    assert baseline["max_dist_km"] is None  # the flag's default, no cap
-    assert report.read_bytes() == (out / "reports" / "candidate_0.json").read_bytes()
+    assert json.loads(report.read_text())["mode"] == "candidate(k=60,m=4.0)"
+    assert report.read_bytes() == (out / "reports" / "candidate.json").read_bytes()
 
 
 @pytest.mark.parametrize("policy", ["drop_row", "fill_column_mean"])

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import edge_set, make_graph, random_graph
 from ran_topo import models, pipeline
-from ran_topo.candidate import CandidateConfig
+from ran_topo.candidate import CandidateConfig, evaluate_candidates
 from ran_topo.config import ExperimentConfig, TrainConfig
 from ran_topo.data_io import zscore_apply, zscore_fit
 from ran_topo.errors import StageError, ValidationError
@@ -236,10 +236,9 @@ class TestEvaluate:
             lambda p: np.zeros(len(p)), g, ["n3"],
             CandidateConfig(k=0),
         )
-        assert rep == EvalReport(
-            mode="candidate_filtered", cutoff=0.5, pairs=0, tp=0, fp=0, tn=0, fn=0,
-            accuracy=0.0, precision=0.0, recall=0.0, auc=None,
-        )
+        assert rep == EvalReport(mode="candidate_filtered", cutoff=0.5, tp=0, fp=0, tn=0, fn=0, auc=None)
+        # derived from the counts, 0 for an empty denominator
+        assert (rep.pairs, rep.accuracy, rep.precision, rep.recall) == (0, 0.0, 0.0, 0.0)
 
     def test_single_class_auc_none(self):
         g = make_graph(4, [])
@@ -576,7 +575,6 @@ class TestRunExperiment:
                 }
             },
             "split": {"ratios": [0.8, 0.1, 0.1]},
-            "candidate_configs": [{"k": 1000, "max_dist_km": None}, {"k": 5, "max_dist_km": 2.0}],
             "filter": {"k": 10, "max_dist_km": 4.0},
             "dims": {"h": 8, "d": 8},
             "train": {"epochs": 2, "batch_size": 256, "learning_rate": 1e-3},
@@ -584,10 +582,12 @@ class TestRunExperiment:
         }
 
     def test_structure_and_reports(self, tmp_path):
-        result = pipeline.run_experiment(ExperimentConfig.from_dict(self.small_config()), str(tmp_path))
-        assert len(result.candidate_reports) == 2
-        # unlimited candidate list catches every true neighbor
-        assert result.candidate_reports[0].recall == 1.0
+        cfg = ExperimentConfig.from_dict(self.small_config())
+        result = pipeline.run_experiment(cfg, str(tmp_path))
+        # the baseline is the candidate filter, written as reports/candidate.json
+        data = result.data
+        assert result.candidate_report == evaluate_candidates(data.graph, data.split.val_nodes, cfg.filter)
+        assert (tmp_path / "reports" / "candidate.json").read_text() == result.candidate_report.to_json() + "\n"
         assert set(result.model_results) == {"mlp", "gnn"}
         assert set(result.model_reports) == {
             (kind, mode)
@@ -606,8 +606,7 @@ class TestRunExperiment:
             assert (tmp_path / name).is_file()
         report_files = sorted(p.name for p in (tmp_path / "reports").iterdir())
         assert report_files == [
-            "candidate_0.json",
-            "candidate_1.json",
+            "candidate.json",
             "gnn_all_pairs.json",
             "gnn_balanced.json",
             "gnn_candidate_filtered.json",
@@ -629,24 +628,24 @@ class TestRunExperiment:
 
     def test_format_summary_lists_all_rows(self):
         result = pipeline.run_experiment(ExperimentConfig.from_dict(self.small_config()))
-        text = pipeline.format_summary(result.candidate_reports, result.model_reports)
-        assert len(text.splitlines()) == 1 + 2 + 6  # header + candidates + model rows
+        text = pipeline.format_summary(result.candidate_report, result.model_reports)
+        assert len(text.splitlines()) == 1 + 1 + 6  # header + candidate baseline + model rows
         assert "balanced" in text
         assert "candidate_filtered" in text
-        # without candidate reports: the same header and model rows
+        # without the candidate report: the same header and model rows
         lines = text.splitlines()
-        assert pipeline.format_summary([], result.model_reports).splitlines() == [lines[0], *lines[3:]]
+        assert pipeline.format_summary(None, result.model_reports).splitlines() == [lines[0], *lines[2:]]
 
     def test_printed_summary_matches_summary_csv(self, tmp_path):
         """Each printed line holds its summary.csv row's cells, "-" for an empty one."""
         result = pipeline.run_experiment(ExperimentConfig.from_dict(self.small_config()), str(tmp_path))
-        printed = pipeline.format_summary(result.candidate_reports, result.model_reports).splitlines()
+        printed = pipeline.format_summary(result.candidate_report, result.model_reports).splitlines()
         with open(tmp_path / "summary.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert header == ["model", "mode", "acc_pct", "precision_pct", "recall_pct", "auc"]
         assert printed[0].split() == ["model", "mode", "ACC", "%", "Prec", "%", "Rec", "%", "AUC"]
         assert [line.split() for line in printed[1:]] == [[cell or "-" for cell in row] for row in rows]
-        assert [row[5] for row in rows[:2]] == ["", ""]  # the candidate baselines have no AUC
+        assert rows[0][5] == ""  # the candidate baseline has no AUC
 
 
 class TestScorer:

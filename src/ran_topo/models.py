@@ -42,11 +42,15 @@ from .neural import bce_loss, glorot_uniform, sigmoid
 MLP_KIND = "mlp"
 GNN_KIND = "gnn"
 
-# pairs scored at a time: bounds the pair inputs and activations in memory.
-# Blocks of 8,192 pairs scored all-pairs evaluation about 20% slower than one
-# pass; arrays of a few MB are freshly mapped and page-faulted block after
-# block. From 16,384 pairs blocks were as fast as one pass or faster.
-SCORE_BLOCK = 32768
+# pairs scored at a time. Every block reuses one pair-input buffer and the
+# head's activation buffers, so scoring holds O(SCORE_BLOCK x row width)
+# beyond its pairs and scores: 2 MB at 64-wide rows, which stays in cache.
+# The default network's 113,582 GNN all-pairs scored in 0.23-0.30 s at 512
+# or 1,024 pairs a block and 0.36 s at 4,096 (2-core VM, one OpenBLAS
+# thread). A block must keep more than 18 rows: OpenBLAS computes products
+# of up to 18 rows by another kernel, whose last bits differ, while from 19
+# rows up each hidden-layer row has the same bits whatever the block.
+SCORE_BLOCK = 1024
 
 # array names of each kind, in params-file order
 _PARAM_ARRAYS = {
@@ -121,31 +125,53 @@ def init_params(
 # ---------------------------------------------------------------------------
 # forward / backward on raw arrays
 
-def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray):
-    z1 = pair_input @ d["w1"].T + d["b1"]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ d["w2"].T + d["b2"]
-    a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ d["w3"].T + d["b3"]
+def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray, work=None):
+    """Probabilities of pair inputs, and the cache ``_head_backward`` reads.
+
+    Each hidden layer's ReLU overwrites its pre-activation in place. ``work``
+    is ``_head_work``'s buffers for at least ``len(pair_input)`` rows, which
+    scoring reuses block after block; without it the pass allocates its own.
+    """
+    n = len(pair_input)
+    a1, a2, z3 = work or _head_work(d, n)
+    a1, a2, z3 = a1[:n], a2[:n], z3[:n]
+    _dense_relu(pair_input, d["w1"], d["b1"], a1)
+    _dense_relu(a1, d["w2"], d["b2"], a2)
+    np.matmul(a2, d["w3"].T, out=z3)
+    z3 += d["b3"]
     # clamp away from exactly 0/1 so scores stay strictly inside (0, 1)
     # even when the sigmoid saturates in float64
     probs = np.clip(sigmoid(z3[:, 0]), 1e-12, 1.0 - 1e-12)
-    return probs, (pair_input, z1, a1, z2, a2)
+    return probs, (pair_input, a1, a2)
+
+
+def _head_work(d: dict[str, np.ndarray], n: int):
+    """Uninitialized buffers for the head's two hidden layers and its logit, ``n`` rows each."""
+    return np.empty((n, len(d["b1"]))), np.empty((n, len(d["b2"]))), np.empty((n, 1))
+
+
+def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """relu(x @ w.T + b), written into ``out``: the same floats as the expression."""
+    np.matmul(x, w.T, out=out)
+    out += b
+    return np.maximum(out, 0.0, out=out)
 
 
 def _head_backward(d: dict[str, np.ndarray], cache, dlogit: np.ndarray):
     """Gradients of sum(dlogit * logit) w.r.t. the head params, and ``dz1``,
     the gradient of the first pre-activation. Only the GNN carries it on to
-    its pair input (``dz1 @ w1``); the MLP's input is the data."""
-    pair_input, z1, a1, z2, a2 = cache
+    its pair input (``dz1 @ w1``); the MLP's input is the data. A ReLU's
+    output is positive exactly where its pre-activation is, so the masks
+    read the activations."""
+    pair_input, a1, a2 = cache
     dz3 = dlogit[:, None]  # (B, 1)
     grads = {"w3": dz3.T @ a2, "b3": dz3.sum(axis=0)}
     da2 = dz3 @ d["w3"]
-    dz2 = da2 * (z2 > 0)
+    dz2 = da2 * (a2 > 0)
     grads["w2"] = dz2.T @ a1
     grads["b2"] = dz2.sum(axis=0)
     da1 = dz2 @ d["w2"]
-    dz1 = da1 * (z1 > 0)
+    dz1 = da1 * (a1 > 0)
     grads["w1"] = dz1.T @ pair_input
     grads["b1"] = dz1.sum(axis=0)
     return grads, dz1
@@ -237,20 +263,33 @@ def symmetric_score_batch(
     the MLP, embeddings for the GNN): the mean of both concat orders, so
     score(a, b) = score(b, a) exactly. Evaluation and prediction use this.
 
-    Pairs are scored in near-equal blocks of at most ``SCORE_BLOCK``. A
-    block never holds a single pair unless the batch is one pair: a
-    one-row product takes numpy's matrix-vector path, whose last bits can
-    differ from the matrix-matrix one.
+    Pairs are scored in near-equal blocks of at most ``SCORE_BLOCK``. One
+    pair-input buffer and one ``_head_work`` set, sized for the first
+    (largest) block, serve every block and both orders. A block never holds
+    a single pair unless the batch is one pair: a one-row product takes
+    numpy's matrix-vector path, whose last bits can differ from the
+    matrix-matrix one.
     """
     pairs = np.asarray(pairs)
+    # the gather below wraps indices; an out-of-range pair is a bug, not a score
+    if pairs.size and not -len(rows) <= pairs.min() <= pairs.max() < len(rows):
+        raise IndexError(f"pair index out of range for {len(rows)} rows")
     n_blocks = -(-len(pairs) // SCORE_BLOCK)
-    scores = []
-    for block in np.array_split(pairs, n_blocks) if n_blocks > 1 else [pairs]:
-        # [0] drops each pass's activation cache before the next pass allocates its own
-        forward = _head_forward(params, _pair_input(rows, block))[0]
-        backward = _head_forward(params, _pair_input(rows, block[:, ::-1]))[0]
-        scores.append(0.5 * (forward + backward))
-    return np.concatenate(scores)
+    blocks = np.array_split(pairs, n_blocks) if n_blocks > 1 else [pairs]
+    gathered = np.empty((len(blocks[0]), 2, rows.shape[1]))
+    work = _head_work(params, len(blocks[0]))
+
+    def probs(order: np.ndarray) -> np.ndarray:
+        pair_input = np.take(rows, order, axis=0, out=gathered[: len(order)], mode="wrap")
+        return _head_forward(params, pair_input.reshape(len(order), 2 * rows.shape[1]), work)[0]
+
+    scores = np.empty(len(pairs))
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        scores[start:stop] = 0.5 * (probs(block) + probs(block[:, ::-1]))
+        start = stop
+    return scores
 
 
 # ---------------------------------------------------------------------------

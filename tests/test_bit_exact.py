@@ -1,4 +1,4 @@
-"""The training kernels against the plain formulas they replace, bit for bit.
+"""The training and scoring kernels against the plain formulas they replace, bit for bit.
 
 Trained parameters and report bundles are byte-identical across changes to
 these kernels only if every float they produce is, so each comparison here
@@ -21,6 +21,32 @@ from ran_topo.neural import AdamState, adam_step, bce_loss, sigmoid
 from conftest import make_graph, random_graph
 
 
+def reference_pair_input(rows, pairs):
+    return np.concatenate([rows[pairs[:, 0]], rows[pairs[:, 1]]], axis=1)
+
+
+def reference_head(d, pair_input):
+    """The head's probabilities and activations as fresh arrays, one expression a layer."""
+    z1 = pair_input @ d["w1"].T + d["b1"]
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ d["w2"].T + d["b2"]
+    a2 = np.maximum(z2, 0.0)
+    z3 = a2 @ d["w3"].T + d["b3"]
+    return np.clip(sigmoid(z3[:, 0]), 1e-12, 1.0 - 1e-12), (z1, a1, z2, a2)
+
+
+def reference_symmetric_scores(params, rows, pairs, block):
+    """Symmetric scores in ``np.array_split`` blocks of at most ``block``
+    pairs, each block and each concat order through a fresh head pass."""
+    n_blocks = -(-len(pairs) // block)
+    scores = []
+    for part in np.array_split(pairs, n_blocks) if n_blocks > 1 else [pairs]:
+        forward = reference_head(params, reference_pair_input(rows, part))[0]
+        backward = reference_head(params, reference_pair_input(rows, part[:, ::-1]))[0]
+        scores.append(0.5 * (forward + backward))
+    return np.concatenate(scores)
+
+
 def reference_loss_and_grads(params, x, pairs, labels, graph=None):
     """Mean BCE and gradients as two gathers, a concatenate and two
     sequential ``np.add.at`` scatters compute them."""
@@ -30,13 +56,8 @@ def reference_loss_and_grads(params, x, pairs, labels, graph=None):
         h = np.concatenate([x, models.neighbor_mean(graph, x)], axis=1)
         pre = h @ d["ws"].T + d["bs"]
         rows = np.maximum(pre, 0.0)
-    pair_input = np.concatenate([rows[pairs[:, 0]], rows[pairs[:, 1]]], axis=1)
-    z1 = pair_input @ d["w1"].T + d["b1"]
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ d["w2"].T + d["b2"]
-    a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ d["w3"].T + d["b3"]
-    probs = np.clip(sigmoid(z3[:, 0]), 1e-12, 1.0 - 1e-12)
+    pair_input = reference_pair_input(rows, pairs)
+    probs, (z1, a1, z2, a2) = reference_head(d, pair_input)
     loss = float(np.mean(bce_loss(probs, labels)))
     dz3 = ((probs - labels) / labels.size)[:, None]
     grads = {"w3": dz3.T @ a2, "b3": dz3.sum(axis=0)}
@@ -147,12 +168,43 @@ def test_neighbor_mean_bit_equal_to_the_sparse_product(graph, width, scale):
         assert_bits_equal(models.neighbor_mean(graph, x, rows), reference_neighbor_mean(graph, x, rows))
 
 
+def scored_rows(kind, rng, n):
+    """Params of a kind with the rows its head scores: features or embeddings."""
+    params = jittered_params(kind, rng, k=8, hidden=64, embed=64)
+    rows = rng.normal(size=(n, models.feature_width(params)))
+    if kind == models.GNN_KIND:
+        rows = models.sage_layer(params, np.concatenate([rows, rng.normal(size=rows.shape)], axis=1))
+    return params, rows
+
+
+@pytest.mark.parametrize("kind", [models.MLP_KIND, models.GNN_KIND])
+@pytest.mark.parametrize(
+    "n_pairs", [0, 1, 2, 19, models.SCORE_BLOCK, models.SCORE_BLOCK + 1, 3 * models.SCORE_BLOCK + 7]
+)
+def test_symmetric_scores_bit_equal_to_fresh_blocks(kind, n_pairs):
+    rng = np.random.default_rng(n_pairs)
+    params, rows = scored_rows(kind, rng, 300)
+    pairs = rng.integers(0, len(rows), size=(n_pairs, 2))
+    want = reference_symmetric_scores(params, rows, pairs, models.SCORE_BLOCK)
+    assert_bits_equal(models.symmetric_score_batch(params, rows, pairs), want)
+
+
+@pytest.mark.parametrize("kind", [models.MLP_KIND, models.GNN_KIND])
+@pytest.mark.parametrize("n_candidates", [1, 2, 7, 60])
+def test_prediction_batches_bit_equal_to_one_pass(kind, n_candidates):
+    """A ``predict`` batch, a new cell's row against each candidate's, is one block."""
+    params, rows = scored_rows(kind, np.random.default_rng(n_candidates), n_candidates + 1)
+    pairs = np.column_stack([np.zeros(n_candidates, dtype=np.int64), np.arange(1, n_candidates + 1)])
+    want = reference_symmetric_scores(params, rows, pairs, len(pairs))
+    assert_bits_equal(models.symmetric_score_batch(params, rows, pairs), want)
+
+
 def test_pair_input_is_the_concatenated_gather():
     rng = np.random.default_rng(3)
     rows = rng.normal(size=(9, 4))
     pairs = rng.integers(0, 9, size=(50, 2))
     for p in (pairs, pairs[:, ::-1], pairs[:0]):
-        want = np.concatenate([rows[p[:, 0]], rows[p[:, 1]]], axis=1)
+        want = reference_pair_input(rows, p)
         got = models._pair_input(rows, p)
         assert got.shape == want.shape and np.array_equal(got, want)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,9 +182,9 @@ class TestScoreBlocks:
         sizes = []
         head_forward = models._head_forward
 
-        def recording(d, pair_input):
+        def recording(d, pair_input, work=None):
             sizes.append(len(pair_input))
-            return head_forward(d, pair_input)
+            return head_forward(d, pair_input, work)
 
         monkeypatch.setattr(models, "SCORE_BLOCK", 4)
         monkeypatch.setattr(models, "_head_forward", recording)
@@ -193,6 +194,31 @@ class TestScoreBlocks:
         assert max(sizes) <= 4
         # no block of one pair unless the batch is one pair
         assert min(sizes) >= min(2, n_pairs)
+
+    def test_memory_is_a_few_block_buffers_beyond_the_scores(self):
+        width = 64
+        params = models.init_params("gnn", k=8, embed=width, hidden=width, seed=2)
+        rng = np.random.default_rng(9)
+        rows = rng.normal(size=(500, width))
+        pairs = rng.integers(0, len(rows), size=(100_000, 2))
+        tracemalloc.start()
+        try:
+            scores = models.symmetric_score_batch(params, rows, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_input = models.SCORE_BLOCK * 2 * width * 8  # one block's pair input, in bytes
+        # the workspace, whatever the batch: that pair input and two hidden layers half as wide
+        assert peak <= scores.nbytes + 3 * block_input, peak
+        # and a block is cache-sized, so the workspace is a few MB
+        assert peak <= scores.nbytes + 4 * 2**20, peak
+
+    @pytest.mark.parametrize("pair", [[0, 6], [6, 0], [-7, 1]])
+    def test_pair_out_of_range_raises(self, pair):
+        params = models.init_params("mlp", k=3, hidden=5, seed=1)
+        x = np.random.default_rng(4).normal(size=(6, 3))
+        with pytest.raises(IndexError):
+            models.symmetric_score_batch(params, x, np.array([[1, 2], pair]))
 
 
 class TestInitParams:

@@ -31,6 +31,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,15 +45,27 @@ from .neural import bce_loss, glorot_uniform, sigmoid
 MLP_KIND = "mlp"
 GNN_KIND = "gnn"
 
-# pairs scored at a time. Every block reuses one pair-input buffer and the
-# head's activation buffers, so scoring holds O(SCORE_BLOCK x row width)
-# beyond its pairs and scores: 2 MB at 64-wide rows, which stays in cache.
-# The default network's 113,582 GNN all-pairs scored in 0.23-0.30 s at 512
-# or 1,024 pairs a block and 0.36 s at 4,096 (2-core VM, one OpenBLAS
-# thread). A block must keep more than 18 rows: OpenBLAS computes products
-# of up to 18 rows by another kernel, whose last bits differ, while from 19
-# rows up each hidden-layer row has the same bits whatever the block.
+# pairs scored at a time. Each scoring worker reuses one workspace for all
+# its blocks, so scoring holds O(SCORE_BLOCK x row width) per worker beyond
+# its pairs and scores: 1.25 MB at 64-wide rows, which stays in cache. The
+# default network's 113,582 GNN all-pairs scored in 0.23-0.30 s at 512 or
+# 1,024 pairs a block and 0.36 s at 4,096 (2-core VM, one OpenBLAS thread,
+# one worker).
+#
+# The blocks are part of the bits. A hidden-layer row has the same bits
+# whatever the rows beside it, from 19 rows up: OpenBLAS computes products
+# of up to 18 rows by another kernel, whose last bits differ, so no product
+# goes that small unless the batch is. The logit is not like that: its
+# product with the single output row is a matrix-vector product, and the
+# last (block length mod 4) rows of a block take another kernel path, so a
+# score's bits depend on where its block ends: at 512-pair blocks, 234 of
+# the default GNN's 113,582 all-pairs scores differ, by up to 1.1e-16. So
+# the blocks stay exactly where they are, and workers only share them out.
 SCORE_BLOCK = 1024
+
+# most workers that score one batch's blocks at a time: each holds its own
+# workspace, and two of them fit the scoring memory bound
+SCORE_WORKERS = 2
 
 # array names of each kind, in params-file order
 _PARAM_ARRAYS = {
@@ -125,29 +140,34 @@ def init_params(
 # ---------------------------------------------------------------------------
 # forward / backward on raw arrays
 
-def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray, work=None):
-    """Probabilities of pair inputs, and the cache ``_head_backward`` reads.
+def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray):
+    """Probabilities of pair inputs, and the cache ``_head_backward`` reads:
+    the first layer, then ``_head_rest``. Each hidden layer's ReLU
+    overwrites its pre-activation in place."""
+    a1 = _dense_relu(pair_input, d["w1"], d["b1"], np.empty((len(pair_input), len(d["b1"]))))
+    probs, a2 = _head_rest(d, a1)
+    return probs, (pair_input, a1, a2)
 
-    Each hidden layer's ReLU overwrites its pre-activation in place. ``work``
-    is ``_head_work``'s buffers for at least ``len(pair_input)`` rows, which
-    scoring reuses block after block; without it the pass allocates its own.
-    """
-    n = len(pair_input)
-    a1, a2, z3 = work or _head_work(d, n)
-    a1, a2, z3 = a1[:n], a2[:n], z3[:n]
-    _dense_relu(pair_input, d["w1"], d["b1"], a1)
+
+def _head_rest(d: dict[str, np.ndarray], a1: np.ndarray, work=None):
+    """Probabilities from first-layer activations ``a1``, and the second
+    layer's activations. ``work`` is ``_rest_work``'s buffers for at least
+    ``len(a1)`` rows, which scoring reuses block after block; without it the
+    pass allocates its own."""
+    n = len(a1)
+    a2, z3 = work or _rest_work(d, n)
+    a2, z3 = a2[:n], z3[:n]
     _dense_relu(a1, d["w2"], d["b2"], a2)
     np.matmul(a2, d["w3"].T, out=z3)
     z3 += d["b3"]
     # clamp away from exactly 0/1 so scores stay strictly inside (0, 1)
     # even when the sigmoid saturates in float64
-    probs = np.clip(sigmoid(z3[:, 0]), 1e-12, 1.0 - 1e-12)
-    return probs, (pair_input, a1, a2)
+    return np.clip(sigmoid(z3[:, 0]), 1e-12, 1.0 - 1e-12), a2
 
 
-def _head_work(d: dict[str, np.ndarray], n: int):
-    """Uninitialized buffers for the head's two hidden layers and its logit, ``n`` rows each."""
-    return np.empty((n, len(d["b1"]))), np.empty((n, len(d["b2"]))), np.empty((n, 1))
+def _rest_work(d: dict[str, np.ndarray], n: int):
+    """Uninitialized buffers for the head's second layer and its logit, ``n`` rows each."""
+    return np.empty((n, len(d["b2"]))), np.empty((n, 1))
 
 
 def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -256,6 +276,19 @@ def _pair_input(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     return rows[pairs].reshape(len(pairs), 2 * rows.shape[1])
 
 
+def _parts(a: np.ndarray, most: int) -> list[np.ndarray]:
+    """``a`` in near-equal ``np.array_split`` parts of at most ``most`` rows."""
+    n_parts = -(-len(a) // most)
+    return np.array_split(a, n_parts) if n_parts > 1 else [a]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def symmetric_score_batch(
     params: dict[str, np.ndarray], rows: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
@@ -263,33 +296,70 @@ def symmetric_score_batch(
     the MLP, embeddings for the GNN): the mean of both concat orders, so
     score(a, b) = score(b, a) exactly. Evaluation and prediction use this.
 
-    Pairs are scored in near-equal blocks of at most ``SCORE_BLOCK``. One
-    pair-input buffer and one ``_head_work`` set, sized for the first
-    (largest) block, serve every block and both orders. A block never holds
-    a single pair unless the batch is one pair: a one-row product takes
-    numpy's matrix-vector path, whose last bits can differ from the
-    matrix-matrix one.
+    Pairs are scored in near-equal blocks of at most ``SCORE_BLOCK``. A
+    block never holds a single pair unless the batch is one pair: a one-row
+    product takes numpy's matrix-vector path, whose last bits can differ
+    from the matrix-matrix one. Up to ``SCORE_WORKERS`` workers, no more
+    than the CPUs the process may use, each take the next block left: the
+    calling thread and the threads of one pool that closes before the call
+    returns. Each worker owns one workspace, reused for its every block and
+    both orders, and writes only its blocks' scores; a block's scores do
+    not depend on which worker scores it, so neither do the bits. A
+    one-block batch, as every ``predict`` request is, starts no thread.
     """
     pairs = np.asarray(pairs)
     # the gather below wraps indices; an out-of-range pair is a bug, not a score
     if pairs.size and not -len(rows) <= pairs.min() <= pairs.max() < len(rows):
         raise IndexError(f"pair index out of range for {len(rows)} rows")
-    n_blocks = -(-len(pairs) // SCORE_BLOCK)
-    blocks = np.array_split(pairs, n_blocks) if n_blocks > 1 else [pairs]
-    gathered = np.empty((len(blocks[0]), 2, rows.shape[1]))
-    work = _head_work(params, len(blocks[0]))
+    scores = np.empty(len(pairs))
+    blocks = list(zip(_parts(pairs, SCORE_BLOCK), _parts(scores, SCORE_BLOCK)))
+    left, lock = iter(blocks), threading.Lock()
+
+    def next_block():
+        with lock:
+            return next(left, None)
+
+    # the first block is the largest: it sizes every workspace
+    size = len(blocks[0][0])
+    workers = min(_usable_cpus(), len(blocks), SCORE_WORKERS)
+    if workers == 1:
+        _score_blocks(params, rows, size, next_block)
+        return scores
+    with ThreadPoolExecutor(workers - 1) as pool:
+        others = [pool.submit(_score_blocks, params, rows, size, next_block) for _ in range(1, workers)]
+        _score_blocks(params, rows, size, next_block)
+        for other in others:
+            other.result()
+    return scores
+
+
+def _score_blocks(params: dict[str, np.ndarray], rows: np.ndarray, size: int, next_block) -> None:
+    """One worker: the symmetric scores of each (pairs, scores) block that
+    ``next_block`` hands it, written into the block's scores, until it hands
+    ``None``. The workspace, for blocks of up to ``size`` pairs, is the
+    first layer's activations, ``_rest_work`` and a pair-input buffer for a
+    quarter block: the first layer runs a quarter block at a time, the rest
+    of the head over the whole block, so every product has the bits a
+    whole-block pass gives it (see ``SCORE_BLOCK``)."""
+    width = rows.shape[1]
+    # a part of a longer order is more than half of this, so more than 18 rows
+    quarter = max(SCORE_BLOCK // 4, 38)
+    gathered = np.empty((min(size, quarter), 2, width))
+    a1 = np.empty((size, len(params["b1"])))
+    work = _rest_work(params, size)
 
     def probs(order: np.ndarray) -> np.ndarray:
-        pair_input = np.take(rows, order, axis=0, out=gathered[: len(order)], mode="wrap")
-        return _head_forward(params, pair_input.reshape(len(order), 2 * rows.shape[1]), work)[0]
+        start = 0
+        for part in _parts(order, quarter):
+            stop = start + len(part)
+            pair_input = np.take(rows, part, axis=0, out=gathered[: len(part)], mode="wrap")
+            _dense_relu(pair_input.reshape(len(part), 2 * width), params["w1"], params["b1"], a1[start:stop])
+            start = stop
+        return _head_rest(params, a1[:start], work)[0]
 
-    scores = np.empty(len(pairs))
-    start = 0
-    for block in blocks:
-        stop = start + len(block)
-        scores[start:stop] = 0.5 * (probs(block) + probs(block[:, ::-1]))
-        start = stop
-    return scores
+    while (block := next_block()) is not None:
+        pairs, out = block
+        out[:] = 0.5 * (probs(pairs) + probs(pairs[:, ::-1]))
 
 
 # ---------------------------------------------------------------------------

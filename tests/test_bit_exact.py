@@ -190,6 +190,32 @@ def test_symmetric_scores_bit_equal_to_fresh_blocks(kind, n_pairs):
 
 
 @pytest.mark.parametrize("kind", [models.MLP_KIND, models.GNN_KIND])
+@pytest.mark.parametrize("n_pairs", [21, 37, 39, 80, 161])
+def test_first_layer_parts_of_a_small_block_keep_more_than_18_rows(monkeypatch, kind, n_pairs):
+    """At 80-pair blocks a quarter block is 20 rows: a block of 21 to 37
+    pairs in parts of at most 20 would leave parts of 18 rows or fewer."""
+    monkeypatch.setattr(models, "SCORE_BLOCK", 80)
+    rng = np.random.default_rng(n_pairs)
+    params, rows = scored_rows(kind, rng, 300)
+    pairs = rng.integers(0, len(rows), size=(n_pairs, 2))
+    want = reference_symmetric_scores(params, rows, pairs, 80)
+    assert_bits_equal(models.symmetric_score_batch(params, rows, pairs), want)
+
+
+@pytest.mark.parametrize("kind", [models.MLP_KIND, models.GNN_KIND])
+@pytest.mark.parametrize("n_pairs", [models.SCORE_BLOCK + 1, 3 * models.SCORE_BLOCK + 7, 100_000])
+def test_worker_count_never_changes_bits(monkeypatch, kind, n_pairs):
+    rng = np.random.default_rng(n_pairs)
+    params, rows = scored_rows(kind, rng, 500)
+    pairs = rng.integers(0, len(rows), size=(n_pairs, 2))
+    scores = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: cpus)
+        scores[cpus] = models.symmetric_score_batch(params, rows, pairs)
+    assert_bits_equal(scores[2], scores[1])
+
+
+@pytest.mark.parametrize("kind", [models.MLP_KIND, models.GNN_KIND])
 @pytest.mark.parametrize("n_candidates", [1, 2, 7, 60])
 def test_prediction_batches_bit_equal_to_one_pass(kind, n_candidates):
     """A ``predict`` batch, a new cell's row against each candidate's, is one block."""

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -180,14 +182,14 @@ class TestScoreBlocks:
         pairs = rng.integers(0, 6, size=(n_pairs, 2))
         one_pass = models.symmetric_score_batch(params, x, pairs)
         sizes = []
-        head_forward = models._head_forward
+        head_rest = models._head_rest  # every block's every order passes here
 
-        def recording(d, pair_input, work=None):
-            sizes.append(len(pair_input))
-            return head_forward(d, pair_input, work)
+        def recording(d, a1, work=None):
+            sizes.append(len(a1))
+            return head_rest(d, a1, work)
 
         monkeypatch.setattr(models, "SCORE_BLOCK", 4)
-        monkeypatch.setattr(models, "_head_forward", recording)
+        monkeypatch.setattr(models, "_head_rest", recording)
         blocked = models.symmetric_score_batch(params, x, pairs)
         np.testing.assert_allclose(blocked, one_pass, rtol=0, atol=1e-15)
         assert sum(sizes) == 2 * n_pairs  # both concat orders of every pair
@@ -195,7 +197,8 @@ class TestScoreBlocks:
         # no block of one pair unless the batch is one pair
         assert min(sizes) >= min(2, n_pairs)
 
-    def test_memory_is_a_few_block_buffers_beyond_the_scores(self):
+    def test_memory_is_a_few_block_buffers_beyond_the_scores(self, monkeypatch):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)  # two workspaces, whatever the host
         width = 64
         params = models.init_params("gnn", k=8, embed=width, hidden=width, seed=2)
         rng = np.random.default_rng(9)
@@ -208,10 +211,78 @@ class TestScoreBlocks:
         finally:
             tracemalloc.stop()
         block_input = models.SCORE_BLOCK * 2 * width * 8  # one block's pair input, in bytes
-        # the workspace, whatever the batch: that pair input and two hidden layers half as wide
+        # the workspaces, whatever the batch: two workers, each a quarter of
+        # that pair input and two hidden layers half as wide
         assert peak <= scores.nbytes + 3 * block_input, peak
         # and a block is cache-sized, so the workspace is a few MB
         assert peak <= scores.nbytes + 4 * 2**20, peak
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 19, 60])
+    def test_one_block_starts_no_thread(self, monkeypatch, n_pairs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-block batch opened a thread pool")
+
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(models, "ThreadPoolExecutor", no_pool)
+        params = models.init_params("gnn", k=3, embed=4, hidden=5, seed=1)
+        rows = np.random.default_rng(4).normal(size=(61, 4))
+        pairs = np.column_stack([np.zeros(n_pairs, dtype=np.int64), np.arange(1, n_pairs + 1)])
+        assert models.symmetric_score_batch(params, rows, pairs).shape == (n_pairs,)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        params = models.init_params("mlp", k=3, hidden=5, seed=1)
+        x = np.random.default_rng(4).normal(size=(6, 3))
+        pairs = np.random.default_rng(5).integers(0, 6, size=(3 * models.SCORE_BLOCK, 2))
+        before = threading.active_count()
+        models.symmetric_score_batch(params, x, pairs)
+        assert threading.active_count() == before
+
+    def test_each_block_scored_once_by_more_workers_than_cores(self, monkeypatch):
+        params = models.init_params("mlp", k=3, hidden=5, seed=1)
+        x = np.random.default_rng(4).normal(size=(6, 3))
+        pairs = np.random.default_rng(5).integers(0, 6, size=(2_000, 2))
+        monkeypatch.setattr(models, "SCORE_BLOCK", 20)  # 100 blocks
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 1)
+        want = models.symmetric_score_batch(params, x, pairs)
+        calls = []
+        head_rest = models._head_rest
+
+        def counting(d, a1, work=None):
+            calls.append(len(a1))
+            return head_rest(d, a1, work)
+
+        monkeypatch.setattr(models, "_head_rest", counting)
+        monkeypatch.setattr(models, "SCORE_WORKERS", 8)
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = models.symmetric_score_batch(params, x, pairs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 2 * 100 and sum(calls) == 2 * len(pairs)  # both orders of each block, once
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_second_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+        caller, failed = threading.get_ident(), threading.Event()
+        head_rest = models._head_rest
+
+        def failing_off_the_caller(d, a1, work=None):
+            if threading.get_ident() != caller:
+                failed.set()
+                raise RuntimeError("second worker")
+            # the caller holds its first block until the pool thread has taken the other
+            assert failed.wait(timeout=30)
+            return head_rest(d, a1, work)
+
+        monkeypatch.setattr(models, "_head_rest", failing_off_the_caller)
+        params = models.init_params("mlp", k=3, hidden=5, seed=1)
+        x = np.random.default_rng(4).normal(size=(6, 3))
+        pairs = np.random.default_rng(5).integers(0, 6, size=(2 * models.SCORE_BLOCK, 2))
+        with pytest.raises(RuntimeError, match="second worker"):
+            models.symmetric_score_batch(params, x, pairs)
 
     @pytest.mark.parametrize("pair", [[0, 6], [6, 0], [-7, 1]])
     def test_pair_out_of_range_raises(self, pair):

@@ -7,8 +7,8 @@ as a baseline predictor and as a pre-filter for the learned models.
 Every search goes through a ``GeoIndex``, the cells sorted by latitude.
 Great-circle distance is at least R times the latitude difference, so the
 band of rows within the cap's latitude span, slightly widened, holds every
-cell within the cap; with no cap (or one of at least half the globe) every
-row is a hit. Hits are re-scored with the exact haversine and sorted by
+cell within the cap; with no cap, or one of at least half the globe, the
+band is every row. Hits are re-scored with the exact haversine and sorted by
 (distance, index), so the results and their distance bits are those of a
 full scan.
 """
@@ -59,13 +59,10 @@ class GeoIndex:
         """
         if not (abs(point[0]) <= 90.0 and math.isfinite(point[1])):
             raise ValidationError(BAD_COORDS.format("candidate queries"))
-        if cfg.max_dist < math.pi * EARTH_RADIUS_KM:
-            # widened past any rounding of the haversine
-            span = math.degrees(cfg.max_dist / EARTH_RADIUS_KM) * (1 + 1e-9) + 1e-12
-            lo = np.searchsorted(self.sorted_lat, point[0] - span)
-            hits = self.order[lo : np.searchsorted(self.sorted_lat, point[0] + span, side="right")]
-        else:
-            hits = np.arange(len(self.coords))
+        # widened past any rounding of the haversine; no cap spans every row
+        span = math.degrees(cfg.max_dist / EARTH_RADIUS_KM) * (1 + 1e-9) + 1e-12
+        lo = np.searchsorted(self.sorted_lat, point[0] - span)
+        hits = self.order[lo : np.searchsorted(self.sorted_lat, point[0] + span, side="right")]
         dist = _distances_to_all(self.coords[hits], point)
         keep = dist <= cfg.max_dist
         if exclude is not None:

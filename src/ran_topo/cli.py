@@ -155,6 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Predict mobility relations for cells in a radio network.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # train, eval and experiment
+    run.add_argument("--config", default=None, help="experiment config JSON (default: configs/default.json)")
+    run.add_argument("--out", required=True, help="output directory")
+    run.add_argument("--seed", type=int, default=None, help="override config seed")
 
     p = sub.add_parser("synth", help="generate a synthetic network")
     p.add_argument("--config", required=True, help="SynthConfig JSON file")
@@ -171,18 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the report JSON here")
     p.set_defaults(func=cmd_candidates)
 
-    p = sub.add_parser("train", help="train the link-prediction models")
-    p.add_argument("--config", default=None, help="experiment config JSON")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("train", parents=[run], help="train the link-prediction models")
     p.add_argument("--model", choices=["mlp", "gnn", "both"], default="both")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate trained parameters in all modes")
+    p = sub.add_parser("eval", parents=[run], help="evaluate trained parameters in all modes")
     p.add_argument("--params", required=True, help="model parameter JSON")
-    p.add_argument("--config", default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="predict neighbors for a new cell")
@@ -196,10 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-neighbors", type=int, default=None)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("experiment", help="run the full pipeline end to end")
-    p.add_argument("--config", default=None, help="experiment config JSON (default: shipped synthetic config)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("experiment", parents=[run], help="run the full pipeline end to end")
     p.set_defaults(func=cmd_experiment)
 
     return parser

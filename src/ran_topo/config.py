@@ -7,12 +7,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .data_io import MissingPolicy
 from .errors import ValidationError
 from .graph import check_ratios
 
 BAND_RULE = "band"
 SITE_MEAN_RULE = "site_mean"
+DROP_ROW = "drop_row"  # the missing_policy values
+FILL_COLUMN_MEAN = "fill_column_mean"
 TX_POWER_RANGE = (10.0, 50.0)  # what synth draws a cell's tx_power from
 
 
@@ -156,13 +157,11 @@ class NetworkFiles(_Section):
 
     cells_csv: str
     edges_csv: str
-    missing_policy: MissingPolicy = MissingPolicy.DROP_ROW  # a JSON string becomes the policy
+    missing_policy: str = DROP_ROW
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "missing_policy", MissingPolicy(self.missing_policy))
-        except ValueError:
-            raise ValidationError(f"unknown missing_policy {self.missing_policy!r}") from None
+        if self.missing_policy not in (DROP_ROW, FILL_COLUMN_MEAN):
+            raise ValidationError(f"unknown missing_policy {self.missing_policy!r}")
 
 
 @dataclass(frozen=True)

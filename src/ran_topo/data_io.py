@@ -20,20 +20,15 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+from .config import DROP_ROW, FILL_COLUMN_MEAN
 from .errors import ValidationError
 from .graph import CellId, FeatureMatrix, RanGraph, build_graph, remove_nodes
 
 # std below this is treated as a constant column and normalizes to zero
 DEGENERATE_STD = 1e-12
-
-
-class MissingPolicy(str, Enum):  # a str, so a config holding one writes as JSON
-    DROP_ROW = "drop_row"
-    FILL_COLUMN_MEAN = "fill_column_mean"
 
 
 @contextmanager
@@ -192,14 +187,17 @@ def fill_column_means(features: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(features.columns, values, features.coord_cols)
 
 
-def read_network(cells_path, edges_path, policy: MissingPolicy | None = None) -> RanGraph:
+def read_network(cells_path, edges_path, policy: str | None = None) -> RanGraph:
     """The network in a cells.csv and an edges.csv file: the one reader.
 
     Every edge must name two listed cells. With no policy a missing feature
-    value raises ValidationError. ``FILL_COLUMN_MEAN`` fills it by
-    ``fill_column_means``; ``DROP_ROW`` drops every cell with one, and the
-    cell's edges with it, keeping the other cells in file order.
+    value raises ValidationError. The ``missing_policy`` ``"fill_column_mean"``
+    fills it by ``fill_column_means``; ``"drop_row"`` drops every cell with
+    one, and the cell's edges with it, keeping the other cells in file order.
+    Any other policy raises ValidationError.
     """
+    if policy not in (None, DROP_ROW, FILL_COLUMN_MEAN):
+        raise ValidationError(f"unknown missing_policy {policy!r}")
     with open_input(cells_path) as fh:
         ids, features = parse_cells_csv(fh)
     with open_input(edges_path) as fh:
@@ -210,10 +208,10 @@ def read_network(cells_path, edges_path, policy: MissingPolicy | None = None) ->
             "input has missing feature values; run them through an experiment "
             "config with a missing_policy instead"
         )
-    if policy is MissingPolicy.FILL_COLUMN_MEAN:
+    if policy == FILL_COLUMN_MEAN:
         features = fill_column_means(features)
     graph = build_graph(ids, edge_pairs, features)
-    if policy is MissingPolicy.DROP_ROW:
+    if policy == DROP_ROW:
         graph = remove_nodes(graph, [ids[i] for i in np.flatnonzero(missing)])
     return graph
 

@@ -258,15 +258,6 @@ def split_nodes(graph: RanGraph, ratios, seed: int) -> NodeSplit:
         )
     n_test = int(np.floor(graph.n * test_r))
     n_train = graph.n - n_val - n_test
-
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(graph.n)
-    train_idx = sorted(order[:n_train].tolist())
-    val_idx = sorted(order[n_train : n_train + n_val].tolist())
-    test_idx = sorted(order[n_train + n_val :].tolist())
-
-    return NodeSplit(
-        train_nodes=tuple(graph.ids[i] for i in train_idx),
-        val_nodes=tuple(graph.ids[i] for i in val_idx),
-        test_nodes=tuple(graph.ids[i] for i in test_idx),
-    )
+    order = np.random.default_rng(seed).permutation(graph.n)
+    parts = np.split(order, [n_train, n_train + n_val])
+    return NodeSplit(*(tuple(graph.ids[i] for i in sorted(part.tolist())) for part in parts))

@@ -145,18 +145,16 @@ def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray):
     the first layer, then ``_head_rest``. Each hidden layer's ReLU
     overwrites its pre-activation in place."""
     a1 = _dense_relu(pair_input, d["w1"], d["b1"], np.empty((len(pair_input), len(d["b1"]))))
-    probs, a2 = _head_rest(d, a1)
+    probs, a2 = _head_rest(d, a1, _rest_work(d, len(a1)))
     return probs, (pair_input, a1, a2)
 
 
-def _head_rest(d: dict[str, np.ndarray], a1: np.ndarray, work=None):
+def _head_rest(d: dict[str, np.ndarray], a1: np.ndarray, work):
     """Probabilities from first-layer activations ``a1``, and the second
     layer's activations. ``work`` is ``_rest_work``'s buffers for at least
-    ``len(a1)`` rows, which scoring reuses block after block; without it the
-    pass allocates its own."""
+    ``len(a1)`` rows, which scoring reuses block after block."""
     n = len(a1)
-    a2, z3 = work or _rest_work(d, n)
-    a2, z3 = a2[:n], z3[:n]
+    a2, z3 = work[0][:n], work[1][:n]
     _dense_relu(a1, d["w2"], d["b2"], a2)
     np.matmul(a2, d["w3"].T, out=z3)
     z3 += d["b3"]

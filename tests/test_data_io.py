@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import edge_set, make_features
+from ran_topo.config import DROP_ROW, FILL_COLUMN_MEAN
 from ran_topo.data_io import (
-    MissingPolicy,
     NormParams,
     fill_column_means,
     parse_cells_csv,
@@ -85,9 +85,9 @@ class TestParseCells:
         # a missing value follows the missing-data policy like an empty field
         assert fill_column_means(fm).values.tolist() == [[0.0, 0.0, 2.0], [0.0, 1.0, 2.0]]
         paths = write_network(tmp_path, text)
-        filled = read_network(*paths, MissingPolicy.FILL_COLUMN_MEAN)
+        filled = read_network(*paths, FILL_COLUMN_MEAN)
         assert filled.features.values.tolist() == [[0.0, 0.0, 2.0], [0.0, 1.0, 2.0]]
-        assert read_network(*paths, MissingPolicy.DROP_ROW).ids == ()
+        assert read_network(*paths, DROP_ROW).ids == ()
 
 
 class TestParseNewCell:
@@ -134,13 +134,13 @@ class TestMissingPolicy:
         # mean of {1, 3} = 2; the rows keep their order
         assert out.values.tolist() == [[0.0, 0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 2.0, 3.0]]
         assert (out.columns, out.coord_cols) == (fm.columns, fm.coord_cols)
-        graph = read_network(*write_network(tmp_path, self.CELLS, self.EDGES), MissingPolicy.FILL_COLUMN_MEAN)
+        graph = read_network(*write_network(tmp_path, self.CELLS, self.EDGES), FILL_COLUMN_MEAN)
         assert graph.ids == ("a", "b", "c", "d")
         assert graph.features.values[:, 2].tolist() == [1.0, 3.0, 3.0, 5.0]  # mean of {1, 3, 5}
         assert edge_set(graph) == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
     def test_drop_row(self, tmp_path):
-        graph = read_network(*write_network(tmp_path, self.CELLS, self.EDGES), MissingPolicy.DROP_ROW)
+        graph = read_network(*write_network(tmp_path, self.CELLS, self.EDGES), DROP_ROW)
         # b and its edges go; a, c, d keep their order and get fresh indices
         assert graph.ids == ("a", "c", "d")
         assert graph.features.values.tolist() == [[0.0, 0.0, 1.0], [0.0, 2.0, 3.0], [0.0, 3.0, 5.0]]
@@ -149,15 +149,30 @@ class TestMissingPolicy:
     def test_no_missing_identity(self, tmp_path):
         paths = write_network(tmp_path, self.CELLS.replace("b,0,1,", "b,0,1,2"), self.EDGES)
         plain = read_network(*paths)
-        for policy in MissingPolicy:
+        for policy in (DROP_ROW, FILL_COLUMN_MEAN):
             graph = read_network(*paths, policy)
             assert graph.ids == plain.ids
             assert graph.edge_array.tolist() == plain.edge_array.tolist()
             assert graph.features.values.tolist() == plain.features.values.tolist()
 
+    def test_policy_is_the_config_string(self, tmp_path):
+        # the JSON value itself, as a library caller passes it
+        paths = write_network(tmp_path, self.CELLS, self.EDGES)
+        filled = read_network(*paths, "fill_column_mean")
+        assert filled.ids == ("a", "b", "c", "d")
+        assert filled.features.values[1].tolist() == [0.0, 1.0, 3.0]
+        assert not np.isnan(filled.features.values).any()
+        assert read_network(*paths, "drop_row").ids == ("a", "c", "d")
+
+    @pytest.mark.parametrize("policy", ["zap", "DROP_ROW", ""])
+    def test_unknown_policy_raises(self, tmp_path, policy):
+        paths = write_network(tmp_path, self.CELLS, self.EDGES)
+        with pytest.raises(ValidationError, match=f"unknown missing_policy '{policy}'"):
+            read_network(*paths, policy)
+
     def test_read_graph_holds_its_id_map(self, tmp_path):
         paths = write_network(tmp_path, self.CELLS.replace("b,0,1,", "b,0,1,2"), self.EDGES)
-        for policy in (None, MissingPolicy.FILL_COLUMN_MEAN):
+        for policy in (None, FILL_COLUMN_MEAN):
             graph = read_network(*paths, policy)
             assert graph.__dict__["_index"] == {"a": 0, "b": 1, "c": 2, "d": 3}
 

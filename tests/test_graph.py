@@ -153,6 +153,31 @@ class TestSplitNodes:
         s = split_nodes(g, (0.8, 0.15, 0.05), seed=0)
         assert (len(s.train_nodes), len(s.val_nodes), len(s.test_nodes)) == (9, 1, 0)
 
+    @staticmethod
+    def three_list_rule(graph, ratios, seed):
+        """The split as three separately sliced and sorted lists: the reference."""
+        n_val = int(np.floor(graph.n * ratios[1]))
+        n_test = int(np.floor(graph.n * ratios[2]))
+        n_train = graph.n - n_val - n_test
+        order = np.random.default_rng(seed).permutation(graph.n)
+        train_idx = sorted(order[:n_train].tolist())
+        val_idx = sorted(order[n_train : n_train + n_val].tolist())
+        test_idx = sorted(order[n_train + n_val :].tolist())
+        return tuple(tuple(graph.ids[i] for i in idx) for idx in (train_idx, val_idx, test_idx))
+
+    @pytest.mark.parametrize("n, ratios", [
+        (101, (0.9, 0.05, 0.05)),
+        (101, (0.8, 0.1, 0.1)),
+        (37, (0.9, 0.05, 0.05)),
+        (37, (0.8, 0.1, 0.1)),
+        (10, (0.85, 0.1, 0.05)),  # an empty test part
+    ])
+    def test_equals_the_three_list_rule(self, n, ratios):
+        g = make_graph(n, [(0, 1)])  # ids n0, n1, ..., n10: graph order is not id order
+        for seed in range(10):
+            s = split_nodes(g, ratios, seed=seed)
+            assert (s.train_nodes, s.val_nodes, s.test_nodes) == self.three_list_rule(g, ratios, seed)
+
 
 class TestProperties:
     def test_neighbor_symmetry(self):

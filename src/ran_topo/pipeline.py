@@ -29,7 +29,7 @@ from .candidate import evaluate_candidates
 from .config import CandidateConfig, ExperimentConfig, SynthConfig, check_cutoff
 from .data_io import NormParams, read_network, write_csv, write_text, zscore_apply, zscore_fit
 from .errors import StageError, ValidationError
-from .graph import NodeSplit, RanGraph, key_pairs, pair_keys, remove_nodes, split_nodes
+from .graph import NodeSplit, RanGraph, key_pairs, pair_keys, remove_nodes, split_nodes, unique_keys
 from .neural import AdamState, adam_step
 from .report import EvalReport
 from .synth import export, generate
@@ -137,7 +137,7 @@ def sample_pairs(
 
     if isinstance(mode, CandidateConfig):
         rows, cand = graph.geo_index.query_rows(eval_idx, mode)
-        return _labeled(graph, np.unique(pair_keys(rows, cand, n)), mode)
+        return _labeled(graph, unique_keys(pair_keys(rows, cand, n)), mode)
 
     if mode == "all_pairs":
         return _labeled(graph, _incident_keys(graph, eval_idx), mode)

@@ -28,7 +28,7 @@ import numpy as np
 from .candidate import CandidateConfig, GeoIndex
 from .config import BAND_RULE, SITE_MEAN_RULE, TX_POWER_RANGE, SynthConfig
 from .data_io import write_cells_csv, write_edges_csv
-from .graph import FeatureMatrix, RanGraph, key_pairs, pair_keys
+from .graph import FeatureMatrix, RanGraph, key_pairs, pair_keys, unique_keys
 
 FEATURE_COLUMNS = (
     "lat",
@@ -88,7 +88,7 @@ def generate(cfg: SynthConfig) -> GroundTruth:
     x[:, 7] = rng.normal(0.0, cfg.feature_noise, size=n)
 
     # site pairs (s, t), s <= t, within the radius, from an index over the
-    # sites, not the cells; np.unique below sorts the edges they give
+    # sites, not the cells; unique_keys below sorts the edges they give
     sites = GeoIndex(np.column_stack([site_lat, site_lon]))
     near = CandidateConfig(k=cfg.sites, max_dist=cfg.radius_km)
     site_s, site_t = sites.query_rows(np.arange(cfg.sites), near)
@@ -111,7 +111,7 @@ def generate(cfg: SynthConfig) -> GroundTruth:
         related = mate_mean[a] + mate_mean[b] >= cfg.site_mean_threshold
     keep = (a < b) & ((site_of[a] == site_of[b]) | related)
 
-    edges = key_pairs(np.unique(pair_keys(a[keep], b[keep], n)), n)
+    edges = key_pairs(unique_keys(pair_keys(a[keep], b[keep], n)), n)
     graph = RanGraph(tuple(ids), edges, FeatureMatrix(FEATURE_COLUMNS, x))
     return GroundTruth(graph=graph, site_of=tuple(site_of.tolist()))
 

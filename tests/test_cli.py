@@ -7,7 +7,7 @@ import logging
 import pytest
 
 from conftest import adjacency_sets
-from ran_topo import models, pipeline
+from ran_topo import cli, models, pipeline
 from ran_topo.cli import main
 from ran_topo.errors import ValidationError
 
@@ -51,6 +51,68 @@ def synth_dir(tmp_path):
     out = tmp_path / "net"
     assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
     return out
+
+
+class FakeLibc:
+    """A libc handle whose ``mallopt`` records each (param, value) call and returns ``result``."""
+
+    def __init__(self, result=1):
+        self.calls = []
+
+        def mallopt(param, value):  # a function, so that it takes ctypes' argtypes and restype
+            self.calls.append((param, value))
+            return result
+
+        self.mallopt = mallopt
+
+
+def no_libc(name):
+    raise OSError(f"cannot open {name!r}")
+
+
+# what opening libc may give: a working mallopt, one that refuses (returns 0),
+# a libc without mallopt, or no libc at all
+LIBC_HANDLES = {
+    "mallopt_ok": lambda name: FakeLibc(),
+    "mallopt_refuses": lambda name: FakeLibc(result=0),
+    "no_mallopt": lambda name: object(),
+    "no_libc": no_libc,
+}
+
+
+class TestKeepHeap:
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+
+    @staticmethod
+    def synth(tmp_path):
+        cfg = write_json(tmp_path / "synth.json", SYNTH_CFG)
+        return main(["synth", "--config", cfg, "--out", str(tmp_path / "net")])
+
+    def test_main_fixes_the_mmap_then_the_trim_threshold(self, tmp_path, monkeypatch):
+        libc, opened = FakeLibc(), []
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or libc)
+        assert self.synth(tmp_path) == 0
+        assert opened == [None]
+        assert libc.calls == [(self.M_MMAP_THRESHOLD, 32 << 20), (self.M_TRIM_THRESHOLD, 128 << 20)]
+
+    @pytest.mark.parametrize("handle", sorted(LIBC_HANDLES))
+    def test_main_runs_whatever_libc_gives(self, tmp_path, monkeypatch, handle):
+        monkeypatch.setattr(cli.ctypes, "CDLL", LIBC_HANDLES[handle])
+        assert self.synth(tmp_path) == 0
+        assert (tmp_path / "net" / "cells.csv").is_file()
+
+    @pytest.mark.parametrize("handle", sorted(LIBC_HANDLES))
+    def test_help_and_bad_log_level_exits_unchanged(self, monkeypatch, capsys, handle):
+        monkeypatch.setattr(cli.ctypes, "CDLL", LIBC_HANDLES[handle])
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == cli.build_parser().format_help()
+        monkeypatch.setenv("RAN_TOPO_LOG", "bogus")
+        assert main(["synth", "--config", "unused.json", "--out", "unused"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: RAN_TOPO_LOG='bogus' is not a log level such as DEBUG or INFO\n"
 
 
 class TestSynth:

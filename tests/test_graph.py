@@ -3,7 +3,7 @@ import pytest
 
 from conftest import csr_neighbors, edge_set, make_features, make_graph, random_graph
 from ran_topo.errors import ValidationError
-from ran_topo.graph import RanGraph, build_graph, key_pairs, pair_keys, remove_nodes, split_nodes
+from ran_topo.graph import RanGraph, build_graph, key_pairs, pair_keys, remove_nodes, split_nodes, unique_keys
 
 
 class TestBuildGraph:
@@ -79,6 +79,16 @@ class TestPairKeys:
         lower = i < j
         assert np.array_equal(np.argsort(keys[lower]), np.lexsort((j[lower], i[lower])))
         assert len(np.unique(keys)) == n * (n + 1) // 2
+
+    @pytest.mark.parametrize("keys", [
+        np.empty(0, dtype=np.int64),
+        np.full(9, 41, dtype=np.int64),
+        np.random.default_rng(3).integers(0, 500, size=2_000),
+        np.random.default_rng(4).integers(0, 2**40, size=2_000),
+    ], ids=["empty", "all_duplicates", "random_dense", "random_sparse"])
+    def test_unique_keys_is_np_unique(self, keys):
+        got, want = unique_keys(keys), np.unique(keys)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestRemoveNodes:

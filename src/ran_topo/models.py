@@ -1,11 +1,14 @@
-"""The two link predictors: a concat-MLP baseline and a GNN that feeds
+"""The two link predictors: an MLP baseline and a GNN that feeds
 single-layer SAGE mean-aggregation embeddings into the same MLP head.
 
-Both score an ordered cell pair with a probability in (0, 1):
+Both score an unordered cell pair with a probability in (0, 1):
 
-    MLP:  sigmoid(W3 relu(W2 relu(W1 concat(x_i, x_j) + b1) + b2) + b3)
-    GNN:  the same head over concat(e_i, e_j), where
+    MLP:  sigmoid(W3 relu(W2 relu(W1 pair(x_i, x_j) + b1) + b2) + b3)
+    GNN:  the same head over pair(e_i, e_j), where
           e_v = relu(W_s concat(x_v, mean of neighbor features) + b_s)
+
+and pair(a, b) = concat(a + b, |a - b|) (Conneau et al., EMNLP 2017): as
+wide as concat(a, b), but symmetric, so each pair is trained and scored once.
 
 A node with no neighbors aggregates the zero vector, which is also how a
 brand-new cell (edges unknown) is embedded.
@@ -31,9 +34,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,12 +45,10 @@ from .neural import bce_loss, glorot_uniform, sigmoid
 MLP_KIND = "mlp"
 GNN_KIND = "gnn"
 
-# pairs scored at a time. Each scoring worker reuses one workspace for all
-# its blocks, so scoring holds O(SCORE_BLOCK x row width) per worker beyond
-# its pairs and scores: 1.25 MB at 64-wide rows, which stays in cache. The
-# default network's 113,582 GNN all-pairs scored in 0.23-0.30 s at 512 or
-# 1,024 pairs a block and 0.36 s at 4,096 (2-core VM, one OpenBLAS thread,
-# one worker).
+# pairs scored at a time. Scoring reuses one workspace for all the blocks of
+# a call: 2.5 MB beyond its pairs and scores at 64-wide rows, which stays in
+# cache. The default network's 113,582 GNN all-pairs score in 0.13 s at 512
+# or 1,024 pairs a block and 0.16 s at 4,096 (2-core VM, one OpenBLAS thread).
 #
 # The blocks are part of the bits. A hidden-layer row has the same bits
 # whatever the rows beside it, from 19 rows up: OpenBLAS computes products
@@ -60,12 +58,8 @@ GNN_KIND = "gnn"
 # last (block length mod 4) rows of a block take another kernel path, so a
 # score's bits depend on where its block ends: at 512-pair blocks, 234 of
 # the default GNN's 113,582 all-pairs scores differ, by up to 1.1e-16. So
-# the blocks stay exactly where they are, and workers only share them out.
+# the blocks stay exactly where they are.
 SCORE_BLOCK = 1024
-
-# most workers that score one batch's blocks at a time: each holds its own
-# workspace, and two of them fit the scoring memory bound
-SCORE_WORKERS = 2
 
 # array names of each kind, in params-file order
 _PARAM_ARRAYS = {
@@ -90,8 +84,8 @@ def params_from_dict(kind: str, arrays: dict) -> dict[str, np.ndarray]:
     The names must be exactly the kind's. Arrays are cast to float64;
     weights must be 2-D, biases 1-D and as long as their weight's rows, and
     the layers must chain: (h x 2k) -> (h x h) -> (1 x h) for the head, and
-    for the GNN a (d x 2k) SAGE layer whose pair of embeddings is the
-    head's 2d-wide input.
+    for the GNN a (d x 2k) SAGE layer whose pair feature of two embeddings
+    is the head's 2d-wide input.
     """
     if kind not in _PARAM_ARRAYS:
         raise ValidationError(f"unknown model kind {kind!r}")
@@ -269,9 +263,23 @@ def new_node_row(params: dict[str, np.ndarray], features_vec: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 # scoring
 
-def _pair_input(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """concat(rows[a], rows[b]) for each pair (a, b), as one gather."""
-    return rows[pairs].reshape(len(pairs), 2 * rows.shape[1])
+def _pair_input(rows: np.ndarray, pairs: np.ndarray, work=None) -> np.ndarray:
+    """concat(r_a + r_b, |r_a - r_b|) for each pair (a, b) of ``rows``, the
+    same either way round. ``work`` is a (gathered rows, difference) buffer
+    pair for at least ``len(pairs)`` pairs, which scoring reuses block after
+    block; without it both are fresh."""
+    n, width = len(pairs), rows.shape[1]
+    # the gather wraps indices; an out-of-range pair is a bug, not a score
+    if pairs.size and not -len(rows) <= pairs.min() <= pairs.max() < len(rows):
+        raise IndexError(f"pair index out of range for {len(rows)} rows")
+    if work is None:
+        work = np.empty((n, 2, width)), np.empty((n, width))
+    gathered, diff = work[0][:n], work[1][:n]
+    np.take(rows, pairs, axis=0, out=gathered, mode="wrap")  # (n, 2, width): r_a, r_b
+    np.subtract(gathered[:, 0], gathered[:, 1], out=diff)
+    gathered[:, 0] += gathered[:, 1]
+    np.abs(diff, out=gathered[:, 1])
+    return gathered.reshape(n, 2 * width)
 
 
 def _parts(a: np.ndarray, most: int) -> list[np.ndarray]:
@@ -280,88 +288,35 @@ def _parts(a: np.ndarray, most: int) -> list[np.ndarray]:
     return np.array_split(a, n_parts) if n_parts > 1 else [a]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def symmetric_score_batch(
     params: dict[str, np.ndarray], rows: np.ndarray, pairs: np.ndarray
 ) -> np.ndarray:
     """Probabilities of index pairs into ``rows`` (normalized features for
-    the MLP, embeddings for the GNN): the mean of both concat orders, so
+    the MLP, embeddings for the GNN). The head's input is symmetric, so
     score(a, b) = score(b, a) exactly. Evaluation and prediction use this.
 
-    Pairs are scored in near-equal blocks of at most ``SCORE_BLOCK``. A
-    block never holds a single pair unless the batch is one pair: a one-row
+    Pairs are scored in near-equal blocks of at most ``SCORE_BLOCK``, each
+    once, through one workspace sized for the first, largest block: the
+    pair input, the first layer's activations and ``_rest_work``. A block
+    never holds a single pair unless the batch is one pair: a one-row
     product takes numpy's matrix-vector path, whose last bits can differ
-    from the matrix-matrix one. Up to ``SCORE_WORKERS`` workers, no more
-    than the CPUs the process may use, each take the next block left: the
-    calling thread and the threads of one pool that closes before the call
-    returns. Each worker owns one workspace, reused for its every block and
-    both orders, and writes only its blocks' scores; a block's scores do
-    not depend on which worker scores it, so neither do the bits. A
-    one-block batch, as every ``predict`` request is, starts no thread.
+    from the matrix-matrix one.
     """
     pairs = np.asarray(pairs)
-    # the gather below wraps indices; an out-of-range pair is a bug, not a score
-    if pairs.size and not -len(rows) <= pairs.min() <= pairs.max() < len(rows):
-        raise IndexError(f"pair index out of range for {len(rows)} rows")
     scores = np.empty(len(pairs))
     blocks = list(zip(_parts(pairs, SCORE_BLOCK), _parts(scores, SCORE_BLOCK)))
-    left, lock = iter(blocks), threading.Lock()
-
-    def next_block():
-        with lock:
-            return next(left, None)
-
-    # the first block is the largest: it sizes every workspace
     size = len(blocks[0][0])
-    workers = min(_usable_cpus(), len(blocks), SCORE_WORKERS)
-    if workers == 1:
-        _score_blocks(params, rows, size, next_block)
-        return scores
-    with ThreadPoolExecutor(workers - 1) as pool:
-        others = [pool.submit(_score_blocks, params, rows, size, next_block) for _ in range(1, workers)]
-        _score_blocks(params, rows, size, next_block)
-        for other in others:
-            other.result()
+    pair_work = np.empty((size, 2, rows.shape[1])), np.empty((size, rows.shape[1]))
+    a1 = np.empty((size, len(params["b1"])))
+    work = _rest_work(params, size)
+    for block, out in blocks:
+        first = _dense_relu(_pair_input(rows, block, pair_work), params["w1"], params["b1"], a1[: len(block)])
+        out[:] = _head_rest(params, first, work)[0]
     return scores
 
 
-def _score_blocks(params: dict[str, np.ndarray], rows: np.ndarray, size: int, next_block) -> None:
-    """One worker: the symmetric scores of each (pairs, scores) block that
-    ``next_block`` hands it, written into the block's scores, until it hands
-    ``None``. The workspace, for blocks of up to ``size`` pairs, is the
-    first layer's activations, ``_rest_work`` and a pair-input buffer for a
-    quarter block: the first layer runs a quarter block at a time, the rest
-    of the head over the whole block, so every product has the bits a
-    whole-block pass gives it (see ``SCORE_BLOCK``)."""
-    width = rows.shape[1]
-    # a part of a longer order is more than half of this, so more than 18 rows
-    quarter = max(SCORE_BLOCK // 4, 38)
-    gathered = np.empty((min(size, quarter), 2, width))
-    a1 = np.empty((size, len(params["b1"])))
-    work = _rest_work(params, size)
-
-    def probs(order: np.ndarray) -> np.ndarray:
-        start = 0
-        for part in _parts(order, quarter):
-            stop = start + len(part)
-            pair_input = np.take(rows, part, axis=0, out=gathered[: len(part)], mode="wrap")
-            _dense_relu(pair_input.reshape(len(part), 2 * width), params["w1"], params["b1"], a1[start:stop])
-            start = stop
-        return _head_rest(params, a1[:start], work)[0]
-
-    while (block := next_block()) is not None:
-        pairs, out = block
-        out[:] = 0.5 * (probs(pairs) + probs(pairs[:, ::-1]))
-
-
 # ---------------------------------------------------------------------------
-# loss and gradients (mean BCE over a batch of ordered labeled pairs)
+# loss and gradients (mean BCE over a batch of labeled pairs)
 
 def loss_and_grads(
     params: dict[str, np.ndarray],
@@ -369,7 +324,7 @@ def loss_and_grads(
     pairs: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean BCE over ordered pairs and its exact gradients.
+    """Mean BCE over pairs and its exact gradients.
 
     ``inputs`` is ``model_input``'s array. The GNN embeds it as part of the
     pass, so gradients flow into the SAGE layer.
@@ -385,13 +340,16 @@ def loss_and_grads(
     dlogit = (probs - labels) / labels.size
     grads, dz1 = _head_backward(params, head_cache, dlogit)
     if gnn:
-        # each pair's input gradient halves summed into their endpoints: one
-        # bincount over (node, column) cells adds every first endpoint's, then
-        # every second one's, in batch order, as two np.add.at calls would
+        # a pair's input gradient (g_sum, g_diff) reaches its endpoints as
+        # g_sum + s*g_diff and g_sum - s*g_diff, s = sign(r_a - r_b), sign(0) = 0.
+        # One bincount over (node, column) cells adds every first endpoint's,
+        # then every second one's, in batch order, as two np.add.at calls would
         n, width = rows.shape
         ends = pairs.T.ravel()
         cells = (ends[:, None] * width + np.arange(width)).ravel()
-        halves = (dz1 @ params["w1"]).reshape(len(pairs), 2, width).transpose(1, 0, 2).ravel()
+        g_sum, g_diff = (dz1 @ params["w1"]).reshape(len(pairs), 2, width).transpose(1, 0, 2)
+        step = np.sign(rows[pairs[:, 0]] - rows[pairs[:, 1]]) * g_diff
+        halves = np.concatenate([g_sum + step, g_sum - step]).ravel()
         dembed = np.bincount(cells, halves, minlength=n * width).reshape(n, width)
         delta = dembed * (rows > 0)
         grads["ws"] = delta.T @ inputs

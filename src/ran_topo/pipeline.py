@@ -266,8 +266,9 @@ def train(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult
     cells, with the config's ``train`` section and dims, on a seed derived
     from the experiment's; failures carry the stage ``train_<kind>``.
 
-    Each positive and sampled negative pair is presented in both concat
-    orders. The training graph's ``models.model_input`` is computed once per
+    Each positive and sampled negative pair is presented once per epoch, in
+    one shuffled order: the head's pair input is symmetric, so one order is
+    both. The training graph's ``models.model_input`` is computed once per
     call. The validation cells' balanced pairs are drawn once; each epoch
     ``score_pairs`` scores them over the deployed graph at the config's
     cutoff, as ``eval`` does. Returns the parameters of the epoch with the
@@ -303,16 +304,13 @@ def train(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult
                 epoch_pairs = sample_pairs(
                     train_graph, train_graph.ids, "balanced", seed=sample_rng_seed + epoch
                 )
-            # both concat orders for every pair
-            ordered = np.concatenate([epoch_pairs.pairs, epoch_pairs.pairs[:, ::-1]])
-            labels = np.concatenate([epoch_pairs.labels, epoch_pairs.labels]).astype(np.float64)
-            order = shuffle_rng.permutation(len(ordered))
-            ordered, labels = ordered[order], labels[order]
+            order = shuffle_rng.permutation(len(epoch_pairs.pairs))
+            shuffled, labels = epoch_pairs.pairs[order], epoch_pairs.labels[order].astype(np.float64)
 
             total_loss = 0.0
-            for start in range(0, len(ordered), train_cfg.batch_size):
+            for start in range(0, len(shuffled), train_cfg.batch_size):
                 batch = slice(start, start + train_cfg.batch_size)
-                loss, grads = models.loss_and_grads(params, train_input, ordered[batch], labels[batch])
+                loss, grads = models.loss_and_grads(params, train_input, shuffled[batch], labels[batch])
                 total_loss += loss * len(labels[batch])
                 params, adam = adam_step(params, grads, adam)
 

@@ -115,8 +115,9 @@ def make_loss_fn(
 
     def activate(layer, z):
         a = np.maximum(z, 0.0)
-        if layer == "s":  # node embeddings -> concatenated pair rows
-            a = np.concatenate([a[..., left, :], a[..., right, :]], axis=-1)
+        if layer == "s":  # node embeddings -> pair rows concat(e_a + e_b, |e_a - e_b|)
+            ea, eb = a[..., left, :], a[..., right, :]
+            a = np.concatenate([ea + eb, np.abs(ea - eb)], axis=-1)
         return a
 
     def mean_bce_from(d, i, z):

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -44,11 +42,11 @@ class TestMlpScore:
         assert pair_score(params, [1.0, -2.0], [0.3, 4.0]) == 0.5
 
     def test_hand_composition(self):
-        # k=1, h=1: W1=[[1,1]], W2=[[1]], W3=[[1]] -> sigmoid(1 + 2) in both orders
+        # k=1, h=1: W1=[[1,1]], W2=[[1]], W3=[[1]] -> sigmoid((1 + 2) + |1 - 2|)
         params = tiny_mlp([[1.0, 1.0]], [[1.0]], [[1.0]])
         score = pair_score(params, [1.0], [2.0])
-        assert score == pytest.approx(sigmoid(3.0), rel=1e-15)
-        assert score == pytest.approx(0.952574, abs=1e-6)
+        assert score == pytest.approx(sigmoid(4.0), rel=1e-15)
+        assert score == pytest.approx(0.982014, abs=1e-6)
 
     def test_relu_kills_negative_signal(self):
         # negative first-layer weights and positive inputs: everything dies
@@ -139,9 +137,9 @@ class TestGnnScore:
         assert pair_score(params, [1.0, 2.0], [3.0, 4.0]) == 0.5
 
     def test_tiny_hand_value(self):
-        # d=1, h=1 head: sigmoid(e_i + e_j)
+        # d=1, h=1 head: sigmoid((e_i + e_j) + |e_i - e_j|)
         params = with_sage(np.zeros((1, 2)), tiny_mlp([[1.0, 1.0]], [[1.0]], [[1.0]]))
-        assert pair_score(params, [0.5], [1.5]) == pytest.approx(sigmoid(2.0), rel=1e-15)
+        assert pair_score(params, [0.5], [1.5]) == pytest.approx(sigmoid(3.0), rel=1e-15)
 
     @pytest.mark.parametrize("kind", ["mlp", "gnn"])
     def test_no_edges_degenerates_to_feature_mlp(self, kind):
@@ -165,12 +163,28 @@ class TestSymmetricScore:
                 b = models.symmetric_score_batch(params, x, np.array([[j, i]]))[0]
                 assert a == b
 
-    def test_mean_of_both_orders(self):
-        # asymmetric first layer: the order (1, 3) gives sigmoid(1 + 2*3),
-        # the order (3, 1) gives sigmoid(3 + 2*1)
-        params = tiny_mlp([[1.0, 2.0]], [[1.0]], [[1.0]])
-        sym = pair_score(params, [1.0], [3.0])
-        assert sym == pytest.approx((sigmoid(7.0) + sigmoid(5.0)) / 2.0, rel=1e-15)
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_identical_rows_have_no_difference_gradient(self, kind):
+        # sign(0) = 0: a pair of identical rows puts no gradient into w1's
+        # |r_a - r_b| columns and sends both endpoints the same input gradient
+        rng = np.random.default_rng(3)
+        init = models.init_params(kind, k=2, hidden=4, embed=3, seed=3)
+        params = {name: arr + rng.normal(scale=0.1, size=arr.shape) for name, arr in init.items()}
+        if kind == "gnn":
+            # the inputs differ only in the columns the SAGE layer ignores, so
+            # they embed alike, and ws's gradient there is each endpoint's own
+            params["ws"][:, 2:] = 0.0
+            params["bs"] += 1.0  # every embedding entry positive: every input gradient reaches ws
+            inputs = np.array([[0.3, -0.7, 1.0, 0.0], [0.3, -0.7, 0.0, 1.0]])
+        else:
+            inputs = np.array([[0.3, -0.7], [0.3, -0.7]])
+        _, grads = models.loss_and_grads(params, inputs, np.array([[0, 1]]), np.array([1.0]))
+        half = params["w1"].shape[1] // 2
+        assert np.any(grads["w1"][:, :half])
+        assert not np.any(grads["w1"][:, half:])
+        if kind == "gnn":
+            assert np.any(grads["ws"][:, 2])
+            assert np.array_equal(grads["ws"][:, 2], grads["ws"][:, 3])
 
 
 class TestScoreBlocks:
@@ -192,13 +206,12 @@ class TestScoreBlocks:
         monkeypatch.setattr(models, "_head_rest", recording)
         blocked = models.symmetric_score_batch(params, x, pairs)
         np.testing.assert_allclose(blocked, one_pass, rtol=0, atol=1e-15)
-        assert sum(sizes) == 2 * n_pairs  # both concat orders of every pair
+        assert sum(sizes) == n_pairs  # every pair once
         assert max(sizes) <= 4
         # no block of one pair unless the batch is one pair
         assert min(sizes) >= min(2, n_pairs)
 
-    def test_memory_is_a_few_block_buffers_beyond_the_scores(self, monkeypatch):
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)  # two workspaces, whatever the host
+    def test_memory_is_a_few_block_buffers_beyond_the_scores(self):
         width = 64
         params = models.init_params("gnn", k=8, embed=width, hidden=width, seed=2)
         rng = np.random.default_rng(9)
@@ -211,78 +224,11 @@ class TestScoreBlocks:
         finally:
             tracemalloc.stop()
         block_input = models.SCORE_BLOCK * 2 * width * 8  # one block's pair input, in bytes
-        # the workspaces, whatever the batch: two workers, each a quarter of
-        # that pair input and two hidden layers half as wide
+        # the one workspace, whatever the batch: that pair input, the rows'
+        # difference and two hidden layers, each half as wide
         assert peak <= scores.nbytes + 3 * block_input, peak
         # and a block is cache-sized, so the workspace is a few MB
         assert peak <= scores.nbytes + 4 * 2**20, peak
-
-    @pytest.mark.parametrize("n_pairs", [1, 2, 19, 60])
-    def test_one_block_starts_no_thread(self, monkeypatch, n_pairs):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-block batch opened a thread pool")
-
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(models, "ThreadPoolExecutor", no_pool)
-        params = models.init_params("gnn", k=3, embed=4, hidden=5, seed=1)
-        rows = np.random.default_rng(4).normal(size=(61, 4))
-        pairs = np.column_stack([np.zeros(n_pairs, dtype=np.int64), np.arange(1, n_pairs + 1)])
-        assert models.symmetric_score_batch(params, rows, pairs).shape == (n_pairs,)
-
-    def test_no_thread_outlives_a_call(self, monkeypatch):
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
-        params = models.init_params("mlp", k=3, hidden=5, seed=1)
-        x = np.random.default_rng(4).normal(size=(6, 3))
-        pairs = np.random.default_rng(5).integers(0, 6, size=(3 * models.SCORE_BLOCK, 2))
-        before = threading.active_count()
-        models.symmetric_score_batch(params, x, pairs)
-        assert threading.active_count() == before
-
-    def test_each_block_scored_once_by_more_workers_than_cores(self, monkeypatch):
-        params = models.init_params("mlp", k=3, hidden=5, seed=1)
-        x = np.random.default_rng(4).normal(size=(6, 3))
-        pairs = np.random.default_rng(5).integers(0, 6, size=(2_000, 2))
-        monkeypatch.setattr(models, "SCORE_BLOCK", 20)  # 100 blocks
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 1)
-        want = models.symmetric_score_batch(params, x, pairs)
-        calls = []
-        head_rest = models._head_rest
-
-        def counting(d, a1, work=None):
-            calls.append(len(a1))
-            return head_rest(d, a1, work)
-
-        monkeypatch.setattr(models, "_head_rest", counting)
-        monkeypatch.setattr(models, "SCORE_WORKERS", 8)
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = models.symmetric_score_batch(params, x, pairs)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(calls) == 2 * 100 and sum(calls) == 2 * len(pairs)  # both orders of each block, once
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    def test_second_worker_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
-        caller, failed = threading.get_ident(), threading.Event()
-        head_rest = models._head_rest
-
-        def failing_off_the_caller(d, a1, work=None):
-            if threading.get_ident() != caller:
-                failed.set()
-                raise RuntimeError("second worker")
-            # the caller holds its first block until the pool thread has taken the other
-            assert failed.wait(timeout=30)
-            return head_rest(d, a1, work)
-
-        monkeypatch.setattr(models, "_head_rest", failing_off_the_caller)
-        params = models.init_params("mlp", k=3, hidden=5, seed=1)
-        x = np.random.default_rng(4).normal(size=(6, 3))
-        pairs = np.random.default_rng(5).integers(0, 6, size=(2 * models.SCORE_BLOCK, 2))
-        with pytest.raises(RuntimeError, match="second worker"):
-            models.symmetric_score_batch(params, x, pairs)
 
     @pytest.mark.parametrize("pair", [[0, 6], [6, 0], [-7, 1]])
     def test_pair_out_of_range_raises(self, pair):

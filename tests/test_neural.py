@@ -168,8 +168,8 @@ class TestBackwardComposition:
 
     def test_unused_parameter_zero_gradient(self):
         params = mlp_params([[1.0, 0.0]], [[1.0]], [[1.0]])
-        # x_j only feeds through W1's second column, which is zero; its
-        # gradient entry is driven by the input value 0 here
-        x = np.array([[1.0], [0.0]])
+        # identical rows: |x_i - x_j| = 0 feeds W1's second column, which is
+        # zero; its gradient entry is driven by that input value 0
+        x = np.array([[1.0], [1.0]])
         _, grads = models.loss_and_grads(params, x, np.array([[0, 1]]), np.array([1.0]))
         assert grads["w1"][0, 1] == 0.0

@@ -422,11 +422,11 @@ class TestTrain:
         accs = [row["val_accuracy"] for row in result.history]
         assert result.best_epoch == accs.index(max(accs))
 
-    @pytest.mark.parametrize("kind, seed", [("mlp", 0), ("gnn", 10)])
+    @pytest.mark.parametrize("kind, seed", [("mlp", 0), ("gnn", 16)])
     def test_best_val_accuracy_is_the_scorers(self, kind, seed):
         # validation scores the deployed graph the way evaluation does; at
-        # these seeds the best epoch is not the last, so the returned params
-        # must be that epoch's
+        # these seeds (each kind's first from 0 and 10) the best epoch is not
+        # the last, so the returned params must be that epoch's
         graph, split, x, _ = fixture = experiment_fixture()
         result = train_on(kind, fixture, seed, epochs=4, batch_size=128)
         assert result.best_epoch < len(result.history) - 1

@@ -45,10 +45,10 @@ from .neural import bce_loss, glorot_uniform, sigmoid
 MLP_KIND = "mlp"
 GNN_KIND = "gnn"
 
-# pairs scored at a time. Scoring reuses one workspace for all the blocks of
-# a call: 2.5 MB beyond its pairs and scores at 64-wide rows, which stays in
-# cache. The default network's 113,582 GNN all-pairs score in 0.13 s at 512
-# or 1,024 pairs a block and 0.16 s at 4,096 (2-core VM, one OpenBLAS thread).
+# pairs scored at a time. Scoring holds one block's arrays at a time, about 2 MB
+# beyond its pairs and scores at 64-wide rows, which stays in cache. The
+# default network's 113,582 GNN all-pairs score in 0.13-0.16 s at 512, 1,024
+# or 4,096 pairs a block (2-core VM, one OpenBLAS thread).
 #
 # The blocks are part of the bits. A hidden-layer row has the same bits
 # whatever the rows beside it, from 19 rows up: OpenBLAS computes products
@@ -135,36 +135,21 @@ def init_params(
 # forward / backward on raw arrays
 
 def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray):
-    """Probabilities of pair inputs, and the cache ``_head_backward`` reads:
-    the first layer, then ``_head_rest``. Each hidden layer's ReLU
-    overwrites its pre-activation in place."""
-    a1 = _dense_relu(pair_input, d["w1"], d["b1"], np.empty((len(pair_input), len(d["b1"]))))
-    probs, a2 = _head_rest(d, a1, _rest_work(d, len(a1)))
-    return probs, (pair_input, a1, a2)
-
-
-def _head_rest(d: dict[str, np.ndarray], a1: np.ndarray, work):
-    """Probabilities from first-layer activations ``a1``, and the second
-    layer's activations. ``work`` is ``_rest_work``'s buffers for at least
-    ``len(a1)`` rows, which scoring reuses block after block."""
-    n = len(a1)
-    a2, z3 = work[0][:n], work[1][:n]
-    _dense_relu(a1, d["w2"], d["b2"], a2)
-    np.matmul(a2, d["w3"].T, out=z3)
+    """Probabilities of pair inputs, and the cache ``_head_backward`` reads.
+    Each hidden layer's ReLU overwrites its pre-activation in place."""
+    a1 = _dense_relu(pair_input, d["w1"], d["b1"])
+    a2 = _dense_relu(a1, d["w2"], d["b2"])
+    z3 = a2 @ d["w3"].T
     z3 += d["b3"]
     # clamp away from exactly 0/1 so scores stay strictly inside (0, 1)
     # even when the sigmoid saturates in float64
-    return np.clip(sigmoid(z3[:, 0]), 1e-12, 1.0 - 1e-12), a2
+    return np.clip(sigmoid(z3[:, 0]), 1e-12, 1.0 - 1e-12), (pair_input, a1, a2)
 
 
-def _rest_work(d: dict[str, np.ndarray], n: int):
-    """Uninitialized buffers for the head's second layer and its logit, ``n`` rows each."""
-    return np.empty((n, len(d["b2"]))), np.empty((n, 1))
-
-
-def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """relu(x @ w.T + b), written into ``out``: the same floats as the expression."""
-    np.matmul(x, w.T, out=out)
+def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(x @ w.T + b): the bias add and the ReLU run in place on the
+    fresh product, the same floats as the expression."""
+    out = x @ w.T
     out += b
     return np.maximum(out, 0.0, out=out)
 
@@ -263,23 +248,14 @@ def new_node_row(params: dict[str, np.ndarray], features_vec: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 # scoring
 
-def _pair_input(rows: np.ndarray, pairs: np.ndarray, work=None) -> np.ndarray:
+def _pair_input(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """concat(r_a + r_b, |r_a - r_b|) for each pair (a, b) of ``rows``, the
-    same either way round. ``work`` is a (gathered rows, difference) buffer
-    pair for at least ``len(pairs)`` pairs, which scoring reuses block after
-    block; without it both are fresh."""
-    n, width = len(pairs), rows.shape[1]
-    # the gather wraps indices; an out-of-range pair is a bug, not a score
-    if pairs.size and not -len(rows) <= pairs.min() <= pairs.max() < len(rows):
-        raise IndexError(f"pair index out of range for {len(rows)} rows")
-    if work is None:
-        work = np.empty((n, 2, width)), np.empty((n, width))
-    gathered, diff = work[0][:n], work[1][:n]
-    np.take(rows, pairs, axis=0, out=gathered, mode="wrap")  # (n, 2, width): r_a, r_b
-    np.subtract(gathered[:, 0], gathered[:, 1], out=diff)
+    same either way round. An out-of-range pair raises ``IndexError``."""
+    gathered = rows[pairs]  # (n, 2, width): r_a, r_b
+    diff = gathered[:, 0] - gathered[:, 1]
     gathered[:, 0] += gathered[:, 1]
     np.abs(diff, out=gathered[:, 1])
-    return gathered.reshape(n, 2 * width)
+    return gathered.reshape(len(pairs), 2 * rows.shape[1])
 
 
 def _parts(a: np.ndarray, most: int) -> list[np.ndarray]:
@@ -296,22 +272,15 @@ def symmetric_score_batch(
     score(a, b) = score(b, a) exactly. Evaluation and prediction use this.
 
     Pairs are scored in near-equal blocks of at most ``SCORE_BLOCK``, each
-    once, through one workspace sized for the first, largest block: the
-    pair input, the first layer's activations and ``_rest_work``. A block
-    never holds a single pair unless the batch is one pair: a one-row
-    product takes numpy's matrix-vector path, whose last bits can differ
-    from the matrix-matrix one.
+    once, through a fresh head pass, so scoring holds one block's arrays
+    beyond its pairs and scores. A block never holds a single pair unless
+    the batch is one pair: a one-row product takes numpy's matrix-vector
+    path, whose last bits can differ from the matrix-matrix one.
     """
     pairs = np.asarray(pairs)
     scores = np.empty(len(pairs))
-    blocks = list(zip(_parts(pairs, SCORE_BLOCK), _parts(scores, SCORE_BLOCK)))
-    size = len(blocks[0][0])
-    pair_work = np.empty((size, 2, rows.shape[1])), np.empty((size, rows.shape[1]))
-    a1 = np.empty((size, len(params["b1"])))
-    work = _rest_work(params, size)
-    for block, out in blocks:
-        first = _dense_relu(_pair_input(rows, block, pair_work), params["w1"], params["b1"], a1[: len(block)])
-        out[:] = _head_rest(params, first, work)[0]
+    for block, out in zip(_parts(pairs, SCORE_BLOCK), _parts(scores, SCORE_BLOCK)):
+        out[:] = _head_forward(params, _pair_input(rows, block))[0]
     return scores
 
 

@@ -38,14 +38,10 @@ def reference_head(d, pair_input):
 
 def reference_symmetric_scores(params, rows, pairs, block):
     """Symmetric scores in ``np.array_split`` blocks of at most ``block``
-    pairs, each block and each concat order through a fresh head pass."""
+    pairs, each block through a fresh head pass."""
     n_blocks = -(-len(pairs) // block)
-    scores = []
-    for part in np.array_split(pairs, n_blocks) if n_blocks > 1 else [pairs]:
-        forward = reference_head(params, reference_pair_input(rows, part))[0]
-        backward = reference_head(params, reference_pair_input(rows, part[:, ::-1]))[0]
-        scores.append(0.5 * (forward + backward))
-    return np.concatenate(scores)
+    parts = np.array_split(pairs, n_blocks) if n_blocks > 1 else [pairs]
+    return np.concatenate([reference_head(params, reference_pair_input(rows, p))[0] for p in parts])
 
 
 def reference_loss_and_grads(params, x, pairs, labels, graph=None):

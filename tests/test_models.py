@@ -196,14 +196,14 @@ class TestScoreBlocks:
         pairs = rng.integers(0, 6, size=(n_pairs, 2))
         one_pass = models.symmetric_score_batch(params, x, pairs)
         sizes = []
-        head_rest = models._head_rest  # every block's every order passes here
+        head_forward = models._head_forward  # every block passes here
 
-        def recording(d, a1, work=None):
-            sizes.append(len(a1))
-            return head_rest(d, a1, work)
+        def recording(d, pair_input):
+            sizes.append(len(pair_input))
+            return head_forward(d, pair_input)
 
         monkeypatch.setattr(models, "SCORE_BLOCK", 4)
-        monkeypatch.setattr(models, "_head_rest", recording)
+        monkeypatch.setattr(models, "_head_forward", recording)
         blocked = models.symmetric_score_batch(params, x, pairs)
         np.testing.assert_allclose(blocked, one_pass, rtol=0, atol=1e-15)
         assert sum(sizes) == n_pairs  # every pair once
@@ -224,18 +224,25 @@ class TestScoreBlocks:
         finally:
             tracemalloc.stop()
         block_input = models.SCORE_BLOCK * 2 * width * 8  # one block's pair input, in bytes
-        # the one workspace, whatever the batch: that pair input, the rows'
+        # one block's arrays, whatever the batch: that pair input, the rows'
         # difference and two hidden layers, each half as wide
         assert peak <= scores.nbytes + 3 * block_input, peak
-        # and a block is cache-sized, so the workspace is a few MB
+        # and a block is cache-sized, so they are a few MB
         assert peak <= scores.nbytes + 4 * 2**20, peak
 
     @pytest.mark.parametrize("pair", [[0, 6], [6, 0], [-7, 1]])
     def test_pair_out_of_range_raises(self, pair):
+        pairs = np.array([[1, 2], pair])
         params = models.init_params("mlp", k=3, hidden=5, seed=1)
         x = np.random.default_rng(4).normal(size=(6, 3))
         with pytest.raises(IndexError):
-            models.symmetric_score_batch(params, x, np.array([[1, 2], pair]))
+            models.symmetric_score_batch(params, x, pairs)
+        # training gathers its pairs the same way, for either kind
+        for kind in ("mlp", "gnn"):
+            params = models.init_params(kind, k=3, hidden=5, embed=4, seed=1)
+            inputs = x if kind == "mlp" else np.concatenate([x, x], axis=1)
+            with pytest.raises(IndexError):
+                models.loss_and_grads(params, inputs, pairs, np.array([1.0, 0.0]))
 
 
 class TestInitParams:

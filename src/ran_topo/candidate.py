@@ -10,7 +10,9 @@ band of rows within the cap's latitude span, slightly widened, holds every
 cell within the cap; with no cap, or one of at least half the globe, the
 band is every row. Hits are re-scored with the exact haversine and sorted by
 (distance, index), so the results and their distance bits are those of a
-full scan.
+full scan. The haversine's per-cell terms (latitude and longitude in
+radians, cos of the latitude) are computed once, when the index is built,
+and stored in latitude order, so a query slices its band out of them.
 """
 
 from __future__ import annotations
@@ -28,19 +30,6 @@ EARTH_RADIUS_KM = 6371.0
 BAD_COORDS = "{} need finite coordinates with latitude in [-90, 90]"
 
 
-def _distances_to_all(coords: np.ndarray, point) -> np.ndarray:
-    """Vectorized distances from one (lat, lon) point to every row of coords."""
-    lat1 = math.radians(point[0])
-    lon1 = math.radians(point[1])
-    lat2 = np.radians(coords[:, 0])
-    lon2 = np.radians(coords[:, 1])
-    s = (
-        np.sin((lat2 - lat1) / 2) ** 2
-        + math.cos(lat1) * np.cos(lat2) * np.sin((lon2 - lon1) / 2) ** 2
-    )
-    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
-
-
 class GeoIndex:
     """Exact K-nearest-within-m search over a fixed set of (lat, lon) rows."""
 
@@ -50,6 +39,10 @@ class GeoIndex:
             raise ValidationError(BAD_COORDS.format("indexed cells"))
         self.order = np.argsort(self.coords[:, 0], kind="stable")
         self.sorted_lat = self.coords[self.order, 0]
+        # the haversine's per-cell terms, in latitude order like sorted_lat
+        self.lat_rad = np.radians(self.sorted_lat)
+        self.lon_rad = np.radians(self.coords[self.order, 1])
+        self.cos_lat = np.cos(self.lat_rad)
 
     def query(self, point, cfg: CandidateConfig, exclude: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the K nearest rows to ``point``.
@@ -61,9 +54,17 @@ class GeoIndex:
             raise ValidationError(BAD_COORDS.format("candidate queries"))
         # widened past any rounding of the haversine; no cap spans every row
         span = math.degrees(cfg.max_dist / EARTH_RADIUS_KM) * (1 + 1e-9) + 1e-12
-        lo = np.searchsorted(self.sorted_lat, point[0] - span)
-        hits = self.order[lo : np.searchsorted(self.sorted_lat, point[0] + span, side="right")]
-        dist = _distances_to_all(self.coords[hits], point)
+        band = slice(
+            np.searchsorted(self.sorted_lat, point[0] - span),
+            np.searchsorted(self.sorted_lat, point[0] + span, side="right"),
+        )
+        hits = self.order[band]
+        lat1, lon1 = math.radians(point[0]), math.radians(point[1])
+        s = (
+            np.sin((self.lat_rad[band] - lat1) / 2) ** 2
+            + math.cos(lat1) * self.cos_lat[band] * np.sin((self.lon_rad[band] - lon1) / 2) ** 2
+        )
+        dist = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(s)))
         keep = dist <= cfg.max_dist
         if exclude is not None:
             keep &= hits != exclude

@@ -142,8 +142,10 @@ def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray):
     z3 = a2 @ d["w3"].T
     z3 += d["b3"]
     # clamp away from exactly 0/1 so scores stay strictly inside (0, 1)
-    # even when the sigmoid saturates in float64
-    return np.clip(sigmoid(z3[:, 0]), 1e-12, 1.0 - 1e-12), (pair_input, a1, a2)
+    # even when the sigmoid saturates in float64: np.clip's floats, in place
+    probs = sigmoid(z3[:, 0])
+    np.maximum(probs, 1e-12, out=probs)
+    return np.minimum(probs, 1.0 - 1e-12, out=probs), (pair_input, a1, a2)
 
 
 def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -185,13 +187,14 @@ def neighbor_mean(graph: RanGraph | None, x: np.ndarray, rows=None) -> np.ndarra
         raise ValidationError("the GNN needs the graph its SAGE layer aggregates over")
     rows = np.arange(graph.n) if rows is None else np.asarray(rows, dtype=np.int64)
     starts, deg = graph.indptr[rows], graph.degree[rows]
-    # slot s of each row: its s-th CSR neighbor, or N past its degree
+    # slot s of each row: its s-th CSR neighbor's features; a slot past the
+    # row's degree gathers a clamped index and is zeroed, so no copy of x is made
     slots = np.arange(deg.max(initial=0))[:, None]
-    table = np.where(slots < deg, graph.indices[np.minimum(starts + slots, len(graph.indices) - 1)], graph.n)
-    padded = np.concatenate([x, np.zeros((1, x.shape[1]))])  # row N is zero
+    gathered = x[graph.indices[np.minimum(starts + slots, len(graph.indices) - 1)]]
+    gathered[slots >= deg] = 0.0
     # with two or more columns (every feature matrix has lat and lon) numpy
     # adds the slots one after another, elementwise, never one column pairwise
-    return padded[table].sum(axis=0) / np.maximum(deg, 1.0)[:, None]
+    return gathered.sum(axis=0) / np.maximum(deg, 1.0)[:, None]
 
 
 def _features(params: dict[str, np.ndarray], x) -> np.ndarray:
@@ -204,7 +207,7 @@ def _features(params: dict[str, np.ndarray], x) -> np.ndarray:
 
 def sage_layer(params: dict[str, np.ndarray], h: np.ndarray) -> np.ndarray:
     """Embeddings relu(W_s h + b_s) of SAGE input rows ``h``."""
-    return np.maximum(h @ params["ws"].T + params["bs"], 0.0)
+    return _dense_relu(h, params["ws"], params["bs"])
 
 
 def model_input(params: dict[str, np.ndarray], x, graph: RanGraph | None = None, rows=None) -> np.ndarray:

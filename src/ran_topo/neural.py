@@ -20,13 +20,14 @@ ADAM_EPS = 1e-8
 
 
 def sigmoid(x):
+    """1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
+    so exp never overflows. Branch-free: min(x, -x) is -|x| for numbers and
+    x itself for a NaN (numpy's minimum returns the first NaN), so a NaN
+    keeps its sign bit through exp as on the x < 0 side."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def bce_loss(p, y):

@@ -170,9 +170,10 @@ def sample_pairs(
 # metrics
 
 def auc(scores, labels) -> float:
-    """Rank-based (Mann-Whitney) AUC with midranks for ties; NaN if a score
-    is NaN. The ranks are the ones ``scipy.stats.rankdata(method="average")``
-    gives, without importing scipy.stats."""
+    """Mann-Whitney AUC: the share of (positive, negative) pairs the
+    positive outscores, a tie counting one half; NaN if a score is NaN.
+    It equals the rank-sum form with ``scipy.stats.rankdata(method="average")``
+    midranks, without importing scipy.stats."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     pos = int((labels == 1).sum())
@@ -181,12 +182,12 @@ def auc(scores, labels) -> float:
         raise ValidationError("AUC needs at least one positive and one negative")
     if np.isnan(scores).any():
         return float("nan")
-    # a tie group of `count` scores ending at sorted rank `end` shares the
-    # mean rank end - (count - 1) / 2: a half-integer, exact in float64
-    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[group]
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
+    # positives below or tied with each negative, and strictly below it;
+    # U is a count plus half a count, exact in float64
+    positives, negatives = np.sort(scores[labels == 1]), scores[labels == 0]
+    not_above = int(np.searchsorted(positives, negatives, side="right").sum())
+    below = int(np.searchsorted(positives, negatives, side="left").sum())
+    return ((pos * neg - not_above) + 0.5 * (not_above - below)) / (pos * neg)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +366,9 @@ def predict_new_node(
         return Prediction(neighbors=[], no_candidates=True)
 
     # row 0 is the new cell, rows 1..K its candidates
-    rows = np.vstack([new_row[None, :], cand_rows])
-    pairs = np.column_stack(
-        [np.zeros(len(cand_idx), dtype=np.int64), np.arange(1, len(cand_idx) + 1)]
-    )
+    rows = np.concatenate([new_row[None, :], cand_rows])
+    pairs = np.zeros((len(cand_idx), 2), dtype=np.int64)
+    pairs[:, 1] = np.arange(1, len(cand_idx) + 1)
     scores = models.symmetric_score_batch(params, rows, pairs)
 
     keep = scores >= cutoff

@@ -89,6 +89,28 @@ def reference_neighbor_mean(graph, x, rows=None):
     return (operator @ x) / np.maximum(counts, 1.0)[:, None]
 
 
+def padded_neighbor_mean(graph, x, rows=None):
+    """The gather the slot zeroing replaced: a copy of ``x`` with a zero row
+    N appended, gathered at N for every slot past a row's degree."""
+    rows = np.arange(graph.n) if rows is None else np.asarray(rows, dtype=np.int64)
+    starts, deg = graph.indptr[rows], graph.degree[rows]
+    slots = np.arange(deg.max(initial=0))[:, None]
+    table = np.where(slots < deg, graph.indices[np.minimum(starts + slots, len(graph.indices) - 1)], graph.n)
+    padded = np.concatenate([x, np.zeros((1, x.shape[1]))])
+    return padded[table].sum(axis=0) / np.maximum(deg, 1.0)[:, None]
+
+
+def masked_sigmoid(x):
+    """The sigmoid as two masked assignments, one per sign of the logit."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 def reference_adam_step(params, grads, state):
     """Adam one parameter array at a time, moments in per-name dicts."""
     state["step"] += 1
@@ -165,6 +187,38 @@ def test_neighbor_mean_bit_equal_to_the_sparse_product(graph, width, scale):
     ]
     for rows in subsets:
         assert_bits_equal(models.neighbor_mean(graph, x, rows), reference_neighbor_mean(graph, x, rows))
+
+
+@pytest.mark.parametrize("graph", neighbor_mean_graphs())
+def test_neighbor_mean_bit_equal_to_the_padded_gather(graph):
+    rng = np.random.default_rng(graph.n)
+    x = rng.normal(size=(graph.n, 3))
+    x[::4, 1] = -0.0
+    x[1::5, 2] = np.inf  # a clamped gather past a row's degree must not leak into its sum
+    isolated = np.flatnonzero(graph.degree == 0)
+    subsets = [
+        None,
+        [],
+        isolated,
+        [int(np.argmax(graph.degree))] * 3,
+        [graph.n - 1, 0, graph.n - 1, 0],
+        rng.integers(0, graph.n, size=50),
+    ]
+    for rows in subsets:
+        assert_bits_equal(models.neighbor_mean(graph, x, rows), padded_neighbor_mean(graph, x, rows))
+
+
+def test_sigmoid_bit_equal_to_the_masked_assignments():
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0xFFF0000000000001], dtype=np.uint64)
+    specials = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 745.0, -745.0, 710.0, -746.0, 1e-300, -1e-300],
+        nans.view(np.float64),
+    ])
+    rng = np.random.default_rng(8)
+    logits = np.concatenate([specials, rng.normal(scale=30.0, size=5000), rng.normal(size=7)])
+    for x in (specials, logits, logits[::-1], logits[3:], np.repeat(specials, 9)):
+        assert_bits_equal(sigmoid(x), masked_sigmoid(x))
+    assert_bits_equal(sigmoid(np.float64(-0.0)), masked_sigmoid(np.float64(-0.0)))
 
 
 def scored_rows(kind, rng, n):

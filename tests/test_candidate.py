@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import adjacency_sets, make_graph
-from geo_oracle import geo_distance
+from geo_oracle import distances_to_all, geo_distance
 from ran_topo.candidate import (
     EARTH_RADIUS_KM,
     CandidateConfig,
     GeoIndex,
-    _distances_to_all,
     candidates,
     candidates_for_new,
     evaluate_candidates,
@@ -39,7 +38,7 @@ def brute_force_candidates(graph, query_idx, cfg):
 def scan_reference(coords, point, cfg, exclude=None):
     """The full scan the index replaces: every row's haversine distance, the
     distance cap and ``exclude``, a (distance, index) sort, the first K."""
-    dist = _distances_to_all(coords, point)
+    dist = distances_to_all(coords, point)
     keep = dist <= cfg.max_dist
     if exclude is not None:
         keep[exclude] = False
@@ -53,7 +52,7 @@ def assert_same_as_scan(index, coords, point, cfg, exclude=None):
     got_idx, got_dist = index.query(point, cfg, exclude)
     want_idx, want_dist = scan_reference(coords, point, cfg, exclude)
     assert np.array_equal(got_idx, want_idx)
-    assert got_dist.tobytes() == want_dist.tobytes()
+    assert np.array_equal(got_dist.view(np.int64), want_dist.view(np.int64))
 
 
 def assert_same_candidates(got, expected):
@@ -334,6 +333,34 @@ class TestGeoIndexMatchesScan:
                 assert_same_as_scan(index, coords, point, cfg)
             for i in range(0, len(coords), 7):
                 assert_same_as_scan(index, coords, coords[i], cfg, exclude=i)
+
+    def test_band_edges_and_query_rows_against_the_scan(self):
+        """Caps that fall exactly on a cell's distance, points on the band's
+        latitude edges, no cap and an excluded row: the scan's order and bits."""
+        rng = np.random.default_rng(29)
+        coords = np.column_stack([rng.uniform(-60.0, 60.0, 300), rng.uniform(-180.0, 180.0, 300)])
+        coords[150:200, 0] = coords[100:150, 0]  # shared latitudes: ties at the band's edges
+        index = GeoIndex(coords)
+        for i in rng.integers(0, len(coords), 25).tolist():
+            dist = distances_to_all(coords, coords[i])
+            edge = float(np.sort(dist)[10])  # a cap on which a cell lies exactly
+            for cfg in [CandidateConfig(k=8, max_dist=edge), CandidateConfig(k=8, max_dist=np.nextafter(edge, 0.0)),
+                        CandidateConfig(k=400, max_dist=edge), CandidateConfig(k=7, max_dist=math.inf),
+                        CandidateConfig(k=400, max_dist=math.inf)]:
+                assert_same_as_scan(index, coords, coords[i], cfg, exclude=i)
+                assert_same_as_scan(index, coords, coords[i], cfg)
+                # a point one cap north or south of the cell: the cell on the band's edge
+                span = math.degrees(min(cfg.max_dist, 1e4) / EARTH_RADIUS_KM)
+                for lat in (coords[i, 0] + span, coords[i, 0] - span):
+                    assert_same_as_scan(index, coords, (min(max(lat, -90.0), 90.0), coords[i, 1]), cfg)
+        for point in np.column_stack([rng.uniform(-70.0, 70.0, 40), rng.uniform(-180.0, 180.0, 40)]):
+            assert_same_as_scan(index, coords, point, CandidateConfig(k=50, max_dist=3000.0))
+        rows = rng.integers(0, len(coords), 60)
+        for cfg in [CandidateConfig(k=5, max_dist=2000.0), CandidateConfig(k=300, max_dist=math.inf)]:
+            got_rows, got_cand = index.query_rows(rows, cfg)
+            want = [scan_reference(coords, coords[r], cfg, exclude=r)[0] for r in rows.tolist()]
+            assert np.array_equal(got_rows, np.repeat(rows, [len(w) for w in want]))
+            assert np.array_equal(got_cand, np.concatenate(want))
 
 
 class TestGeoIndexRefusesBadCoordinates:

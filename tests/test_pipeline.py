@@ -1,5 +1,6 @@
 import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ran_topo.candidate import CandidateConfig, evaluate_candidates
 from ran_topo.config import ExperimentConfig, TrainConfig
 from ran_topo.data_io import zscore_apply, zscore_fit
 from ran_topo.errors import StageError, ValidationError
-from ran_topo.graph import NodeSplit, split_nodes
+from ran_topo.graph import FeatureMatrix, NodeSplit, RanGraph, key_pairs, pair_keys, split_nodes, unique_keys
 from ran_topo.pipeline import (
     auc,
     evaluate,
@@ -539,6 +540,41 @@ class TestPredictNewNode:
         coords = tuple(graph.features.coords()[0])
         with pytest.raises(ValidationError, match="the params take 8 features per cell, the data has 9"):
             predict_new_node(params, graph, x, np.append(x[0], 0.0), coords, CandidateConfig(k=k))
+
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_feature_matrix_of_wrong_width(self, kind, k):
+        """Refused whether or not the request finds a candidate."""
+        graph, x, _ = self.setup_scene()
+        params = models.init_params(kind, k=x.shape[1], hidden=8, embed=8, seed=1)
+        coords = tuple(graph.features.coords()[0])
+        wide = np.column_stack([x, x[:, 0]])
+        with pytest.raises(ValidationError, match="the params take 8 features per cell, the data has 9"):
+            predict_new_node(params, graph, wide, x[0], coords, CandidateConfig(k=k))
+
+    def test_a_gnn_request_on_a_large_network_allocates_for_its_candidates_only(self):
+        """A request embeds its K candidates: it allocates no copy of the
+        deployed network's (N, k) feature matrix, 6.1 MiB here."""
+        n, k = 100_000, 8
+        rng = np.random.default_rng(29)
+        coords = np.column_stack([rng.uniform(57.0, 59.0, n), rng.uniform(11.0, 15.0, n)])
+        ends = np.concatenate([np.column_stack([np.arange(n - 1), np.arange(1, n)]), rng.integers(0, n, (2 * n, 2))])
+        ends = ends[ends[:, 0] != ends[:, 1]]
+        edges = key_pairs(unique_keys(pair_keys(ends[:, 0], ends[:, 1], n)), n)
+        graph = RanGraph(tuple(range(n)), edges, FeatureMatrix(("lat", "lon"), coords))
+        x = rng.normal(size=(n, k))
+        params = models.init_params("gnn", k=k, seed=3)
+        cfg = CandidateConfig(k=60, max_dist=4.0)
+        point = tuple(coords[0])
+        first = predict_new_node(params, graph, x, x[0], point, cfg, cutoff=0.0)  # builds the index
+        tracemalloc.start()
+        try:
+            second = predict_new_node(params, graph, x, x[0], point, cfg, cutoff=0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second == first and len(second.neighbors) == cfg.k
+        assert peak < 2**20, peak
 
     @pytest.mark.parametrize("kind", ["mlp", "gnn"])
     def test_new_node_uses_empty_neighborhood(self, kind):

@@ -98,7 +98,7 @@ def _experiment_config(args) -> ExperimentConfig:
 def cmd_train(args) -> int:
     cfg = _experiment_config(args)
     data = pipeline.prepare_experiment(cfg, args.out)
-    kinds = [args.model] if args.model != "both" else [models.MLP_KIND, models.GNN_KIND]
+    kinds = [args.model] if args.model != "both" else models.KINDS
     results = {}
     for kind in kinds:
         results[kind] = result = pipeline.train(kind, data, cfg)
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_candidates)
 
     p = sub.add_parser("train", parents=[run], help="train the link-prediction models")
-    p.add_argument("--model", choices=["mlp", "gnn", "both"], default="both")
+    p.add_argument("--model", choices=[*models.KINDS, "both"], default="both")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[run], help="evaluate trained parameters in all modes")

@@ -111,8 +111,8 @@ class CandidateConfig:
     max_dist: float = math.inf
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValidationError("K must be >= 0")
+        if not (_is(self.k, int) and self.k >= 0):
+            raise ValidationError(f"K must be an integer >= 0, got {self.k!r}")
         if not self.max_dist >= 0:  # also refuses NaN
             raise ValidationError(f"max distance must be >= 0, got {self.max_dist!r}")
 
@@ -143,9 +143,9 @@ class TrainConfig(_Section):
 
     def __post_init__(self):
         counts = (self.epochs, self.batch_size) + (() if self.patience is None else (self.patience,))
-        if not all(isinstance(c, int) and not isinstance(c, bool) and c > 0 for c in counts):
+        if not all(_is(c, int) and c > 0 for c in counts):
             raise ValidationError("epochs, batch_size and patience (when set) must be positive integers")
-        if not (isinstance(self.learning_rate, (int, float)) and 0 <= self.learning_rate < math.inf):
+        if not (_is(self.learning_rate, float) and 0 <= self.learning_rate < math.inf):
             raise ValidationError(f"learning_rate must be a finite number >= 0, got {self.learning_rate!r}")
 
 

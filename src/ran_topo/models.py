@@ -26,8 +26,10 @@ graph (as SIGN does) and each step runs only ``W_s`` and the head on it.
 
 Parameters are one plain dict of float64 arrays: ``w1, b1, w2, b2, w3, b3``
 for the head, plus ``ws, bs`` for the GNN's SAGE layer, so the key set names
-the kind. ``params_from_dict`` is the one constructor and validator. Scoring,
-the loss, the optimizer and the params file all take the same dict.
+the kind; ``_shapes`` is each kind's one table of array shapes, in
+params-file order. ``params_from_dict`` is the one constructor and
+validator. Scoring, the loss, the optimizer and the params file all take
+the same dict.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .errors import ValidationError
 from .graph import RanGraph
-from .neural import bce_loss, glorot_uniform, sigmoid
+from .neural import BCE_EPS, bce_loss, glorot_uniform, sigmoid
 
 MLP_KIND = "mlp"
 GNN_KIND = "gnn"
@@ -61,11 +63,20 @@ GNN_KIND = "gnn"
 # the blocks stay exactly where they are.
 SCORE_BLOCK = 1024
 
-# array names of each kind, in params-file order
-_PARAM_ARRAYS = {
-    MLP_KIND: ("w1", "b1", "w2", "b2", "w3", "b3"),
-    GNN_KIND: ("ws", "bs", "w1", "b1", "w2", "b2", "w3", "b3"),
-}
+KINDS = (MLP_KIND, GNN_KIND)  # the order of bundles and summaries
+
+
+def _shapes(kind: str, k: int, hidden: int, embed: int) -> dict[str, tuple[int, ...]]:
+    """Every array's shape, in params-file order, for ``k`` features per
+    cell: the first layer (the GNN's SAGE layer feeds the head a 2d-wide
+    pair), then the head's hidden layers and its single logit."""
+    if kind not in KINDS:
+        raise ValidationError(f"unknown model kind {kind!r}")
+    if kind == GNN_KIND:
+        first = {"ws": (embed, 2 * k), "bs": (embed,), "w1": (hidden, 2 * embed)}
+    else:
+        first = {"w1": (hidden, 2 * k)}
+    return {**first, "b1": (hidden,), "w2": (hidden, hidden), "b2": (hidden,), "w3": (1, hidden), "b3": (1,)}
 
 
 def kind_of(params: dict[str, np.ndarray]) -> str:
@@ -79,33 +90,24 @@ def feature_width(params: dict[str, np.ndarray]) -> int:
 
 
 def params_from_dict(kind: str, arrays: dict) -> dict[str, np.ndarray]:
-    """Validated parameters of a model kind, in ``_PARAM_ARRAYS`` order.
+    """Validated parameters of a model kind, in ``_shapes`` order.
 
-    The names must be exactly the kind's. Arrays are cast to float64;
-    weights must be 2-D, biases 1-D and as long as their weight's rows, and
-    the layers must chain: (h x 2k) -> (h x h) -> (1 x h) for the head, and
-    for the GNN a (d x 2k) SAGE layer whose pair feature of two embeddings
-    is the head's 2d-wide input.
+    The names must be exactly the kind's. Arrays are cast to float64. The
+    first layer (``ws`` or ``w1``) and ``w1`` must be 2-D; they declare the
+    widths: k = half the first layer's input, d = its rows, h = ``w1``'s
+    rows. Every array must then have the shape ``_shapes`` gives for them.
     """
-    if kind not in _PARAM_ARRAYS:
-        raise ValidationError(f"unknown model kind {kind!r}")
-    names = _PARAM_ARRAYS[kind]
+    names = list(_shapes(kind, 0, 0, 0))
     if set(arrays) != set(names):
-        raise ValidationError(f"{kind} params need arrays {list(names)}, got {sorted(arrays)}")
+        raise ValidationError(f"{kind} params need arrays {names}, got {sorted(arrays)}")
     params = {name: np.asarray(arrays[name], dtype=np.float64) for name in names}
-    layers = [name[1:] for name in names[::2]]
-    for layer in layers:
-        w, b = params["w" + layer], params["b" + layer]
-        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-            raise ValidationError(f"layer {layer} shapes W{w.shape} b{b.shape}")
-    if params["w" + layers[0]].shape[1] % 2:
-        raise ValidationError("first layer input must be a concatenated pair")
-    for lower, upper in zip(layers, layers[1:]):
-        width = params["w" + lower].shape[0] * (2 if lower == "s" else 1)
-        if params["w" + upper].shape[1] != width:
-            raise ValidationError(f"layer {lower} -> layer {upper} shape chain broken")
-    if params["w3"].shape[0] != 1:
-        raise ValidationError("layer 3 must map hidden dim to a single logit")
+    for name in (names[0], "w1"):
+        if params[name].ndim != 2:
+            raise ValidationError(f"{kind} params array {name!r} must be 2-D, got shape {params[name].shape}")
+    (d, pair_width), h = params[names[0]].shape, params["w1"].shape[0]
+    for name, shape in _shapes(kind, pair_width // 2, h, d).items():
+        if params[name].shape != shape:
+            raise ValidationError(f"{kind} params array {name!r} has shape {params[name].shape}, expected {shape}")
     return params
 
 
@@ -120,14 +122,10 @@ def init_params(
     if min(k, hidden, embed) <= 0:
         raise ValidationError(f"dims must be positive, got k={k} h={hidden} d={embed}")
     rng = np.random.default_rng(seed)
-    if kind == GNN_KIND:
-        first = {"s": (embed, 2 * k), "1": (hidden, 2 * embed)}
-    else:
-        first = {"1": (hidden, 2 * k)}
-    arrays = {}
-    for layer, (out_dim, in_dim) in {**first, "2": (hidden, hidden), "3": (1, hidden)}.items():
-        arrays["w" + layer] = glorot_uniform(rng, out_dim, in_dim)
-        arrays["b" + layer] = np.zeros(out_dim)
+    arrays = {
+        name: glorot_uniform(rng, *shape) if len(shape) == 2 else np.zeros(shape)
+        for name, shape in _shapes(kind, k, hidden, embed).items()
+    }
     return params_from_dict(kind, arrays)
 
 
@@ -144,8 +142,8 @@ def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray):
     # clamp away from exactly 0/1 so scores stay strictly inside (0, 1)
     # even when the sigmoid saturates in float64: np.clip's floats, in place
     probs = sigmoid(z3[:, 0])
-    np.maximum(probs, 1e-12, out=probs)
-    return np.minimum(probs, 1.0 - 1e-12, out=probs), (pair_input, a1, a2)
+    np.maximum(probs, BCE_EPS, out=probs)
+    return np.minimum(probs, 1.0 - BCE_EPS, out=probs), (pair_input, a1, a2)
 
 
 def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -338,7 +336,7 @@ def params_to_json(params: dict[str, np.ndarray]) -> str:
     dims["h"] = params["w1"].shape[0]
     arrays = {
         name: {"shape": list(params[name].shape), "data": params[name].ravel().tolist()}
-        for name in _PARAM_ARRAYS[kind]
+        for name in _shapes(kind, 0, 0, 0)
     }
     return json.dumps({"kind": kind, "dims": dims, "arrays": arrays}, indent=2)
 
@@ -367,15 +365,15 @@ def params_from_json(text: str) -> dict[str, np.ndarray]:
 
     Checks the kind, that each declared shape matches its data and that the
     values are finite; ``params_from_dict`` then checks that the arrays are
-    exactly the kind's and that the layer shapes chain.
+    exactly the kind's and have its shapes.
     """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"params file is not valid JSON: {exc}") from None
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if not isinstance(kind, str) or kind not in _PARAM_ARRAYS:
-        raise ValidationError(f"params kind must be {MLP_KIND!r} or {GNN_KIND!r}, got {kind!r}")
+    if kind not in KINDS:
+        raise ValidationError(f"params kind must be {' or '.join(map(repr, KINDS))}, got {kind!r}")
     specs = obj.get("arrays")
     if not isinstance(specs, dict):
         raise ValidationError("params file needs an 'arrays' object")

@@ -130,7 +130,7 @@ def sample_pairs(
     (candidate-filtered) only pairs whose other node is in the eval node's
     candidate set. Pairs are canonical: a pair between two eval nodes appears once.
     """
-    eval_idx = np.unique(graph.rows_of(eval_nodes))
+    eval_idx = unique_keys(graph.rows_of(eval_nodes))
     if not len(eval_idx):
         raise ValidationError("no evaluation nodes given")
     n = graph.n
@@ -462,7 +462,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> Experim
 
     model_results: dict = {}
     model_reports: dict = {}
-    for kind in (models.MLP_KIND, models.GNN_KIND):
+    for kind in models.KINDS:
         model_results[kind] = train(kind, data, cfg)
         model_reports.update(evaluate_model(model_results[kind].params, data, cfg))
 

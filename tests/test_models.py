@@ -336,15 +336,24 @@ BROKEN_CHAINS = {
     "gnn": [_wide_w2, _head_not_embedding_pair, _missing_array],
 }
 REFUSAL = {
-    _wide_w2: "layer 1 -> layer 2 shape chain broken",
-    _two_logits: "layer 3 must map hidden dim to a single logit",
-    _short_bias: "layer 1 shapes W",
-    _odd_first_layer: "first layer input must be a concatenated pair",
-    _flat_weight: "layer 2 shapes W",
-    _head_not_embedding_pair: "layer s -> layer 1 shape chain broken",
+    _wide_w2: "params array 'w2' has shape",
+    _two_logits: "params array 'w3' has shape",
+    _short_bias: "params array 'b1' has shape",
+    _odd_first_layer: "params array 'w1' has shape",
+    _flat_weight: "params array 'w2' has shape",
+    _head_not_embedding_pair: "params array 'w1' has shape",
     _missing_array: "params need arrays",
     _extra_array: "params need arrays",
 }
+
+
+def _wrong_arrays(kind):
+    """(name, array) for each array of ``kind``: its last dimension one too
+    long, a weight flattened to 1-D and a bias made 2-D."""
+    for name, arr in models.init_params(kind, k=3, hidden=4, embed=2, seed=0).items():
+        shape = arr.shape[:-1] + (arr.shape[-1] + 1,)
+        yield name, np.zeros(shape)
+        yield name, arr.ravel() if arr.ndim == 2 else arr[None]
 
 
 class TestParamsFromDict:
@@ -358,6 +367,13 @@ class TestParamsFromDict:
         defect(d)
         with pytest.raises(ValidationError, match=REFUSAL[defect]):
             models.params_from_dict(kind, d)
+
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_every_array_has_its_table_shape(self, kind):
+        for name, wrong in _wrong_arrays(kind):
+            d = dict(models.init_params(kind, k=3, hidden=4, embed=2, seed=0), **{name: wrong})
+            with pytest.raises(ValidationError, match=f"{kind} params array '{name}'"):
+                models.params_from_dict(kind, d)
 
     def test_gnn_arrays_are_not_mlp_params(self):
         gnn = models.init_params("gnn", k=3, hidden=4, embed=2, seed=0)

@@ -15,8 +15,16 @@ brand-new cell (edges unknown) is embedded.
 
 The neighbor mean adds each row's CSR neighbors in the order the original
 per-edge summation visited them, so trained parameters and report bundles
-are bit-for-bit what they were. An embedding reads only its node's 1-hop
-neighborhood, so scoring a few cells embeds only those rows.
+are bit-for-bit what they were. A whole-graph mean gathers one degree's
+rows at a time. An embedding reads only its node's 1-hop neighborhood, so
+scoring a few cells embeds only those rows.
+
+A GNN scoring batch with more pairs than rows (all-pairs evaluation; every
+mode on a small network) splits ``w1`` at its halves: W1s (r_a + r_b) =
+W1s r_a + W1s r_b, so W1s r is computed once per row. Its scores differ
+from the pair input's in the last bits (up to 1.8e-15 on the default
+GNN's all-pairs). Every other batch, each ``predict`` request and all MLP
+scoring among them, runs training's head forward on the pair input.
 
 Every difference between the kinds lives in this module: ``model_input``
 (what the loss takes), ``node_rows`` (what the head scores) and
@@ -48,19 +56,22 @@ MLP_KIND = "mlp"
 GNN_KIND = "gnn"
 
 # pairs scored at a time. Scoring holds one block's arrays at a time, about 2 MB
-# beyond its pairs and scores at 64-wide rows, which stays in cache. The
-# default network's 113,582 GNN all-pairs score in 0.13-0.16 s at 512, 1,024
-# or 4,096 pairs a block (2-core VM, one OpenBLAS thread).
+# beyond its pairs and scores at 64-wide rows, which stays in cache, plus an
+# N x h projection when it decomposes the first layer. The default network's
+# 113,582 GNN all-pairs, which decompose, score in 0.08-0.10 s at 512 or
+# 1,024 pairs a block and in 0.10-0.11 s at 4,096 (2-core VM, one OpenBLAS
+# thread).
 #
-# The blocks are part of the bits. A hidden-layer row has the same bits
-# whatever the rows beside it, from 19 rows up: OpenBLAS computes products
-# of up to 18 rows by another kernel, whose last bits differ, so no product
-# goes that small unless the batch is. The logit is not like that: its
-# product with the single output row is a matrix-vector product, and the
-# last (block length mod 4) rows of a block take another kernel path, so a
-# score's bits depend on where its block ends: at 512-pair blocks, 234 of
-# the default GNN's 113,582 all-pairs scores differ, by up to 1.1e-16. So
-# the blocks stay exactly where they are.
+# The blocks are part of the bits, on either path. A hidden-layer row has
+# the same bits whatever the rows beside it, from 19 rows up: OpenBLAS
+# computes products of up to 18 rows by another kernel, whose last bits
+# differ, so no product goes that small unless the batch is. The logit is
+# not like that: its product with the single output row is a matrix-vector
+# product, and the last (block length mod 4) rows of a block take another
+# kernel path, so a score's bits depend on where its block ends: at 512-pair
+# blocks, 234 of the default GNN's 113,582 all-pairs scores differ, by up
+# to 1.1e-16 (measured before the decomposition). So the blocks stay
+# exactly where they are.
 SCORE_BLOCK = 1024
 
 KINDS = (MLP_KIND, GNN_KIND)  # the order of bundles and summaries
@@ -136,6 +147,13 @@ def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray):
     """Probabilities of pair inputs, and the cache ``_head_backward`` reads.
     Each hidden layer's ReLU overwrites its pre-activation in place."""
     a1 = _dense_relu(pair_input, d["w1"], d["b1"])
+    probs, a2 = _head_tail(d, a1)
+    return probs, (pair_input, a1, a2)
+
+
+def _head_tail(d: dict[str, np.ndarray], a1: np.ndarray):
+    """The head above its first layer: probabilities of first-layer
+    activations ``a1``, and the second layer's activations."""
     a2 = _dense_relu(a1, d["w2"], d["b2"])
     z3 = a2 @ d["w3"].T
     z3 += d["b3"]
@@ -143,7 +161,7 @@ def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray):
     # even when the sigmoid saturates in float64: np.clip's floats, in place
     probs = sigmoid(z3[:, 0])
     np.maximum(probs, BCE_EPS, out=probs)
-    return np.minimum(probs, 1.0 - BCE_EPS, out=probs), (pair_input, a1, a2)
+    return np.minimum(probs, 1.0 - BCE_EPS, out=probs), a2
 
 
 def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,16 +201,31 @@ def neighbor_mean(graph: RanGraph | None, x: np.ndarray, rows=None) -> np.ndarra
     """
     if graph is None:
         raise ValidationError("the GNN needs the graph its SAGE layer aggregates over")
-    rows = np.arange(graph.n) if rows is None else np.asarray(rows, dtype=np.int64)
-    starts, deg = graph.indptr[rows], graph.degree[rows]
-    # slot s of each row: its s-th CSR neighbor's features; a slot past the
-    # row's degree gathers a clamped index and is zeroed, so no copy of x is made
-    slots = np.arange(deg.max(initial=0))[:, None]
-    gathered = x[graph.indices[np.minimum(starts + slots, len(graph.indices) - 1)]]
-    gathered[slots >= deg] = 0.0
+    if rows is None:
+        # the whole graph, one degree at a time, so no row gathers a padding
+        # slot. Padding to the maximum degree, as one gather of every row
+        # would, adds + 0.0 to each row below it, which turns a -0.0 sum into
+        # +0.0 where numpy's sum starts from the first slot (numpy 2.4's
+        # starts from +0.0): those rows add it here, for the padded bits
+        deg = graph.degree
+        order = np.argsort(deg, kind="stable")
+        sums = np.empty((graph.n, x.shape[1]))
+        for bucket in np.split(order, np.flatnonzero(np.diff(deg[order])) + 1):
+            slots = np.arange(deg[bucket].max(initial=0))[:, None]
+            sums[bucket] = x[graph.indices[graph.indptr[bucket] + slots]].sum(axis=0)
+        np.add(sums, 0.0, out=sums, where=(deg < deg.max(initial=0))[:, None])
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        starts, deg = graph.indptr[rows], graph.degree[rows]
+        # slot s of each row: its s-th CSR neighbor's features; a slot past the
+        # row's degree gathers a clamped index and is zeroed, so no copy of x is made
+        slots = np.arange(deg.max(initial=0))[:, None]
+        gathered = x[graph.indices[np.minimum(starts + slots, len(graph.indices) - 1)]]
+        gathered[slots >= deg] = 0.0
+        sums = gathered.sum(axis=0)
     # with two or more columns (every feature matrix has lat and lon) numpy
     # adds the slots one after another, elementwise, never one column pairwise
-    return gathered.sum(axis=0) / np.maximum(deg, 1.0)[:, None]
+    return sums / np.maximum(deg, 1.0)[:, None]
 
 
 def _features(params: dict[str, np.ndarray], x) -> np.ndarray:
@@ -249,14 +282,38 @@ def new_node_row(params: dict[str, np.ndarray], features_vec: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 # scoring
 
+def _ends(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """r_a and r_b of each pair (a, b) of ``rows``, each contiguous, from
+    one gather. A pair index outside the rows, negative or not, raises
+    ``IndexError``: numpy would read a negative one from the end."""
+    if pairs.size and pairs.min() < 0:
+        raise IndexError(f"pair index {pairs.min()} is out of range for {len(rows)} rows")
+    return np.take(rows, pairs.T, axis=0)
+
+
 def _pair_input(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """concat(r_a + r_b, |r_a - r_b|) for each pair (a, b) of ``rows``, the
     same either way round. An out-of-range pair raises ``IndexError``."""
-    gathered = rows[pairs]  # (n, 2, width): r_a, r_b
-    diff = gathered[:, 0] - gathered[:, 1]
-    gathered[:, 0] += gathered[:, 1]
-    np.abs(diff, out=gathered[:, 1])
-    return gathered.reshape(len(pairs), 2 * rows.shape[1])
+    (r_a, r_b), width = _ends(rows, pairs), rows.shape[1]
+    out = np.empty((len(pairs), 2 * width))
+    np.add(r_a, r_b, out=out[:, :width])
+    np.abs(np.subtract(r_a, r_b, out=r_a), out=out[:, width:])
+    return out
+
+
+def _decomposed_first_layer(
+    d: dict[str, np.ndarray], rows: np.ndarray, proj: np.ndarray, pairs: np.ndarray
+) -> np.ndarray:
+    """The head's first layer on pairs of ``rows`` given ``proj``, every
+    row's product with the sum half W1s of ``w1``: the floats of
+    relu(proj[a] + proj[b] + |r_a - r_b| @ W1d.T + b1), W1d the other half."""
+    r_a, r_b = _ends(rows, pairs)
+    diff = np.abs(np.subtract(r_a, r_b, out=r_a), out=r_a)
+    proj_a, proj_b = np.take(proj, pairs.T, axis=0)
+    z1 = np.add(proj_a, proj_b, out=proj_a)
+    z1 += diff @ d["w1"][:, rows.shape[1] :].T
+    z1 += d["b1"]
+    return np.maximum(z1, 0.0, out=z1)
 
 
 def _parts(a: np.ndarray, most: int) -> list[np.ndarray]:
@@ -273,15 +330,24 @@ def symmetric_score_batch(
     score(a, b) = score(b, a) exactly. Evaluation and prediction use this.
 
     Pairs are scored in near-equal blocks of at most ``SCORE_BLOCK``, each
-    once, through a fresh head pass, so scoring holds one block's arrays
-    beyond its pairs and scores. A block never holds a single pair unless
-    the batch is one pair: a one-row product takes numpy's matrix-vector
-    path, whose last bits can differ from the matrix-matrix one.
+    once, so scoring holds one block's arrays beyond its pairs and scores.
+    A block never holds a single pair unless the batch is one pair: a
+    one-row product takes numpy's matrix-vector path, whose last bits can
+    differ from the matrix-matrix one.
+
+    GNN pairs that outnumber the rows decompose the first layer (the
+    module docstring) through an N x h projection. Both paths cut the same
+    blocks and run the same layers above the first (``_head_tail``).
     """
     pairs = np.asarray(pairs)
     scores = np.empty(len(pairs))
-    for block, out in zip(_parts(pairs, SCORE_BLOCK), _parts(scores, SCORE_BLOCK)):
-        out[:] = _head_forward(params, _pair_input(rows, block))[0]
+    if kind_of(params) == GNN_KIND and len(pairs) > len(rows):
+        proj = rows @ params["w1"][:, : rows.shape[1]].T
+        for block, out in zip(_parts(pairs, SCORE_BLOCK), _parts(scores, SCORE_BLOCK)):
+            out[:] = _head_tail(params, _decomposed_first_layer(params, rows, proj, block))[0]
+    else:
+        for block, out in zip(_parts(pairs, SCORE_BLOCK), _parts(scores, SCORE_BLOCK)):
+            out[:] = _head_forward(params, _pair_input(rows, block))[0]
     return scores
 
 

@@ -2,12 +2,16 @@
 
 Trained parameters and report bundles are byte-identical across changes to
 these kernels only if every float they produce is, so each comparison here
-is ``np.array_equal`` or ``==``, never a tolerance.
+is ``np.array_equal`` or ``==``, never a tolerance. The one exception
+compares the two scoring paths with each other, not a kernel with its
+reference.
 """
 
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,9 @@ from scipy.stats import rankdata
 
 import ran_topo
 from ran_topo import models, pipeline
+from ran_topo.config import ExperimentConfig
 from ran_topo.neural import AdamState, adam_step, bce_loss, sigmoid
+from ran_topo.synth import SynthConfig, generate
 
 from conftest import make_graph, random_graph
 
@@ -26,22 +32,49 @@ def reference_pair_input(rows, pairs):
     return np.concatenate([a + b, np.abs(a - b)], axis=1)
 
 
+def reference_head_tail(d, a1):
+    """The head above its first layer, from first-layer activations ``a1``."""
+    z2 = a1 @ d["w2"].T + d["b2"]
+    a2 = np.maximum(z2, 0.0)
+    z3 = a2 @ d["w3"].T + d["b3"]
+    return np.clip(sigmoid(z3[:, 0]), 1e-12, 1.0 - 1e-12), (z2, a2)
+
+
 def reference_head(d, pair_input):
     """The head's probabilities and activations as fresh arrays, one expression a layer."""
     z1 = pair_input @ d["w1"].T + d["b1"]
     a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ d["w2"].T + d["b2"]
-    a2 = np.maximum(z2, 0.0)
-    z3 = a2 @ d["w3"].T + d["b3"]
-    return np.clip(sigmoid(z3[:, 0]), 1e-12, 1.0 - 1e-12), (z1, a1, z2, a2)
+    probs, (z2, a2) = reference_head_tail(d, a1)
+    return probs, (z1, a1, z2, a2)
+
+
+def reference_blocks(pairs, block):
+    """``pairs`` in ``np.array_split`` blocks of at most ``block`` pairs."""
+    n_blocks = -(-len(pairs) // block)
+    return np.array_split(pairs, n_blocks) if n_blocks > 1 else [pairs]
 
 
 def reference_symmetric_scores(params, rows, pairs, block):
     """Symmetric scores in ``np.array_split`` blocks of at most ``block``
     pairs, each block through a fresh head pass."""
-    n_blocks = -(-len(pairs) // block)
-    parts = np.array_split(pairs, n_blocks) if n_blocks > 1 else [pairs]
-    return np.concatenate([reference_head(params, reference_pair_input(rows, p))[0] for p in parts])
+    return np.concatenate(
+        [reference_head(params, reference_pair_input(rows, p))[0] for p in reference_blocks(pairs, block)]
+    )
+
+
+def reference_decomposed_scores(params, rows, pairs, block):
+    """Symmetric scores with the first layer split at its two halves: every
+    row's product with the sum half once, then in each block
+    relu(proj[a] + proj[b] + |r_a - r_b| @ W1d.T + b1) under a fresh pass
+    of the layers above."""
+    width = rows.shape[1]
+    proj = rows @ params["w1"][:, :width].T
+    scores = []
+    for p in reference_blocks(pairs, block):
+        a, b = p[:, 0], p[:, 1]
+        z1 = proj[a] + proj[b] + np.abs(rows[a] - rows[b]) @ params["w1"][:, width:].T + params["b1"]
+        scores.append(reference_head_tail(params, np.maximum(z1, 0.0))[0])
+    return np.concatenate(scores)
 
 
 def reference_loss_and_grads(params, x, pairs, labels, graph=None):
@@ -98,6 +131,16 @@ def padded_neighbor_mean(graph, x, rows=None):
     table = np.where(slots < deg, graph.indices[np.minimum(starts + slots, len(graph.indices) - 1)], graph.n)
     padded = np.concatenate([x, np.zeros((1, x.shape[1]))])
     return padded[table].sum(axis=0) / np.maximum(deg, 1.0)[:, None]
+
+
+def slot_zeroed_neighbor_mean(graph, x):
+    """The whole-graph gather the degree buckets replaced: every row's
+    slots up to the maximum degree, the slots past its own degree zeroed."""
+    starts, deg = graph.indptr, graph.degree
+    slots = np.arange(deg.max(initial=0))[:, None]
+    gathered = x[graph.indices[np.minimum(starts[:-1] + slots, len(graph.indices) - 1)]]
+    gathered[slots >= deg] = 0.0
+    return gathered.sum(axis=0) / np.maximum(deg, 1.0)[:, None]
 
 
 def masked_sigmoid(x):
@@ -208,6 +251,26 @@ def test_neighbor_mean_bit_equal_to_the_padded_gather(graph):
         assert_bits_equal(models.neighbor_mean(graph, x, rows), padded_neighbor_mean(graph, x, rows))
 
 
+def shipped_network(name):
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" / name).read_text())
+    return generate(SynthConfig.from_dict(cfg["data"]["synthetic"])).graph
+
+
+@pytest.mark.parametrize("name", ["default.json", "site-mean-variant.json"])
+def test_whole_graph_neighbor_mean_of_the_shipped_networks_bit_equal_to_the_slot_zeroed_gather(name):
+    graph = shipped_network(name)
+    rng = np.random.default_rng(len(name))
+    x = np.concatenate([graph.features.values, rng.normal(size=(graph.n, 3))], axis=1)
+    signed_zeros = x.copy()
+    signed_zeros[rng.random(x.shape) < 0.2] = -0.0
+    # the training graph's view: every cell kept, a tenth of them with no edge left
+    isolated = pipeline.mask_to_train_edges(graph, graph.ids[: graph.n * 9 // 10])
+    assert (isolated.degree == 0).sum() >= graph.n // 10
+    for g in (graph, isolated):
+        for features in (x, signed_zeros):
+            assert_bits_equal(models.neighbor_mean(g, features), slot_zeroed_neighbor_mean(g, features))
+
+
 def test_sigmoid_bit_equal_to_the_masked_assignments():
     nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0xFFF0000000000001], dtype=np.uint64)
     specials = np.concatenate([
@@ -232,14 +295,41 @@ def scored_rows(kind, rng, n):
 
 @pytest.mark.parametrize("kind", [models.MLP_KIND, models.GNN_KIND])
 @pytest.mark.parametrize(
-    "n_pairs", [0, 1, 2, 19, models.SCORE_BLOCK, models.SCORE_BLOCK + 1, 3 * models.SCORE_BLOCK + 7]
+    "n_pairs", [0, 1, 2, 19, 300, 301, models.SCORE_BLOCK, models.SCORE_BLOCK + 1, 3 * models.SCORE_BLOCK + 7]
 )
 def test_symmetric_scores_bit_equal_to_fresh_blocks(kind, n_pairs):
+    """Over 300 rows: GNN batches of more pairs than rows take the
+    decomposed first layer, every other batch the pair input's head pass."""
     rng = np.random.default_rng(n_pairs)
     params, rows = scored_rows(kind, rng, 300)
     pairs = rng.integers(0, len(rows), size=(n_pairs, 2))
-    want = reference_symmetric_scores(params, rows, pairs, models.SCORE_BLOCK)
+    decomposed = kind == models.GNN_KIND and n_pairs > len(rows)
+    reference = reference_decomposed_scores if decomposed else reference_symmetric_scores
+    want = reference(params, rows, pairs, models.SCORE_BLOCK)
     assert_bits_equal(models.symmetric_score_batch(params, rows, pairs), want)
+
+
+def test_decomposed_all_pairs_of_the_default_gnn_agree_with_the_pair_input_pass():
+    """The default experiment's GNN all-pairs (113,582 pairs, 1,533 rows)
+    take the decomposed path. Its scores stay within 1e-12 of the pair
+    input's head pass, and the report is the same."""
+    cfg = ExperimentConfig()
+    data = pipeline.prepare_experiment(cfg)
+    params = pipeline.train(models.GNN_KIND, data, cfg).params
+    rows = models.node_rows(params, data.features_norm, data.graph)
+    pairs = pipeline.sample_pairs(data.graph, data.split.val_nodes, "all_pairs").pairs
+    assert len(pairs) > len(rows)
+    got = models.symmetric_score_batch(params, rows, pairs)
+    assert_bits_equal(got, reference_decomposed_scores(params, rows, pairs, models.SCORE_BLOCK))
+    pair_input_pass = reference_symmetric_scores(params, rows, pairs, models.SCORE_BLOCK)
+    assert np.max(np.abs(got - pair_input_pass)) <= 1e-12
+    reports = [
+        pipeline.evaluate(scorer, data.graph, data.split.val_nodes, "all_pairs", cutoff=cfg.cutoff)
+        for scorer in (pipeline.make_scorer(params, data.features_norm, data.graph),
+                       lambda p: reference_symmetric_scores(params, rows, p, models.SCORE_BLOCK))
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0] == pipeline.evaluate_model(params, data, cfg)[(models.GNN_KIND, "all_pairs")]
 
 
 @pytest.mark.parametrize("kind", [models.MLP_KIND, models.GNN_KIND])

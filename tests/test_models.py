@@ -211,26 +211,69 @@ class TestScoreBlocks:
         # no block of one pair unless the batch is one pair
         assert min(sizes) >= min(2, n_pairs)
 
+    @pytest.mark.parametrize("n_pairs", [6, 7, 9, 17])
+    def test_decomposed_blocks_are_the_pair_input_blocks(self, monkeypatch, n_pairs):
+        """Over 6 rows, a GNN batch of more than 6 pairs decomposes its first
+        layer; either path gathers each block's pairs once, in the same
+        blocks, and runs the layers above on each."""
+        rng = np.random.default_rng(5)
+        params = models.init_params("gnn", k=3, hidden=5, embed=4, seed=1)
+        rows = rng.normal(size=(6, 4))
+        pairs = rng.integers(0, 6, size=(n_pairs, 2))
+        ends, tail, forward = models._ends, models._head_tail, models._head_forward
+        gathered, sizes, forwards = [], [], []
+
+        def recording_ends(r, block):
+            gathered.append(block)
+            return ends(r, block)
+
+        def recording_tail(d, a1):
+            sizes.append(len(a1))
+            return tail(d, a1)
+
+        def recording_forward(d, pair_input):
+            forwards.append(len(pair_input))
+            return forward(d, pair_input)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "SCORE_BLOCK", 4)
+            patch.setattr(models, "_ends", recording_ends)
+            patch.setattr(models, "_head_tail", recording_tail)
+            patch.setattr(models, "_head_forward", recording_forward)
+            scores = models.symmetric_score_batch(params, rows, pairs)
+        assert (not forwards) == (n_pairs > len(rows))  # the decomposed path skips the pair input
+        assert np.array_equal(np.concatenate(gathered), pairs)  # every pair once, in order
+        assert sizes == [len(block) for block in gathered]
+        assert sizes == [len(block) for block in np.array_split(pairs, -(-n_pairs // 4))]
+        one_at_a_time = [models.symmetric_score_batch(params, rows, pairs[i : i + 1])[0] for i in range(n_pairs)]
+        np.testing.assert_allclose(scores, one_at_a_time, rtol=0, atol=1e-15)
+
     def test_memory_is_a_few_block_buffers_beyond_the_scores(self):
         width = 64
-        params = models.init_params("gnn", k=8, embed=width, hidden=width, seed=2)
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(500, width))
         pairs = rng.integers(0, len(rows), size=(100_000, 2))
-        tracemalloc.start()
-        try:
-            scores = models.symmetric_score_batch(params, rows, pairs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         block_input = models.SCORE_BLOCK * 2 * width * 8  # one block's pair input, in bytes
-        # one block's arrays, whatever the batch: that pair input, the rows'
-        # difference and two hidden layers, each half as wide
-        assert peak <= scores.nbytes + 3 * block_input, peak
-        # and a block is cache-sized, so they are a few MB
-        assert peak <= scores.nbytes + 4 * 2**20, peak
+        # the GNN's batch outnumbers its rows and decomposes; the MLP's (64
+        # features a cell) builds each block's pair input
+        for params in (
+            models.init_params("gnn", k=8, embed=width, hidden=width, seed=2),
+            models.init_params("mlp", k=width, hidden=width, seed=2),
+        ):
+            tracemalloc.start()
+            try:
+                scores = models.symmetric_score_batch(params, rows, pairs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # one block's arrays, whatever the batch: the pair input or the
+            # rows' gathers and the projection's (the 500 x 64 projection
+            # beside them), and two hidden layers, each half as wide
+            assert peak <= scores.nbytes + 3 * block_input, peak
+            # and a block is cache-sized, so they are a few MB
+            assert peak <= scores.nbytes + 4 * 2**20, peak
 
-    @pytest.mark.parametrize("pair", [[0, 6], [6, 0], [-7, 1]])
+    @pytest.mark.parametrize("pair", [[0, 6], [6, 0], [-7, 1], [-1, 1]])
     def test_pair_out_of_range_raises(self, pair):
         pairs = np.array([[1, 2], pair])
         params = models.init_params("mlp", k=3, hidden=5, seed=1)

@@ -11,6 +11,8 @@ File formats:
              field is a missing value.
   edges.csv  header ``cell_id_a,cell_id_b``.
   norm_params.json  ``{"columns": [...], "mean": [...], "std": [...]}``.
+An error in cells.csv or edges.csv names its file line; a quoted field
+that spans lines counts each line it spans.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -25,7 +28,7 @@ import numpy as np
 
 from .config import DROP_ROW, FILL_COLUMN_MEAN
 from .errors import ValidationError
-from .graph import CellId, FeatureMatrix, RanGraph, build_graph, remove_nodes
+from .graph import CellId, FeatureMatrix, RanGraph, graph_from_rows, remove_nodes
 
 # std below this is treated as a constant column and normalizes to zero
 DEGENERATE_STD = 1e-12
@@ -63,42 +66,69 @@ def _check_coordinates(lat: float, lon: float, where: str) -> None:
         raise ValidationError(f"{where}longitude {lon} outside [-180, 180]")
 
 
+@contextmanager
+def _records(source):
+    """``csv.reader`` over an open text file; a ``csv.Error`` (a field over
+    the csv module's size limit, say) raises ValidationError naming the file
+    and the line."""
+    reader = csv.reader(source)
+    try:
+        yield reader
+    except csv.Error as exc:
+        name = getattr(source, "name", "input")
+        raise ValidationError(f"{name}: line {reader.line_num}: {exc}") from None
+
+
+def _is_blank(row) -> bool:
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
 def parse_cells_csv(source) -> tuple[list[CellId], FeatureMatrix]:
     """Read an open cells.csv text file into (ids, features).
 
     Row order is preserved. A field that is empty, non-numeric or not finite
     (``nan``, ``inf``, ``1e400``) is missing and reads as NaN, the one mark
-    of a missing value. Present coordinates must lie in valid ranges.
+    of a missing value. Present coordinates must lie in valid ranges. An
+    error names its file line.
     """
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if not header or header[0].strip() != "cell_id" or len(header) < 3:
-        raise ValidationError("cells.csv must start with 'cell_id,lat,lon,...'")
-    columns = tuple(name.strip() for name in header[1:])
-    if columns[:2] != ("lat", "lon"):
-        raise ValidationError("cells.csv columns 2 and 3 must be 'lat,lon'")
+    with _records(source) as reader:
+        header = next(reader, None)
+        if not header or header[0].strip() != "cell_id" or len(header) < 3:
+            raise ValidationError("cells.csv must start with 'cell_id,lat,lon,...'")
+        columns = tuple(name.strip() for name in header[1:])
+        if columns[:2] != ("lat", "lon"):
+            raise ValidationError("cells.csv columns 2 and 3 must be 'lat,lon'")
 
-    ids: list[CellId] = []
-    seen = set()
-    rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise ValidationError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-        cell_id = row[0].strip()
-        if not cell_id:
-            raise ValidationError(f"line {line_no}: empty cell id")
-        if cell_id in seen:
-            raise ValidationError(f"line {line_no}: duplicate cell id {cell_id!r}")
-        seen.add(cell_id)
-        ids.append(cell_id)
+        ids: list[CellId] = []
+        seen = set()
+        flat = array("d")  # the rows' values, row after row
+        for row in reader:
+            if len(row) != len(header):
+                if _is_blank(row):  # at most one field, never a full row
+                    continue
+                raise ValidationError(
+                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+            cell_id = row[0].strip()
+            if not cell_id:
+                raise ValidationError(f"line {reader.line_num}: empty cell id")
+            if cell_id in seen:
+                raise ValidationError(f"line {reader.line_num}: duplicate cell id {cell_id!r}")
+            seen.add(cell_id)
+            ids.append(cell_id)
 
-        values = np.array([_number(field) for field in row[1:]])
-        _check_coordinates(values[0], values[1], f"line {line_no}: ")
-        rows.append(values)
+            fields = row[1:]
+            try:
+                values = [*map(float, fields)]
+            except ValueError:  # an empty or non-numeric field: the per-field rule
+                values = [*map(_number, fields)]
+            lat, lon = values[0], values[1]
+            if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                _check_coordinates(_number(lat), _number(lon), f"line {reader.line_num}: ")
+            flat.fromlist(values)
 
-    values = np.array(rows) if rows else np.empty((0, len(columns)))
+    values = np.frombuffer(flat, dtype=np.float64).reshape(-1, len(columns))
+    values[~np.isfinite(values)] = np.nan
     return ids, FeatureMatrix(columns, values)
 
 
@@ -124,26 +154,31 @@ def parse_new_cell(obj, features: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(features.columns, row[None, :], features.coord_cols)
 
 
-def parse_edges_csv(source) -> list[tuple[CellId, CellId]]:
-    """Read an open edges.csv text file into id pairs, verbatim; dedup is
-    build_graph's job."""
-    reader = csv.reader(source)
-    header = next(reader, None)
-    if not header or [h.strip() for h in header] != ["cell_id_a", "cell_id_b"]:
-        raise ValidationError("edges.csv must start with 'cell_id_a,cell_id_b'")
-    pairs = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2 or not row[0].strip() or not row[1].strip():
-            raise ValidationError(f"line {line_no}: expected two cell ids")
-        pairs.append((row[0].strip(), row[1].strip()))
-    return pairs
+def parse_edges_csv(source, index: dict) -> np.ndarray:
+    """Read an open edges.csv text file into the (E, 2) int64 rows that
+    ``index`` maps its id pairs to, verbatim: dedup and the refusal of an
+    unlisted id or a self-loop are ``graph_from_rows``' job.
 
-
-def _format_float(x: float) -> str:
-    # repr gives the shortest decimal that round-trips exactly
-    return repr(float(x))
+    ``index`` maps stripped ids, as ``parse_cells_csv`` reads them, to rows.
+    An id it lacks is added to it at the next free row, for
+    ``graph_from_rows`` to name. An error names its file line.
+    """
+    with _records(source) as reader:
+        header = next(reader, None)
+        if not header or [h.strip() for h in header] != ["cell_id_a", "cell_id_b"]:
+            raise ValidationError("edges.csv must start with 'cell_id_a,cell_id_b'")
+        flat = []
+        for row in reader:
+            try:  # the common row: two listed ids, written as the cells file has them
+                a, b = row
+                flat += (index[a], index[b])
+            except (ValueError, KeyError):
+                if len(row) != 2 or not (a := row[0].strip()) or not (b := row[1].strip()):
+                    if _is_blank(row):
+                        continue
+                    raise ValidationError(f"line {reader.line_num}: expected two cell ids") from None
+                flat += (index.setdefault(a, len(index)), index.setdefault(b, len(index)))
+    return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
 def write_csv(path, header, rows) -> None:
@@ -162,11 +197,12 @@ def write_text(path, text: str) -> None:
 
 
 def write_cells_csv(path, ids, features: FeatureMatrix) -> None:
-    """Serialize cells to CSV; floats round-trip exactly."""
+    """Serialize cells to CSV; csv writes each float as its repr, the
+    shortest decimal that round-trips exactly."""
     write_csv(
         path,
         ["cell_id", *features.columns],
-        ([cell_id, *map(_format_float, row)] for cell_id, row in zip(ids, features.values)),
+        ([cell_id, *row.tolist()] for cell_id, row in zip(ids, features.values)),
     )
 
 
@@ -200,8 +236,9 @@ def read_network(cells_path, edges_path, policy: str | None = None) -> RanGraph:
         raise ValidationError(f"unknown missing_policy {policy!r}")
     with open_input(cells_path) as fh:
         ids, features = parse_cells_csv(fh)
+    index = dict(zip(ids, range(len(ids))))
     with open_input(edges_path) as fh:
-        edge_pairs = parse_edges_csv(fh)
+        edges = parse_edges_csv(fh, index)
     missing = np.isnan(features.values).any(axis=1)
     if policy is None and missing.any():
         raise ValidationError(
@@ -210,7 +247,7 @@ def read_network(cells_path, edges_path, policy: str | None = None) -> RanGraph:
         )
     if policy == FILL_COLUMN_MEAN:
         features = fill_column_means(features)
-    graph = build_graph(ids, edge_pairs, features)
+    graph = graph_from_rows(tuple(ids), edges, features, index)
     if policy == DROP_ROW:
         graph = remove_nodes(graph, [ids[i] for i in np.flatnonzero(missing)])
     return graph

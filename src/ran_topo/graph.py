@@ -174,7 +174,32 @@ class RanGraph:
 
     def edge_list(self) -> list[tuple[CellId, CellId]]:
         """Edges as external-id pairs, sorted by index pair."""
-        return [(self.ids[i], self.ids[j]) for i, j in self.edge_array.tolist()]
+        ids = np.array(self.ids, dtype=object)
+        return list(zip(ids[self.edge_array[:, 0]].tolist(), ids[self.edge_array[:, 1]].tolist()))
+
+
+def graph_from_rows(ids: tuple, rows: np.ndarray, features: FeatureMatrix, index: dict) -> RanGraph:
+    """The canonical RanGraph of (E, 2) int64 endpoint rows of ``ids``.
+
+    ``index`` maps each id to its row. Whoever maps id pairs to rows adds an
+    id that is not among ``ids`` to ``index`` at the next free row (n, n + 1,
+    ...), so that the edge can be refused by that name. Duplicate and
+    reversed-duplicate edges collapse to one; an unlisted endpoint or a
+    self-loop is rejected, the first offending edge named.
+    """
+    n = len(ids)
+    bad = (rows >= n).any(axis=1) | (rows[:, 0] == rows[:, 1])
+    if bad.any():
+        a, b = rows[int(np.argmax(bad))].tolist()
+        names = list(index)
+        for row in (a, b):
+            if row >= n:
+                raise ValidationError(f"edge endpoint {names[row]!r} is not a node")
+        raise ValidationError(f"self-loop on node {ids[a]!r}")
+    keys = unique_keys(pair_keys(rows[:, 0], rows[:, 1], n))
+    graph = RanGraph(ids, key_pairs(keys, n), features)
+    graph.__dict__["_index"] = index  # where cached_property keeps it: not built twice
+    return graph
 
 
 def build_graph(
@@ -182,7 +207,7 @@ def build_graph(
     edges,
     features: FeatureMatrix,
 ) -> RanGraph:
-    """Construct a canonical RanGraph.
+    """Construct a canonical RanGraph from cell ids and (a, b) id pairs.
 
     Duplicate and reversed-duplicate edges collapse to one; self-loops and
     unknown endpoints are rejected, the first offending edge named.
@@ -197,23 +222,13 @@ def build_graph(
         raise ValidationError(
             f"{features.n_rows} feature rows for {len(ids)} nodes"
         )
-
-    named = [tuple(edge) for edge in edges]
-    ends = np.array(
-        [(index.get(a, -1), index.get(b, -1)) for a, b in named], dtype=np.int64
-    ).reshape(-1, 2)
-    bad = (ends < 0).any(axis=1) | (ends[:, 0] == ends[:, 1])
-    if bad.any():
-        a, b = named[int(np.argmax(bad))]
-        for node in (a, b):
-            if node not in index:
-                raise ValidationError(f"edge endpoint {node!r} is not a node")
-        raise ValidationError(f"self-loop on node {a!r}")
-
-    keys = unique_keys(pair_keys(ends[:, 0], ends[:, 1], len(ids)))
-    graph = RanGraph(ids, key_pairs(keys, len(ids)), features)
-    graph.__dict__["_index"] = index  # where cached_property keeps it: not built twice
-    return graph
+    flat = []
+    for a, b in edges:
+        try:
+            flat += (index[a], index[b])
+        except KeyError:  # an unlisted id, added for graph_from_rows to name
+            flat += (index.setdefault(a, len(index)), index.setdefault(b, len(index)))
+    return graph_from_rows(ids, np.array(flat, dtype=np.int64).reshape(-1, 2), features, index)
 
 
 def remove_nodes(graph: RanGraph, removed) -> RanGraph:

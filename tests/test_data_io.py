@@ -1,11 +1,13 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import edge_set, make_features
-from ran_topo.config import DROP_ROW, FILL_COLUMN_MEAN
+from ran_topo import synth
+from ran_topo.config import DROP_ROW, FILL_COLUMN_MEAN, SynthConfig
 from ran_topo.data_io import (
     NormParams,
     fill_column_means,
@@ -68,6 +70,11 @@ class TestParseCells:
         with pytest.raises(ValidationError, match="line 2: expected 4 fields, got 3"):
             parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\na,0,0\n"))
 
+    def test_line_numbers_are_file_lines(self):
+        # the quoted id spans lines 2 and 3, so the short row is on line 4
+        with pytest.raises(ValidationError, match="line 4: expected 4 fields, got 3"):
+            parse_cells_csv(io.StringIO('cell_id,lat,lon,f1\n"a\nb",0,0,1\nc,0,0\n'))
+
     def test_blank_lines_skipped(self):
         ids, fm = parse_cells_csv(io.StringIO("cell_id,lat,lon,f1\n\na,0,0,1\n \n"))
         assert ids == ["a"] and fm.values.tolist() == [[0.0, 0.0, 1.0]]
@@ -106,21 +113,37 @@ class TestParseNewCell:
 
 class TestParseEdges:
     def test_single_pair(self):
-        assert parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\na,b\n")) == [("a", "b")]
+        rows = parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\na,b\n"), {"a": 0, "b": 1})
+        assert rows.dtype == np.int64 and rows.tolist() == [[0, 1]]
 
     def test_empty_body(self):
-        assert parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\n")) == []
+        assert parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\n"), {}).shape == (0, 2)
 
     def test_blank_lines_skipped(self):
-        assert parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\n\na,b\n \n")) == [("a", "b")]
+        rows = parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\n\na,b\n \n"), {"a": 0, "b": 1})
+        assert rows.tolist() == [[0, 1]]
+
+    def test_fields_are_stripped(self):
+        rows = parse_edges_csv(io.StringIO('cell_id_a,cell_id_b\n a ,"b "\n'), {"a": 0, "b": 1})
+        assert rows.tolist() == [[0, 1]]
+
+    def test_unlisted_ids_join_the_index(self):
+        index = {"a": 0, "b": 1}
+        rows = parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\na,x\ny,x\nb,a\n"), index)
+        assert rows.tolist() == [[0, 2], [3, 2], [1, 0]]
+        assert index == {"a": 0, "b": 1, "x": 2, "y": 3}
 
     def test_malformed_line(self):
         with pytest.raises(ValidationError, match="line 2: expected two cell ids"):
-            parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\na\n"))
+            parse_edges_csv(io.StringIO("cell_id_a,cell_id_b\na\n"), {"a": 0})
+
+    def test_line_numbers_are_file_lines(self):
+        with pytest.raises(ValidationError, match="line 4: expected two cell ids"):
+            parse_edges_csv(io.StringIO('cell_id_a,cell_id_b\n"a\nb",c\nd\n'), {})
 
     def test_missing_header(self):
         with pytest.raises(ValidationError, match="edges.csv must start with 'cell_id_a,cell_id_b'"):
-            parse_edges_csv(io.StringIO("a,b\nc,d\n"))
+            parse_edges_csv(io.StringIO("a,b\nc,d\n"), {})
 
 
 class TestMissingPolicy:
@@ -293,4 +316,31 @@ class TestRoundTrip:
         write_edges_csv(tmp_path / "edges.csv", [("a", "b"), ("c", "d")])
         assert (tmp_path / "edges.csv").read_bytes() == b"cell_id_a,cell_id_b\na,b\nc,d\n"
         with open(tmp_path / "edges.csv") as fh:
-            assert parse_edges_csv(fh) == [("a", "b"), ("c", "d")]
+            assert parse_edges_csv(fh, {"a": 0, "b": 1, "c": 2, "d": 3}).tolist() == [[0, 1], [2, 3]]
+
+
+class TestReadNetworkLimits:
+    @pytest.mark.parametrize("name", ["cells.csv", "edges.csv"])
+    def test_oversized_field_names_file_and_line(self, tmp_path, name):
+        # over the csv module's 131,072-character field limit
+        huge = '"' + "x" * 140_000 + '"'
+        texts = {"cells.csv": "cell_id,lat,lon,f1\na,0,0,1\n", "edges.csv": "cell_id_a,cell_id_b\na,a\n"}
+        texts[name] += f"{huge},0,0,1\n" if name == "cells.csv" else f"{huge},a\n"
+        paths = write_network(tmp_path, texts["cells.csv"], texts["edges.csv"])
+        path = tmp_path / name
+        with pytest.raises(ValidationError, match=f"^{path}: line 3: field larger than field limit"):
+            read_network(*paths)
+
+    def test_peak_memory_on_a_1500_site_network(self, tmp_path):
+        """Reading the 7,443-cell, 25,795-edge network allocates no Python
+        object per edge or per value: its traced peak stays under 6 MB."""
+        gt = synth.generate(SynthConfig(sites=1500, bbox=(56.8, 59.036, 11.0, 15.472)))
+        synth.export(gt, tmp_path)
+        tracemalloc.start()
+        try:
+            graph = read_network(tmp_path / "cells.csv", tmp_path / "edges.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (graph.n, graph.num_edges) == (7443, 25795)
+        assert peak < 6_000_000, f"read_network peak {peak / 1e6:.2f} MB"

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import adjacency_sets, csr_neighbors, edge_set
 from geo_oracle import geo_distance
-from ran_topo.data_io import parse_cells_csv, parse_edges_csv
+from ran_topo.data_io import read_network
 from ran_topo.errors import ValidationError
 from ran_topo.graph import build_graph
 from ran_topo.synth import (
@@ -211,8 +212,9 @@ class TestGeneration:
 class TestExport:
     def test_round_trip(self, tmp_path):
         """The generator builds its edge array from index pairs; re-reading the
-        export through build_graph gives the same canonical graph, under both
-        rules and on a network of a few hundred sites."""
+        export, by read_network or by build_graph over the files' id pairs,
+        gives the same canonical graph, under both rules and on a network of
+        a few hundred sites."""
         for name, cfg in (
             ("band", small_config(seed=40)),
             ("site_mean", small_config(seed=40, edge_rule=SITE_MEAN_RULE)),
@@ -221,15 +223,14 @@ class TestExport:
             gt = generate(cfg)
             (tmp_path / name).mkdir()
             export(gt, tmp_path / name)
-            with open(tmp_path / name / "cells.csv") as fh:
-                ids, features = parse_cells_csv(fh)
-            with open(tmp_path / name / "edges.csv") as fh:
-                edges = parse_edges_csv(fh)
-            assert not np.isnan(features.values).any()
-            rebuilt = build_graph(ids, edges, features)
-            assert rebuilt.ids == gt.graph.ids
-            assert np.array_equal(rebuilt.edge_array, gt.graph.edge_array), name
-            assert np.array_equal(rebuilt.features.values, gt.graph.features.values)
+            read = read_network(tmp_path / name / "cells.csv", tmp_path / name / "edges.csv")
+            with open(tmp_path / name / "edges.csv", newline="") as fh:
+                pairs = [tuple(row) for row in csv.reader(fh)][1:]
+            ids = list(read.ids)
+            for rebuilt in (read, build_graph(ids, pairs, read.features)):
+                assert rebuilt.ids == gt.graph.ids
+                assert np.array_equal(rebuilt.edge_array, gt.graph.edge_array), name
+                assert np.array_equal(rebuilt.features.values, gt.graph.features.values)
             assert gt.graph.rows_of(ids[::-1]).tolist() == list(range(len(ids)))[::-1]
 
     def test_empty_edges_header_only(self, tmp_path):

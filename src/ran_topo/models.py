@@ -19,12 +19,12 @@ are bit-for-bit what they were. A whole-graph mean gathers one degree's
 rows at a time. An embedding reads only its node's 1-hop neighborhood, so
 scoring a few cells embeds only those rows.
 
-A GNN scoring batch with more pairs than rows (all-pairs evaluation; every
-mode on a small network) splits ``w1`` at its halves: W1s (r_a + r_b) =
-W1s r_a + W1s r_b, so W1s r is computed once per row. Its scores differ
-from the pair input's in the last bits (up to 1.8e-15 on the default
-GNN's all-pairs). Every other batch, each ``predict`` request and all MLP
-scoring among them, runs training's head forward on the pair input.
+Scoring splits ``w1`` at its halves: W1s (r_a + r_b) = W1s r_a + W1s r_b,
+so W1s r is computed once per row and a pair adds two of them to
+W1d |r_a - r_b|. Every scoring batch does this, of either kind: evaluation,
+training's validation and each ``predict`` request. Only training builds
+the pair input; its scores differ from scoring's in the last bits (up to
+1.8e-15 on the default GNN's all-pairs).
 
 Every difference between the kinds lives in this module: ``model_input``
 (what the loss takes), ``node_rows`` (what the head scores) and
@@ -56,13 +56,12 @@ MLP_KIND = "mlp"
 GNN_KIND = "gnn"
 
 # pairs scored at a time. Scoring holds one block's arrays at a time, about 2 MB
-# beyond its pairs and scores at 64-wide rows, which stays in cache, plus an
-# N x h projection when it decomposes the first layer. The default network's
-# 113,582 GNN all-pairs, which decompose, score in 0.08-0.10 s at 512 or
-# 1,024 pairs a block and in 0.10-0.11 s at 4,096 (2-core VM, one OpenBLAS
-# thread).
+# beyond its pairs and scores at 64-wide rows, which stays in cache, plus the
+# N x h projection of its rows. The default network's 113,582 GNN all-pairs
+# score in 0.08-0.10 s at 512 or 1,024 pairs a block and in 0.10-0.11 s at
+# 4,096 (2-core VM, one OpenBLAS thread).
 #
-# The blocks are part of the bits, on either path. A hidden-layer row has
+# The blocks are part of the bits. A hidden-layer row has
 # the same bits whatever the rows beside it, from 19 rows up: OpenBLAS
 # computes products of up to 18 rows by another kernel, whose last bits
 # differ, so no product goes that small unless the batch is. The logit is
@@ -143,14 +142,6 @@ def init_params(
 # ---------------------------------------------------------------------------
 # forward / backward on raw arrays
 
-def _head_forward(d: dict[str, np.ndarray], pair_input: np.ndarray):
-    """Probabilities of pair inputs, and the cache ``_head_backward`` reads.
-    Each hidden layer's ReLU overwrites its pre-activation in place."""
-    a1 = _dense_relu(pair_input, d["w1"], d["b1"])
-    probs, a2 = _head_tail(d, a1)
-    return probs, (pair_input, a1, a2)
-
-
 def _head_tail(d: dict[str, np.ndarray], a1: np.ndarray):
     """The head above its first layer: probabilities of first-layer
     activations ``a1``, and the second layer's activations."""
@@ -172,13 +163,13 @@ def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _head_backward(d: dict[str, np.ndarray], cache, dlogit: np.ndarray):
+def _head_backward(d: dict[str, np.ndarray], pair_input, a1, a2, dlogit: np.ndarray):
     """Gradients of sum(dlogit * logit) w.r.t. the head params, and ``dz1``,
-    the gradient of the first pre-activation. Only the GNN carries it on to
-    its pair input (``dz1 @ w1``); the MLP's input is the data. A ReLU's
-    output is positive exactly where its pre-activation is, so the masks
-    read the activations."""
-    pair_input, a1, a2 = cache
+    the gradient of the first pre-activation, from the pair input and the
+    hidden layers' activations. Only the GNN carries ``dz1`` on to its pair
+    input (``dz1 @ w1``); the MLP's input is the data. A ReLU's output is
+    positive exactly where its pre-activation is, so the masks read the
+    activations."""
     dz3 = dlogit[:, None]  # (B, 1)
     grads = {"w3": dz3.T @ a2, "b3": dz3.sum(axis=0)}
     da2 = dz3 @ d["w3"]
@@ -192,12 +183,22 @@ def _head_backward(d: dict[str, np.ndarray], cache, dlogit: np.ndarray):
     return grads, dz1
 
 
+def _row_index(rows, n: int) -> np.ndarray:
+    """``rows`` as int64 indices of ``n`` rows. A negative one raises
+    ``IndexError``, as one past the end does: numpy would read it from the end."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size and rows.min() < 0:
+        raise IndexError(f"row index {rows.min()} is out of range for {n} rows")
+    return rows
+
+
 def neighbor_mean(graph: RanGraph | None, x: np.ndarray, rows=None) -> np.ndarray:
     """Row v = mean of x over v's neighbors; zero vector if none.
 
     For every node or, given ``rows``, only for those nodes (their 1-hop
-    neighborhood is all the mean reads). Every SAGE pass aggregates here, so
-    this is where a GNN without a graph is refused.
+    neighborhood is all the mean reads); a row outside the graph, negative
+    or not, raises ``IndexError``. Every SAGE pass aggregates here, so this
+    is where a GNN without a graph is refused.
     """
     if graph is None:
         raise ValidationError("the GNN needs the graph its SAGE layer aggregates over")
@@ -215,7 +216,7 @@ def neighbor_mean(graph: RanGraph | None, x: np.ndarray, rows=None) -> np.ndarra
             sums[bucket] = x[graph.indices[graph.indptr[bucket] + slots]].sum(axis=0)
         np.add(sums, 0.0, out=sums, where=(deg < deg.max(initial=0))[:, None])
     else:
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = _row_index(rows, graph.n)
         starts, deg = graph.indptr[rows], graph.degree[rows]
         # slot s of each row: its s-th CSR neighbor's features; a slot past the
         # row's degree gathers a clamped index and is zeroed, so no copy of x is made
@@ -247,7 +248,7 @@ def model_input(params: dict[str, np.ndarray], x, graph: RanGraph | None = None,
     (GNN); every node's or, given ``rows``, those nodes' in that order. It
     does not depend on the parameters' values: training computes it once."""
     x = _features(params, x)
-    own = x if rows is None else x[rows]
+    own = x if rows is None else x[_row_index(rows, len(x))]
     if kind_of(params) == MLP_KIND:
         return own
     return np.concatenate([own, neighbor_mean(graph, x, rows)], axis=1)
@@ -329,25 +330,19 @@ def symmetric_score_batch(
     the MLP, embeddings for the GNN). The head's input is symmetric, so
     score(a, b) = score(b, a) exactly. Evaluation and prediction use this.
 
-    Pairs are scored in near-equal blocks of at most ``SCORE_BLOCK``, each
-    once, so scoring holds one block's arrays beyond its pairs and scores.
-    A block never holds a single pair unless the batch is one pair: a
-    one-row product takes numpy's matrix-vector path, whose last bits can
-    differ from the matrix-matrix one.
-
-    GNN pairs that outnumber the rows decompose the first layer (the
-    module docstring) through an N x h projection. Both paths cut the same
-    blocks and run the same layers above the first (``_head_tail``).
+    The first layer decomposes (the module docstring): every row's
+    product with W1s once, as an N x h projection. Pairs are then scored
+    in near-equal blocks of at most ``SCORE_BLOCK``, each once, so scoring
+    holds the projection and one block's arrays beyond its pairs and
+    scores. A block never holds a single pair unless the batch is one
+    pair: a one-row product takes numpy's matrix-vector path, whose last
+    bits can differ from the matrix-matrix one.
     """
     pairs = np.asarray(pairs)
     scores = np.empty(len(pairs))
-    if kind_of(params) == GNN_KIND and len(pairs) > len(rows):
-        proj = rows @ params["w1"][:, : rows.shape[1]].T
-        for block, out in zip(_parts(pairs, SCORE_BLOCK), _parts(scores, SCORE_BLOCK)):
-            out[:] = _head_tail(params, _decomposed_first_layer(params, rows, proj, block))[0]
-    else:
-        for block, out in zip(_parts(pairs, SCORE_BLOCK), _parts(scores, SCORE_BLOCK)):
-            out[:] = _head_forward(params, _pair_input(rows, block))[0]
+    proj = rows @ params["w1"][:, : rows.shape[1]].T
+    for block, out in zip(_parts(pairs, SCORE_BLOCK), _parts(scores, SCORE_BLOCK)):
+        out[:] = _head_tail(params, _decomposed_first_layer(params, rows, proj, block))[0]
     return scores
 
 
@@ -369,12 +364,14 @@ def loss_and_grads(
     pairs = np.asarray(pairs)
     labels = np.asarray(labels, dtype=np.float64)
     rows = sage_layer(params, inputs) if gnn else inputs
-    probs, head_cache = _head_forward(params, _pair_input(rows, pairs))
+    pair_input = _pair_input(rows, pairs)
+    a1 = _dense_relu(pair_input, params["w1"], params["b1"])
+    probs, a2 = _head_tail(params, a1)
     loss = float(np.mean(bce_loss(probs, labels)))
     # d(mean BCE)/d(logit) with the sigmoid folded in; clamping almost never
     # binds and is ignored in the gradient
     dlogit = (probs - labels) / labels.size
-    grads, dz1 = _head_backward(params, head_cache, dlogit)
+    grads, dz1 = _head_backward(params, pair_input, a1, a2, dlogit)
     if gnn:
         # a pair's input gradient (g_sum, g_diff) reaches its endpoints as
         # g_sum + s*g_diff and g_sum - s*g_diff, s = sign(r_a - r_b), sign(0) = 0.

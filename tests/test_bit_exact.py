@@ -3,8 +3,8 @@
 Trained parameters and report bundles are byte-identical across changes to
 these kernels only if every float they produce is, so each comparison here
 is ``np.array_equal`` or ``==``, never a tolerance. The one exception
-compares the two scoring paths with each other, not a kernel with its
-reference.
+compares scoring, which decomposes the head's first layer, with the pair
+input's head pass that training runs, not a kernel with its reference.
 """
 
 import json
@@ -251,6 +251,23 @@ def test_neighbor_mean_bit_equal_to_the_padded_gather(graph):
         assert_bits_equal(models.neighbor_mean(graph, x, rows), padded_neighbor_mean(graph, x, rows))
 
 
+@pytest.mark.parametrize("rows", [[-1], [-4], [0, -1], [2, -5], [4], [1, 4]])
+def test_rows_outside_the_graph_raise(rows):
+    """A negative row is refused like one past the end: numpy would read
+    row -1 as row 3, whose neighbor mean is [30, 40], not [40, 50]."""
+    graph = make_graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    x = np.arange(8.0).reshape(4, 2) * 10
+    assert np.array_equal(models.neighbor_mean(graph, x, [3, 0]), [[30.0, 40.0], [20.0, 30.0]])
+    with pytest.raises(IndexError):
+        models.neighbor_mean(graph, x, rows)
+    for kind in (models.MLP_KIND, models.GNN_KIND):
+        params = models.init_params(kind, k=2, hidden=3, embed=2)
+        with pytest.raises(IndexError):
+            models.model_input(params, x, graph, rows)
+        with pytest.raises(IndexError):
+            models.node_rows(params, x, graph, rows)
+
+
 def shipped_network(name):
     cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" / name).read_text())
     return generate(SynthConfig.from_dict(cfg["data"]["synthetic"])).graph
@@ -298,27 +315,25 @@ def scored_rows(kind, rng, n):
     "n_pairs", [0, 1, 2, 19, 300, 301, models.SCORE_BLOCK, models.SCORE_BLOCK + 1, 3 * models.SCORE_BLOCK + 7]
 )
 def test_symmetric_scores_bit_equal_to_fresh_blocks(kind, n_pairs):
-    """Over 300 rows: GNN batches of more pairs than rows take the
-    decomposed first layer, every other batch the pair input's head pass."""
+    """Over 300 rows, every batch of either kind decomposes the first layer,
+    with fewer pairs than rows (0-300) or more (301 up)."""
     rng = np.random.default_rng(n_pairs)
     params, rows = scored_rows(kind, rng, 300)
     pairs = rng.integers(0, len(rows), size=(n_pairs, 2))
-    decomposed = kind == models.GNN_KIND and n_pairs > len(rows)
-    reference = reference_decomposed_scores if decomposed else reference_symmetric_scores
-    want = reference(params, rows, pairs, models.SCORE_BLOCK)
+    want = reference_decomposed_scores(params, rows, pairs, models.SCORE_BLOCK)
     assert_bits_equal(models.symmetric_score_batch(params, rows, pairs), want)
 
 
-def test_decomposed_all_pairs_of_the_default_gnn_agree_with_the_pair_input_pass():
-    """The default experiment's GNN all-pairs (113,582 pairs, 1,533 rows)
-    take the decomposed path. Its scores stay within 1e-12 of the pair
-    input's head pass, and the report is the same."""
+@pytest.mark.parametrize("kind", [models.MLP_KIND, models.GNN_KIND])
+def test_decomposed_all_pairs_of_the_default_network_agree_with_the_pair_input_pass(kind):
+    """The default experiment's all-pairs (113,582 pairs, 1,533 rows) of
+    either kind. The scores stay within 1e-12 of the pair input's head
+    pass, and the report is the same."""
     cfg = ExperimentConfig()
     data = pipeline.prepare_experiment(cfg)
-    params = pipeline.train(models.GNN_KIND, data, cfg).params
+    params = pipeline.train(kind, data, cfg).params
     rows = models.node_rows(params, data.features_norm, data.graph)
     pairs = pipeline.sample_pairs(data.graph, data.split.val_nodes, "all_pairs").pairs
-    assert len(pairs) > len(rows)
     got = models.symmetric_score_batch(params, rows, pairs)
     assert_bits_equal(got, reference_decomposed_scores(params, rows, pairs, models.SCORE_BLOCK))
     pair_input_pass = reference_symmetric_scores(params, rows, pairs, models.SCORE_BLOCK)
@@ -329,16 +344,17 @@ def test_decomposed_all_pairs_of_the_default_gnn_agree_with_the_pair_input_pass(
                        lambda p: reference_symmetric_scores(params, rows, p, models.SCORE_BLOCK))
     ]
     assert reports[0] == reports[1]
-    assert reports[0] == pipeline.evaluate_model(params, data, cfg)[(models.GNN_KIND, "all_pairs")]
+    assert reports[0] == pipeline.evaluate_model(params, data, cfg)[(kind, "all_pairs")]
 
 
 @pytest.mark.parametrize("kind", [models.MLP_KIND, models.GNN_KIND])
 @pytest.mark.parametrize("n_candidates", [1, 2, 7, 60])
 def test_prediction_batches_bit_equal_to_one_pass(kind, n_candidates):
-    """A ``predict`` batch, a new cell's row against each candidate's, is one block."""
+    """A ``predict`` batch, a new cell's row against each candidate's, is one
+    block over the projection of its K + 1 rows."""
     params, rows = scored_rows(kind, np.random.default_rng(n_candidates), n_candidates + 1)
     pairs = np.column_stack([np.zeros(n_candidates, dtype=np.int64), np.arange(1, n_candidates + 1)])
-    want = reference_symmetric_scores(params, rows, pairs, len(pairs))
+    want = reference_decomposed_scores(params, rows, pairs, len(pairs))
     assert_bits_equal(models.symmetric_score_batch(params, rows, pairs), want)
 
 

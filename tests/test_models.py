@@ -196,14 +196,14 @@ class TestScoreBlocks:
         pairs = rng.integers(0, 6, size=(n_pairs, 2))
         one_pass = models.symmetric_score_batch(params, x, pairs)
         sizes = []
-        head_forward = models._head_forward  # every block passes here
+        head_tail = models._head_tail  # every block passes here
 
-        def recording(d, pair_input):
-            sizes.append(len(pair_input))
-            return head_forward(d, pair_input)
+        def recording(d, a1):
+            sizes.append(len(a1))
+            return head_tail(d, a1)
 
         monkeypatch.setattr(models, "SCORE_BLOCK", 4)
-        monkeypatch.setattr(models, "_head_forward", recording)
+        monkeypatch.setattr(models, "_head_tail", recording)
         blocked = models.symmetric_score_batch(params, x, pairs)
         np.testing.assert_allclose(blocked, one_pass, rtol=0, atol=1e-15)
         assert sum(sizes) == n_pairs  # every pair once
@@ -213,49 +213,52 @@ class TestScoreBlocks:
 
     @pytest.mark.parametrize("n_pairs", [6, 7, 9, 17])
     def test_decomposed_blocks_are_the_pair_input_blocks(self, monkeypatch, n_pairs):
-        """Over 6 rows, a GNN batch of more than 6 pairs decomposes its first
-        layer; either path gathers each block's pairs once, in the same
-        blocks, and runs the layers above on each."""
+        """Over 6 rows, a batch of either kind decomposes its first layer
+        whatever its size: it never builds a pair input, gathers each
+        block's pairs once, in ``np.array_split`` blocks, and runs the
+        layers above on each."""
         rng = np.random.default_rng(5)
-        params = models.init_params("gnn", k=3, hidden=5, embed=4, seed=1)
-        rows = rng.normal(size=(6, 4))
         pairs = rng.integers(0, 6, size=(n_pairs, 2))
-        ends, tail, forward = models._ends, models._head_tail, models._head_forward
-        gathered, sizes, forwards = [], [], []
+        ends, tail = models._ends, models._head_tail
 
-        def recording_ends(r, block):
-            gathered.append(block)
-            return ends(r, block)
+        def no_pair_input(r, block):
+            raise AssertionError("scoring built a pair input")
 
-        def recording_tail(d, a1):
-            sizes.append(len(a1))
-            return tail(d, a1)
+        for params, width in (
+            (models.init_params("mlp", k=3, hidden=5, seed=1), 3),
+            (models.init_params("gnn", k=3, hidden=5, embed=4, seed=1), 4),
+        ):
+            rows = rng.normal(size=(6, width))
+            gathered, sizes = [], []
 
-        def recording_forward(d, pair_input):
-            forwards.append(len(pair_input))
-            return forward(d, pair_input)
+            def recording_ends(r, block):
+                gathered.append(block)
+                return ends(r, block)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(models, "SCORE_BLOCK", 4)
-            patch.setattr(models, "_ends", recording_ends)
-            patch.setattr(models, "_head_tail", recording_tail)
-            patch.setattr(models, "_head_forward", recording_forward)
-            scores = models.symmetric_score_batch(params, rows, pairs)
-        assert (not forwards) == (n_pairs > len(rows))  # the decomposed path skips the pair input
-        assert np.array_equal(np.concatenate(gathered), pairs)  # every pair once, in order
-        assert sizes == [len(block) for block in gathered]
-        assert sizes == [len(block) for block in np.array_split(pairs, -(-n_pairs // 4))]
-        one_at_a_time = [models.symmetric_score_batch(params, rows, pairs[i : i + 1])[0] for i in range(n_pairs)]
-        np.testing.assert_allclose(scores, one_at_a_time, rtol=0, atol=1e-15)
+            def recording_tail(d, a1):
+                sizes.append(len(a1))
+                return tail(d, a1)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(models, "SCORE_BLOCK", 4)
+                patch.setattr(models, "_ends", recording_ends)
+                patch.setattr(models, "_head_tail", recording_tail)
+                patch.setattr(models, "_pair_input", no_pair_input)
+                scores = models.symmetric_score_batch(params, rows, pairs)
+            assert np.array_equal(np.concatenate(gathered), pairs)  # every pair once, in order
+            assert sizes == [len(block) for block in gathered]
+            assert sizes == [len(block) for block in np.array_split(pairs, -(-n_pairs // 4))]
+            one_at_a_time = [models.symmetric_score_batch(params, rows, pairs[i : i + 1])[0] for i in range(n_pairs)]
+            np.testing.assert_allclose(scores, one_at_a_time, rtol=0, atol=1e-15)
 
     def test_memory_is_a_few_block_buffers_beyond_the_scores(self):
         width = 64
         rng = np.random.default_rng(9)
         rows = rng.normal(size=(500, width))
         pairs = rng.integers(0, len(rows), size=(100_000, 2))
-        block_input = models.SCORE_BLOCK * 2 * width * 8  # one block's pair input, in bytes
-        # the GNN's batch outnumbers its rows and decomposes; the MLP's (64
-        # features a cell) builds each block's pair input
+        block_input = models.SCORE_BLOCK * 2 * width * 8  # two rows a pair, a block's, in bytes
+        # both kinds decompose: the GNN over 64-wide embeddings, the MLP over
+        # 64 features a cell
         for params in (
             models.init_params("gnn", k=8, embed=width, hidden=width, seed=2),
             models.init_params("mlp", k=width, hidden=width, seed=2),
@@ -266,9 +269,9 @@ class TestScoreBlocks:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # one block's arrays, whatever the batch: the pair input or the
-            # rows' gathers and the projection's (the 500 x 64 projection
-            # beside them), and two hidden layers, each half as wide
+            # one block's arrays, whatever the batch: the rows' gathers and
+            # the projection's (the 500 x 64 projection beside them), and
+            # two hidden layers, each half as wide
             assert peak <= scores.nbytes + 3 * block_input, peak
             # and a block is cache-sized, so they are a few MB
             assert peak <= scores.nbytes + 4 * 2**20, peak

@@ -182,17 +182,17 @@ def parse_edges_csv(source, index: dict) -> np.ndarray:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write ``header`` then ``rows`` to a new CSV file at ``path``, with
+    """Write ``header`` then ``rows`` to a new UTF-8 CSV file at ``path``, with
     "\n" line endings: the one CSV writer of the package."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def write_text(path, text: str) -> None:
-    """Write ``text`` and a newline to a new file: the one JSON file writer."""
-    with open(path, "w") as fh:
+    """Write ``text`` and a newline to a new UTF-8 file: the one JSON file writer."""
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 

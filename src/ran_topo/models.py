@@ -26,11 +26,16 @@ training's validation and each ``predict`` request. Only training builds
 the pair input; its scores differ from scoring's in the last bits (up to
 1.8e-15 on the default GNN's all-pairs).
 
-Every difference between the kinds lives in this module: ``model_input``
-(what the loss takes), ``node_rows`` (what the head scores) and
-``new_node_row`` (a new cell's row). The GNN's input concat(x_v, neighbor
-mean) does not depend on the parameters, so training computes it once per
-graph (as SIGN does) and each step runs only ``W_s`` and the head on it.
+Every difference between the kinds lives in this module, and every row
+the head scores takes one path. ``model_input`` turns normalized features
+into the kind's input: the features (MLP) or concat(x_v, neighbor mean)
+(GNN). ``node_rows`` turns that input into rows: the input itself (MLP) or
+its SAGE embeddings (GNN). The loss, training's validation, evaluation,
+``predict`` and ``new_node_row`` (a zero neighbor mean) all call it. The
+input does not depend on the parameters, so it is computed once per graph
+(as SIGN does): ``train()`` builds the training graph's and the deployed
+graph's before the first epoch, and each step or epoch runs only ``W_s``
+and the head on them.
 
 Parameters are one plain dict of float64 arrays: ``w1, b1, w2, b2, w3, b3``
 for the head, plus ``ws, bs`` for the GNN's SAGE layer, so the key set names
@@ -230,23 +235,19 @@ def neighbor_mean(graph: RanGraph | None, x: np.ndarray, rows=None) -> np.ndarra
 
 
 def _features(params: dict[str, np.ndarray], x) -> np.ndarray:
-    """``x`` as float64 rows, once they are as wide as the params take."""
+    """``x`` as float64 rows, once it is an (N, k) array of the k features the params take."""
     x, width = np.asarray(x, dtype=np.float64), feature_width(params)
     if x.ndim != 2 or x.shape[1] != width:
-        raise ValidationError(f"the params take {width} features per cell, the data has {x.shape[-1]}")
+        raise ValidationError(f"the params take features as an (N, {width}) array, got shape {x.shape}")
     return x
 
 
-def sage_layer(params: dict[str, np.ndarray], h: np.ndarray) -> np.ndarray:
-    """Embeddings relu(W_s h + b_s) of SAGE input rows ``h``."""
-    return _dense_relu(h, params["ws"], params["bs"])
-
-
 def model_input(params: dict[str, np.ndarray], x, graph: RanGraph | None = None, rows=None) -> np.ndarray:
-    """The input of the parameterized layers, from normalized features
-    ``x``: the features (MLP) or concat(x_v, neighbor mean over ``graph``)
-    (GNN); every node's or, given ``rows``, those nodes' in that order. It
-    does not depend on the parameters' values: training computes it once."""
+    """The input ``node_rows`` takes, from normalized features ``x``: the
+    features (MLP) or concat(x_v, neighbor mean over ``graph``) (GNN); every
+    node's or, given ``rows``, those nodes' in that order. It does not
+    depend on the parameters' values, so a caller computes it once per
+    graph and passes it to every ``node_rows`` call on that graph."""
     x = _features(params, x)
     own = x if rows is None else x[_row_index(rows, len(x))]
     if kind_of(params) == MLP_KIND:
@@ -254,30 +255,29 @@ def model_input(params: dict[str, np.ndarray], x, graph: RanGraph | None = None,
     return np.concatenate([own, neighbor_mean(graph, x, rows)], axis=1)
 
 
-def sage_embed(params: dict[str, np.ndarray], x: np.ndarray, graph: RanGraph, rows=None) -> np.ndarray:
-    """Embeddings relu(W_s concat(x, nbr mean) + b_s) for every graph node,
-    or, given ``rows``, for those nodes only, in that order."""
-    return sage_layer(params, model_input(params, x, graph, rows))
+def sage_embed(params: dict[str, np.ndarray], h: np.ndarray) -> np.ndarray:
+    """Embeddings relu(W_s h + b_s) of ``model_input``'s GNN rows ``h``."""
+    return _dense_relu(h, params["ws"], params["bs"])
 
 
-def node_rows(params: dict[str, np.ndarray], x, graph: RanGraph | None = None, rows=None) -> np.ndarray:
-    """The rows the head scores: the features (MLP) or the SAGE embeddings
-    (GNN), as ``model_input`` selects them. Training's validation, evaluation
-    and prediction all use it."""
-    if kind_of(params) == MLP_KIND:
-        return model_input(params, x, graph, rows)
-    return sage_embed(params, x, graph, rows)
+def node_rows(params: dict[str, np.ndarray], inputs: np.ndarray) -> np.ndarray:
+    """The rows the head scores, from ``model_input``'s array: the input
+    itself (MLP) or its SAGE embeddings (GNN). The loss, training's
+    validation, evaluation, ``predict`` and ``new_node_row`` all take their
+    rows here."""
+    return sage_embed(params, inputs) if kind_of(params) == GNN_KIND else inputs
 
 
-def new_node_row(params: dict[str, np.ndarray], features_vec: np.ndarray) -> np.ndarray:
+def new_node_row(params: dict[str, np.ndarray], features_vec) -> np.ndarray:
     """The row the head scores for a cell whose edges are not yet known: its
-    features (MLP) or the SAGE layer over the zero neighbor mean (GNN). It
-    stays a one-row product: stacked with other rows, the product's last
-    bits can differ."""
-    own = _features(params, np.asarray(features_vec, dtype=np.float64)[None])
-    if kind_of(params) == MLP_KIND:
-        return own[0]
-    return sage_layer(params, np.concatenate([own, np.zeros_like(own)], axis=1))[0]
+    ``node_rows`` row over a zero neighbor mean. It stays a one-row product:
+    stacked with other rows, the product's last bits can differ."""
+    vec, width = np.asarray(features_vec, dtype=np.float64), feature_width(params)
+    if vec.shape != (width,):
+        raise ValidationError(f"a new cell's features must have shape ({width},), got {vec.shape}")
+    own = vec[None]
+    inputs = own if kind_of(params) == MLP_KIND else np.concatenate([own, np.zeros_like(own)], axis=1)
+    return node_rows(params, inputs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +357,12 @@ def loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean BCE over pairs and its exact gradients.
 
-    ``inputs`` is ``model_input``'s array. The GNN embeds it as part of the
-    pass, so gradients flow into the SAGE layer.
+    ``inputs`` is ``model_input``'s array. ``node_rows`` turns it into rows
+    as part of the pass, so the GNN's gradients flow into the SAGE layer.
     """
-    gnn = kind_of(params) == GNN_KIND
     pairs = np.asarray(pairs)
     labels = np.asarray(labels, dtype=np.float64)
-    rows = sage_layer(params, inputs) if gnn else inputs
+    rows = node_rows(params, inputs)
     pair_input = _pair_input(rows, pairs)
     a1 = _dense_relu(pair_input, params["w1"], params["b1"])
     probs, a2 = _head_tail(params, a1)
@@ -372,7 +371,7 @@ def loss_and_grads(
     # binds and is ignored in the gradient
     dlogit = (probs - labels) / labels.size
     grads, dz1 = _head_backward(params, pair_input, a1, a2, dlogit)
-    if gnn:
+    if kind_of(params) == GNN_KIND:
         # a pair's input gradient (g_sum, g_diff) reaches its endpoints as
         # g_sum + s*g_diff and g_sum - s*g_diff, s = sign(r_a - r_b), sign(0) = 0.
         # One bincount over (node, column) cells adds every first endpoint's,

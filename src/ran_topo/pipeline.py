@@ -193,18 +193,14 @@ def auc(scores, labels) -> float:
 # ---------------------------------------------------------------------------
 # scoring
 
-def make_scorer(
-    params: dict[str, np.ndarray],
-    features_norm: np.ndarray,
-    embed_graph: RanGraph | None = None,
-):
+def make_scorer(params: dict[str, np.ndarray], inputs: np.ndarray):
     """Symmetric pair scorer: maps an (B, 2) index-pair array to probabilities.
 
-    The rows it scores are computed once. The GNN needs the graph whose
-    edges the SAGE layer aggregates over. Evaluation and ``train()``'s
-    validation pass the deployed graph, held-out cells' edges included.
+    ``inputs`` is ``models.model_input``'s array; ``models.node_rows`` turns
+    it into the rows scored, once. Evaluation and ``train()``'s validation
+    pass the deployed graph's, held-out cells' edges included.
     """
-    rows = models.node_rows(params, features_norm, embed_graph)
+    rows = models.node_rows(params, inputs)
     return lambda pairs: models.symmetric_score_batch(params, rows, pairs)
 
 
@@ -269,11 +265,11 @@ def train(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult
 
     Each positive and sampled negative pair is presented once per epoch, in
     one shuffled order: the head's pair input is symmetric, so one order is
-    both. The training graph's ``models.model_input`` is computed once per
-    call. The validation cells' balanced pairs are drawn once; each epoch
-    ``score_pairs`` scores them over the deployed graph at the config's
-    cutoff, as ``eval`` does. Returns the parameters of the epoch with the
-    best validation accuracy.
+    both. ``models.model_input`` of the training graph and of the deployed
+    graph are each computed once per call. The validation cells' balanced
+    pairs are drawn once; each epoch ``score_pairs`` scores them over the
+    deployed graph's input at the config's cutoff, as ``eval`` does.
+    Returns the parameters of the epoch with the best validation accuracy.
     """
     with stage(f"train_{kind}"):
         graph, split, train_cfg = data.graph, data.split, cfg.train
@@ -294,6 +290,7 @@ def train(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult
         )
         adam = AdamState(lr=train_cfg.learning_rate)
         train_input = models.model_input(params, x_train, train_graph)
+        val_input = models.model_input(params, data.features_norm, graph)
 
         sample_rng_seed = subseed(seed, "negatives")
         shuffle_rng = np.random.default_rng(subseed(seed, "shuffle"))
@@ -315,7 +312,7 @@ def train(kind: str, data: ExperimentData, cfg: ExperimentConfig) -> TrainResult
                 total_loss += loss * len(labels[batch])
                 params, adam = adam_step(params, grads, adam)
 
-            val_acc = score_pairs(make_scorer(params, data.features_norm, graph), val_pairs, cfg.cutoff).accuracy
+            val_acc = score_pairs(make_scorer(params, val_input), val_pairs, cfg.cutoff).accuracy
             history.append(
                 {"epoch": epoch, "train_loss": total_loss / len(labels), "val_accuracy": val_acc}
             )
@@ -361,7 +358,7 @@ def predict_new_node(
         raise ValidationError(f"max_neighbors must be >= 0, got {max_neighbors}")
     new_row = models.new_node_row(params, new_features_norm)
     cand_idx, _ = graph.geo_index.query(coords, cand_cfg)
-    cand_rows = models.node_rows(params, features_norm, graph, cand_idx)
+    cand_rows = models.node_rows(params, models.model_input(params, features_norm, graph, cand_idx))
     if not len(cand_idx):
         return Prediction(neighbors=[], no_candidates=True)
 
@@ -443,7 +440,7 @@ def evaluate_model(params: dict[str, np.ndarray], data: ExperimentData, cfg: Exp
     """
     kind = models.kind_of(params)
     with stage(f"eval_{kind}"):
-        scorer = make_scorer(params, data.features_norm, embed_graph=data.graph)
+        scorer = make_scorer(params, models.model_input(params, data.features_norm, data.graph))
         reports = {}
         for mode in ("balanced", "all_pairs", cfg.filter):
             name = mode_name(mode)

@@ -310,7 +310,7 @@ class TestCriterion9:
         g = make_graph(40, [(i, i + 1) for i in range(39)], coords=x[:, :2])
         rows = {
             "mlp": x,
-            "gnn": models.sage_embed(params["gnn"], x, g),
+            "gnn": models.sage_embed(params["gnn"], models.model_input(params["gnn"], x, g)),
         }
         count = 0
         for _ in range(1100):

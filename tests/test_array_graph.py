@@ -224,7 +224,8 @@ class TestCandidateOnlyEmbedding:
         new_x = x[3] + 0.1
         coords = tuple(g.features.coords()[3])
         pred = predict_new_node(params, g, x, new_x, coords, CandidateConfig(k=k), cutoff=0.0)
-        full = np.vstack([models.sage_embed(params, x, g), models.new_node_row(params, new_x)[None, :]])
+        embedded = models.sage_embed(params, models.model_input(params, x, g))
+        full = np.vstack([embedded, models.new_node_row(params, new_x)[None, :]])
         got = dict(pred.neighbors)
         assert len(got) == k
         cand = np.array([g.index_of(c) for c in got])

@@ -265,7 +265,7 @@ def test_rows_outside_the_graph_raise(rows):
         with pytest.raises(IndexError):
             models.model_input(params, x, graph, rows)
         with pytest.raises(IndexError):
-            models.node_rows(params, x, graph, rows)
+            models.node_rows(params, models.model_input(params, x, graph, rows))
 
 
 def shipped_network(name):
@@ -306,7 +306,7 @@ def scored_rows(kind, rng, n):
     params = jittered_params(kind, rng, k=8, hidden=64, embed=64)
     rows = rng.normal(size=(n, models.feature_width(params)))
     if kind == models.GNN_KIND:
-        rows = models.sage_layer(params, np.concatenate([rows, rng.normal(size=rows.shape)], axis=1))
+        rows = models.sage_embed(params, np.concatenate([rows, rng.normal(size=rows.shape)], axis=1))
     return params, rows
 
 
@@ -332,7 +332,7 @@ def test_decomposed_all_pairs_of_the_default_network_agree_with_the_pair_input_p
     cfg = ExperimentConfig()
     data = pipeline.prepare_experiment(cfg)
     params = pipeline.train(kind, data, cfg).params
-    rows = models.node_rows(params, data.features_norm, data.graph)
+    rows = models.node_rows(params, models.model_input(params, data.features_norm, data.graph))
     pairs = pipeline.sample_pairs(data.graph, data.split.val_nodes, "all_pairs").pairs
     got = models.symmetric_score_batch(params, rows, pairs)
     assert_bits_equal(got, reference_decomposed_scores(params, rows, pairs, models.SCORE_BLOCK))
@@ -340,7 +340,7 @@ def test_decomposed_all_pairs_of_the_default_network_agree_with_the_pair_input_p
     assert np.max(np.abs(got - pair_input_pass)) <= 1e-12
     reports = [
         pipeline.evaluate(scorer, data.graph, data.split.val_nodes, "all_pairs", cutoff=cfg.cutoff)
-        for scorer in (pipeline.make_scorer(params, data.features_norm, data.graph),
+        for scorer in (pipeline.make_scorer(params, models.model_input(params, data.features_norm, data.graph)),
                        lambda p: reference_symmetric_scores(params, rows, p, models.SCORE_BLOCK))
     ]
     assert reports[0] == reports[1]

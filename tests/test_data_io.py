@@ -1,10 +1,14 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import ran_topo
 from conftest import edge_set, make_features
 from ran_topo import synth
 from ran_topo.config import DROP_ROW, FILL_COLUMN_MEAN, SynthConfig
@@ -317,6 +321,35 @@ class TestRoundTrip:
         assert (tmp_path / "edges.csv").read_bytes() == b"cell_id_a,cell_id_b\na,b\nc,d\n"
         with open(tmp_path / "edges.csv") as fh:
             assert parse_edges_csv(fh, {"a": 0, "b": 1, "c": 2, "d": 3}).tolist() == [[0, 1], [2, 3]]
+
+    def test_non_ascii_network_round_trips_under_an_ascii_locale(self, tmp_path):
+        # the writers write UTF-8, the encoding the reader takes, whatever the
+        # locale's: under the C locale with no UTF-8 mode, Python's default is ASCII
+        code = """if True:
+            import codecs, locale, sys
+            import numpy as np
+            from ran_topo.data_io import read_network, write_cells_csv, write_edges_csv
+            from ran_topo.graph import FeatureMatrix
+            assert codecs.lookup(locale.getpreferredencoding(False)).name == "ascii"
+            out = sys.argv[1]
+            ids = ["Z\\u00fcrich-1", "Z\\u00fcrich-2", "G\\u00f6teborg-1"]
+            values = np.array([[47.4, 8.5, 408.0], [47.4, 8.6, 1.5], [57.7, 12.0, 3.0]])
+            features = FeatureMatrix(("lat", "lon", "h\\u00f6he_m"), values)
+            write_cells_csv(out + "/cells.csv", ids, features)
+            write_edges_csv(out + "/edges.csv", [(ids[0], ids[2]), (ids[1], ids[0])])
+            graph = read_network(out + "/cells.csv", out + "/edges.csv")
+            assert graph.ids == tuple(ids) and graph.features.columns == features.columns
+            assert np.array_equal(graph.features.values, values)
+            assert graph.edge_list() == [(ids[0], ids[1]), (ids[0], ids[2])]
+        """
+        src = os.path.dirname(os.path.dirname(ran_topo.__file__))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        graph = read_network(tmp_path / "cells.csv", tmp_path / "edges.csv")
+        assert graph.ids == ("Zürich-1", "Zürich-2", "Göteborg-1")
+        assert graph.features.columns == ("lat", "lon", "höhe_m")
 
 
 class TestReadNetworkLimits:

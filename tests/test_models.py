@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,11 @@ def with_sage(ws, head):
     return models.params_from_dict("gnn", {"ws": ws, "bs": np.zeros(ws.shape[0]), **head})
 
 
+def embed(params, x, g):
+    """The GNN's SAGE embeddings of features ``x`` over graph ``g``."""
+    return models.sage_embed(params, models.model_input(params, x, g))
+
+
 def pair_score(params, a, b):
     """Symmetric score of one pair of rows."""
     return models.symmetric_score_batch(params, np.array([a, b], dtype=float), np.array([[0, 1]]))[0]
@@ -58,8 +64,24 @@ class TestMlpScore:
     def test_shape_mismatch(self):
         # params for 2 features per cell, data with 1: refused before scoring
         params = zero_mlp(k=2)
-        with pytest.raises(ValidationError, match="the params take 2 features per cell, the data has 1"):
-            make_scorer(params, np.array([[1.0], [2.0]]))
+        with pytest.raises(ValidationError, match=re.escape("take features as an (N, 2) array, got shape (2, 1)")):
+            make_scorer(params, models.model_input(params, np.array([[1.0], [2.0]])))
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 1, 8), (5, 7)])
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_misshapen_features_name_both_shapes(self, kind, shape):
+        # the message names the (N, k) shape the params take and the one given,
+        # not a width the data may well have
+        params = models.init_params(kind, k=8, hidden=4, embed=4)
+        with pytest.raises(ValidationError, match=re.escape(f"an (N, 8) array, got shape {shape}")):
+            models.model_input(params, np.zeros(shape), make_graph(5, []))
+
+    @pytest.mark.parametrize("shape", [(1, 8), (7,), ()])
+    @pytest.mark.parametrize("kind", ["mlp", "gnn"])
+    def test_misshapen_new_cell_names_both_shapes(self, kind, shape):
+        params = models.init_params(kind, k=8, hidden=4, embed=4)
+        with pytest.raises(ValidationError, match=re.escape(f"must have shape (8,), got {shape}")):
+            models.new_node_row(params, np.zeros(shape))
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
@@ -75,7 +97,7 @@ class TestSageEmbed:
         g = make_graph(1, [])
         params = with_sage([[1.0, 1.0, 2.0, 2.0]], zero_mlp(k=1, h=2))
         x = np.array([[3.0, 4.0]])
-        emb = models.sage_embed(params, x, g)
+        emb = embed(params, x, g)
         # concat(x, 0): 1*3 + 1*4 + 0 + 0
         assert emb.tolist() == [[7.0]]
 
@@ -83,7 +105,7 @@ class TestSageEmbed:
         g = make_graph(2, [(0, 1)])
         params = models.init_params("gnn", k=2, hidden=3, embed=3, seed=1)
         x = np.array([[1.0, 2.0], [1.0, 2.0]])
-        emb = models.sage_embed(params, x, g)
+        emb = embed(params, x, g)
         assert np.array_equal(emb[0], emb[1])
 
     def test_path_mean_aggregation(self):
@@ -91,14 +113,14 @@ class TestSageEmbed:
         # node0: 1 + 2 = 3, node1: 2 + (1+3)/2 = 4, node2: 3 + 2 = 5
         g = make_graph(3, [(0, 1), (1, 2)])
         params = with_sage([[1.0, 1.0]], zero_mlp(k=1, h=2))
-        emb = models.sage_embed(params, np.array([[1.0], [2.0], [3.0]]), g)
+        emb = embed(params, np.array([[1.0], [2.0], [3.0]]), g)
         assert emb[:, 0].tolist() == [3.0, 4.0, 5.0]
 
     def test_embeddings_nonnegative(self):
         rng = np.random.default_rng(2)
         g = make_graph(6, [(0, 1), (1, 2), (3, 4)])
         params = models.init_params("gnn", k=4, hidden=3, embed=5, seed=3)
-        emb = models.sage_embed(params, rng.normal(size=(6, 4)), g)
+        emb = embed(params, rng.normal(size=(6, 4)), g)
         assert np.all(emb >= 0.0)
 
     def test_permutation_equivariance(self):
@@ -111,10 +133,10 @@ class TestSageEmbed:
             perm = rng.permutation(n)
             g = make_graph(n, edges)
             g_perm = make_graph(n, [(int(perm[i]), int(perm[j])) for i, j in edges])
-            emb = models.sage_embed(params, x, g)
+            emb = embed(params, x, g)
             x_perm = np.empty_like(x)
             x_perm[perm] = x
-            emb_perm = models.sage_embed(params, x_perm, g_perm)
+            emb_perm = embed(params, x_perm, g_perm)
             assert np.allclose(emb_perm[perm], emb, atol=1e-12)
 
     def test_one_hop_locality(self):
@@ -124,8 +146,8 @@ class TestSageEmbed:
         x = np.arange(8.0).reshape(4, 2)
         x2 = x.copy()
         x2[3] = [100.0, -50.0]  # node 3 is 2+ hops from node 0 and 1
-        a = models.sage_embed(params, x, g)
-        b = models.sage_embed(params, x2, g)
+        a = embed(params, x, g)
+        b = embed(params, x2, g)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
         assert not np.array_equal(a[3], b[3])
@@ -148,7 +170,7 @@ class TestGnnScore:
         g_empty = make_graph(3, [])
         params = models.init_params(kind, k=2, hidden=3, embed=3, seed=5)
         x = np.array([[1.0, -1.0], [0.5, 2.0], [3.0, 0.0]])
-        rows = models.node_rows(params, x, g_empty)
+        rows = models.node_rows(params, models.model_input(params, x, g_empty))
         for v in range(3):
             assert np.array_equal(rows[v], models.new_node_row(params, x[v]))
 
@@ -336,7 +358,7 @@ class TestConstructionEquivalence:
         mlp = models.init_params("mlp", k=k, hidden=4, seed=8)
         gnn = with_sage(np.hstack([np.eye(k), np.zeros((k, k))]), mlp)
         x = np.abs(np.random.default_rng(9).normal(size=(5, k)))
-        emb = models.sage_embed(gnn, x, make_graph(5, []))  # no edges: e = x
+        emb = embed(gnn, x, make_graph(5, []))  # no edges: e = x
         pairs = np.array([(0, 1), (2, 4), (3, 0)])
         np.testing.assert_allclose(
             models.symmetric_score_batch(gnn, emb, pairs),

@@ -400,6 +400,27 @@ class TestTrain:
         assert calls.count(tuple(split.val_nodes)) == 1
         assert len(calls) == 1 + len(result.history)
 
+    @pytest.mark.parametrize("kind, calls", [("mlp", 0), ("gnn", 2)])
+    @pytest.mark.parametrize("epochs", [1, 4])
+    def test_builds_each_graph_input_once(self, monkeypatch, kind, calls, epochs):
+        # the neighbor mean does not depend on the params: a GNN aggregates
+        # the training graph and the deployed graph once each, whatever the
+        # number of epochs, and the MLP never aggregates
+        whole_graph = []
+        original = models.neighbor_mean
+
+        def spy(g, x_in, rows=None):
+            if rows is None:
+                whole_graph.append(g)
+            return original(g, x_in, rows)
+
+        monkeypatch.setattr(models, "neighbor_mean", spy)
+        graph, _, _, _ = fixture = experiment_fixture()
+        result = train_on(kind, fixture, 3, epochs=epochs, batch_size=128)
+        assert len(result.history) == epochs
+        assert len(whole_graph) == calls
+        assert sum(g is graph for g in whole_graph) == calls // 2  # the deployed graph's
+
     @pytest.mark.parametrize("resample, draws", [(False, 1), (True, 4)])
     def test_draws_training_pairs_once_unless_resampling(self, monkeypatch, resample, draws):
         # without resampling every epoch's seed is the same, so is its pair set
@@ -431,10 +452,8 @@ class TestTrain:
         graph, split, x, _ = fixture = experiment_fixture()
         result = train_on(kind, fixture, seed, epochs=4, batch_size=128)
         assert result.best_epoch < len(result.history) - 1
-        report = evaluate(
-            make_scorer(result.params, x, graph), graph, split.val_nodes, "balanced",
-            seed=kind_seed(seed, kind, "val_pairs"),
-        )
+        scorer = make_scorer(result.params, models.model_input(result.params, x, graph))
+        report = evaluate(scorer, graph, split.val_nodes, "balanced", seed=kind_seed(seed, kind, "val_pairs"))
         assert result.history[result.best_epoch]["val_accuracy"] == report.accuracy
 
     @pytest.mark.parametrize("kind", ["mlp", "gnn"])
@@ -443,7 +462,7 @@ class TestTrain:
         # reports at the config's cutoff, which here differs from 0.5's
         graph, split, x, _ = fixture = experiment_fixture()
         result = train_on(kind, fixture, 3, cutoff=0.7, epochs=4, batch_size=128)
-        scorer = make_scorer(result.params, x, graph)
+        scorer = make_scorer(result.params, models.model_input(result.params, x, graph))
         at = {
             cutoff: evaluate(
                 scorer, graph, split.val_nodes, "balanced", cutoff, seed=kind_seed(3, kind, "val_pairs")
@@ -538,7 +557,7 @@ class TestPredictNewNode:
         graph, x, _ = self.setup_scene()
         params = models.init_params(kind, k=x.shape[1], hidden=8, embed=8, seed=1)
         coords = tuple(graph.features.coords()[0])
-        with pytest.raises(ValidationError, match="the params take 8 features per cell, the data has 9"):
+        with pytest.raises(ValidationError, match=re.escape("a new cell's features must have shape (8,), got (9,)")):
             predict_new_node(params, graph, x, np.append(x[0], 0.0), coords, CandidateConfig(k=k))
 
     @pytest.mark.parametrize("kind", ["mlp", "gnn"])
@@ -549,7 +568,7 @@ class TestPredictNewNode:
         params = models.init_params(kind, k=x.shape[1], hidden=8, embed=8, seed=1)
         coords = tuple(graph.features.coords()[0])
         wide = np.column_stack([x, x[:, 0]])
-        with pytest.raises(ValidationError, match="the params take 8 features per cell, the data has 9"):
+        with pytest.raises(ValidationError, match=re.escape(f"an (N, 8) array, got shape {wide.shape}")):
             predict_new_node(params, graph, wide, x[0], coords, CandidateConfig(k=k))
 
     def test_a_gnn_request_on_a_large_network_allocates_for_its_candidates_only(self):
@@ -585,7 +604,7 @@ class TestPredictNewNode:
             params, graph, x, x[0], coords, CandidateConfig(k=5), cutoff=0.0
         )
         # manual recomputation of the top candidate's score
-        emb = models.node_rows(params, x, graph)
+        emb = models.node_rows(params, models.model_input(params, x, graph))
         new_emb = models.new_node_row(params, x[0])
         rows = np.vstack([emb, new_emb[None, :]])
         top_id, top_p = pred.neighbors[0]
@@ -688,13 +707,14 @@ class TestScorer:
     def test_mlp_scorer_matches_direct_scores(self):
         graph, split, x, _ = experiment_fixture()
         params = models.init_params("mlp", k=x.shape[1], hidden=8, seed=2)
-        scorer = make_scorer(params, x)
+        scorer = make_scorer(params, models.model_input(params, x))
         pairs = np.array([[0, 1], [2, 5], [3, 3 + 1]])
         direct = models.symmetric_score_batch(params, x, pairs)
         assert np.array_equal(scorer(pairs), direct)
         _ = split
 
     def test_gnn_scorer_requires_graph(self):
+        # a scorer takes model_input's array, and a GNN's needs the graph
         params = models.init_params("gnn", k=2, hidden=4, embed=4, seed=0)
-        with pytest.raises(ValidationError):
-            make_scorer(params, np.zeros((3, 2)))
+        with pytest.raises(ValidationError, match="the GNN needs the graph"):
+            models.model_input(params, np.zeros((3, 2)))

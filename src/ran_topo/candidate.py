@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import CandidateConfig
 from .errors import ValidationError
-from .graph import CellId, RanGraph
+from .graph import CellId, RanGraph, unique_keys
 from .report import EvalReport
 
 EARTH_RADIUS_KM = 6371.0
@@ -109,13 +109,13 @@ def evaluate_candidates(graph: RanGraph, eval_nodes, cfg: CandidateConfig) -> Ev
 
     AUC is omitted: candidate membership is a hard binary prediction.
     """
-    eval_idx = graph.rows_of(eval_nodes)
+    eval_idx = unique_keys(graph.rows_of(eval_nodes))
     if not len(eval_idx):
         raise ValidationError("no evaluation nodes given")
 
-    # Each eval node is scored against every other node; pairs between two
-    # eval nodes are therefore counted once per direction, since each node
-    # has its own candidate list.
+    # Each eval node, once however often it is listed, is scored against every
+    # other node; pairs between two eval nodes are therefore counted once per
+    # direction, since each node has its own candidate list.
     rows, predicted = graph.geo_index.query_rows(eval_idx, cfg)
     tp = int(graph.has_edges(rows, predicted).sum())
     fp = len(predicted) - tp

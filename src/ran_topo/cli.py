@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import models, pipeline
 from .candidate import evaluate_candidates
 from .config import CandidateConfig, ExperimentConfig, SynthConfig
-from .data_io import NormParams, open_input, parse_new_cell, read_network, write_text, zscore_apply
+from .data_io import NormParams, decode_json, open_input, parse_new_cell, read_network, write_text, zscore_apply
 from .errors import RanTopoError, StageError, ValidationError
 from .graph import split_nodes
 from .synth import export, generate
@@ -33,12 +33,9 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open_input(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+        return decode_json(fh.read(), path)
 
 
 # the subcommands' network reader, under the name perfbench/workloads.py calls

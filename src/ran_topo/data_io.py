@@ -4,6 +4,9 @@ every input file, ``read_network`` is the one reader of a network's files
 (``fill_column_means`` fills missing values before it builds the graph,
 ``remove_nodes`` drops their rows after), ``write_csv`` the one CSV writer
 and ``write_text`` the one writer of JSON files.
+``decode_json`` decodes every JSON input (configs, ``--new-cell``, params and
+norm-params files) and ``finite_vector`` checks its lists of numbers (each
+params array's ``data``, the norm params' ``mean`` and ``std``).
 
 File formats:
   cells.csv  header ``cell_id,lat,lon,<feature names...>``, UTF-8, ``.``
@@ -44,6 +47,27 @@ def open_input(path):
             yield fh
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def decode_json(text: str, what: str):
+    """The value JSON ``text`` holds; other text raises ValidationError naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+
+
+def finite_vector(value, what: str) -> np.ndarray:
+    """A JSON list of numbers as a 1-D finite float64 array; else ValidationError naming ``what``."""
+    try:
+        vec = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} is not a list of numbers") from None
+    if vec.ndim != 1:
+        raise ValidationError(f"{what} must be a flat list")
+    if not np.isfinite(vec).all():
+        raise ValidationError(f"{what} has non-finite values")
+    return vec
 
 
 def _number(value) -> float:
@@ -279,26 +303,15 @@ class NormParams:
         non-negative std per column (zscore_fit writes std 0 for a constant
         column, which zscore_apply maps to zero).
         """
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"norm params file is not valid JSON: {exc}") from None
+        obj = decode_json(text, "norm params file")
         columns = obj.get("columns") if isinstance(obj, dict) else None
         if not isinstance(columns, list) or not all(isinstance(c, str) for c in columns):
             raise ValidationError("norm params need a list of column names")
         stats = {}
         for name in ("mean", "std"):
-            try:
-                values = np.asarray(obj.get(name), dtype=np.float64)
-            except (TypeError, ValueError):
-                raise ValidationError(f"norm params {name!r} is not a list of numbers") from None
-            if values.shape != (len(columns),):
-                raise ValidationError(
-                    f"norm params {name!r} needs {len(columns)} values, one per column"
-                )
-            if not np.isfinite(values).all():
-                raise ValidationError(f"norm params {name!r} has non-finite values")
-            stats[name] = values
+            stats[name] = finite_vector(obj.get(name), f"norm params {name!r}")
+            if len(stats[name]) != len(columns):
+                raise ValidationError(f"norm params {name!r} needs {len(columns)} values, one per column")
         if (stats["std"] < 0).any():
             raise ValidationError("norm params 'std' has negative values")
         return cls(tuple(columns), stats["mean"], stats["std"])

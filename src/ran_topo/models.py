@@ -53,6 +53,7 @@ import math
 import numpy as np
 
 from .config import ExperimentConfig
+from .data_io import decode_json, finite_vector
 from .errors import ValidationError
 from .graph import RanGraph
 from .neural import BCE_EPS, bce_loss, glorot_uniform, sigmoid
@@ -286,10 +287,8 @@ def new_node_row(params: dict[str, np.ndarray], features_vec) -> np.ndarray:
 def _ends(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """r_a and r_b of each pair (a, b) of ``rows``, each contiguous, from
     one gather. A pair index outside the rows, negative or not, raises
-    ``IndexError``: numpy would read a negative one from the end."""
-    if pairs.size and pairs.min() < 0:
-        raise IndexError(f"pair index {pairs.min()} is out of range for {len(rows)} rows")
-    return np.take(rows, pairs.T, axis=0)
+    ``IndexError``: ``_row_index`` refuses a negative one."""
+    return np.take(rows, _row_index(pairs, len(rows)).T, axis=0)
 
 
 def _pair_input(rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -407,18 +406,9 @@ def _array_from_spec(name: str, spec) -> np.ndarray:
     shape = spec.get("shape") if isinstance(spec, dict) else None
     if not isinstance(shape, list) or not all(type(d) is int and d >= 0 for d in shape):
         raise ValidationError(f"params array {name!r} needs a shape of non-negative ints")
-    try:
-        data = np.asarray(spec.get("data"), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError(f"params array {name!r} data is not a list of numbers") from None
-    if data.ndim != 1:
-        raise ValidationError(f"params array {name!r} data must be a flat list")
+    data = finite_vector(spec.get("data"), f"params array {name!r} data")
     if data.size != math.prod(shape):
-        raise ValidationError(
-            f"params array {name!r} declares shape {shape} but holds {data.size} values"
-        )
-    if not np.isfinite(data).all():
-        raise ValidationError(f"params array {name!r} has non-finite values")
+        raise ValidationError(f"params array {name!r} declares shape {shape} but holds {data.size} values")
     return data.reshape(shape)
 
 
@@ -429,10 +419,7 @@ def params_from_json(text: str) -> dict[str, np.ndarray]:
     values are finite; ``params_from_dict`` then checks that the arrays are
     exactly the kind's and have its shapes.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"params file is not valid JSON: {exc}") from None
+    obj = decode_json(text, "params file")
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind not in KINDS:
         raise ValidationError(f"params kind must be {' or '.join(map(repr, KINDS))}, got {kind!r}")

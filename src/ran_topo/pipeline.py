@@ -207,10 +207,12 @@ def make_scorer(params: dict[str, np.ndarray], inputs: np.ndarray):
 def score_pairs(scorer, pair_set: PairSet, cutoff: float) -> EvalReport:
     """Score a pair set, threshold at the cutoff, report counts and AUC.
 
-    ``scorer`` is any callable mapping an (B, 2) index-pair array to
-    probabilities, such as the symmetric one ``make_scorer`` builds.
+    ``scorer`` maps an (B, 2) index-pair array to probabilities, as
+    ``make_scorer``'s does; a non-finite score raises ValidationError.
     """
     scores = np.asarray(scorer(pair_set.pairs), dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValidationError(f"the model's {pair_set.mode} scores are not finite: its weights overflow")
     predicted = scores >= cutoff
     actual = pair_set.labels == 1
     tp = int(np.sum(predicted & actual))

@@ -188,6 +188,17 @@ class TestEvaluateCandidates:
             assert report.pairs == pairs == len(eval_idx) * (g.n - 1)
             assert report.tn == pairs - tp - fp - fn
 
+    def test_repeated_eval_node_counts_once(self):
+        # as sample_pairs does: listing a cell twice doubled its pairs and tp
+        g = generate(SynthConfig(sites=40, seed=3)).graph
+        cfg = CandidateConfig(k=10, max_dist=4.0)
+        c = g.ids[int(np.argmax(g.degree))]
+        once = evaluate_candidates(g, [c], cfg)
+        assert once.tp > 0
+        assert evaluate_candidates(g, [c, c], cfg) == once
+        others = list(g.ids[:5])
+        assert evaluate_candidates(g, [*others, *reversed(others)], cfg) == evaluate_candidates(g, others, cfg)
+
     def test_empty_eval_set(self):
         g = make_graph(3, [(0, 1)])
         with pytest.raises(ValidationError, match="no evaluation nodes given"):

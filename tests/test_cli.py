@@ -411,6 +411,41 @@ def test_edgeless_training_graph_exit_2(tmp_path, capsys):
     assert len(errors) == 1 and errors[0].startswith("error: [train_mlp] "), errors
 
 
+def _files_under(path):
+    return [f for f in path.rglob("*") if f.is_file()] if path.exists() else []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFiniteScores:
+    """A model whose scores overflow is refused with exit 2; no params or report holds NaN."""
+
+    def test_diverging_training_exit_2(self, tmp_path, capsys):
+        config = {**EXPERIMENT_CFG, "train": {**EXPERIMENT_CFG["train"], "learning_rate": 1e300}}
+        out = tmp_path / "run"
+        code = main(["experiment", "--config", write_json(tmp_path / "exp.json", config), "--out", str(out)])
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert code == 2
+        assert len(errors) == 1 and errors[0].startswith("error: [train_mlp] "), errors
+        written = _files_under(out)
+        assert sorted(f.relative_to(out).as_posix() for f in written) == ["data/cells.csv", "data/edges.csv"]
+        assert not any(word in f.read_bytes() for f in written for word in (b"NaN", b"Infinity"))
+
+    def test_eval_of_overflowing_params_exit_2(self, experiment_bundle, tmp_path, capsys):
+        cfg, bundle = experiment_bundle
+        obj = json.loads((bundle / "params_mlp.json").read_text())
+        for name in ("w1", "w2"):
+            obj["arrays"][name]["data"] = [1e300 * v for v in obj["arrays"][name]["data"]]
+        params = write_json(tmp_path / "params_mlp.json", obj)
+        out = tmp_path / "eval"
+        code = main(["eval", "--params", params, "--config", cfg, "--out", str(out)])
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+        assert code == 2
+        assert len(errors) == 1 and errors[0].startswith("error: [eval_mlp] "), errors
+        assert captured.out == "" and _files_under(out) == []
+
+
 def test_candidates_defaults_to_the_experiment_seed(tmp_path, capsys):
     """``candidates`` at its default --seed, --k and --max-dist-km splits as
     an experiment at its default seed does and proposes its default
@@ -472,6 +507,26 @@ def test_malformed_config_exit_2(tmp_path, capsys, command, text):
     assert "error:" in err
     if isinstance(text, bytes):
         assert f"{config} is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("command", ["synth", "experiment"])
+def test_config_not_json_names_the_file(tmp_path, capsys, command):
+    config = write_file(tmp_path / "config.json", '{"seed": 1,}')
+    assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+    stage = "[config] " if command == "experiment" else ""
+    assert capsys.readouterr().err.startswith(f"error: {stage}{config} is not valid JSON: ")
+
+
+def test_new_cell_not_json_names_the_file(experiment_bundle, tmp_path, capsys):
+    _, bundle = experiment_bundle
+    new_cell = write_file(tmp_path / "new.json", "lat=57.0")
+    code = main([
+        "predict", "--params", str(bundle / "params_mlp.json"), "--norm-params", str(bundle / "norm_params.json"),
+        "--cells", str(bundle / "data" / "cells.csv"), "--edges", str(bundle / "data" / "edges.csv"),
+        "--new-cell", new_cell,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {new_cell} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
 
 
 # every kind of input file -> the command that reads it, from the file paths
@@ -914,6 +969,24 @@ class TestMalformedModelFiles:
         params = self.broken_copy(out / "params_mlp.json", PARAM_DEFECTS[defect], tmp_path)
         code = self.predict(out, tmp_path, params, str(out / "norm_params.json"))
         self.assert_refused(code, capsys)
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_params_not_json_names_the_file_kind(self, trained, tmp_path, capsys, command):
+        cfg, out = trained
+        params = write_file(tmp_path / "params.json", "{")
+        if command == "eval":
+            code = main(["eval", "--params", params, "--config", cfg, "--out", str(tmp_path / "eval")])
+        else:
+            code = self.predict(out, tmp_path, params, str(out / "norm_params.json"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: params file is not valid JSON: ")
+
+    def test_norm_params_not_json_names_the_file_kind(self, trained, tmp_path, capsys):
+        _, out = trained
+        norm = write_file(tmp_path / "norm.json", "{")
+        code = self.predict(out, tmp_path, str(out / "params_mlp.json"), norm)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: norm params file is not valid JSON: ")
 
     @pytest.mark.parametrize("defect", sorted(NORM_DEFECTS))
     def test_predict_refuses_norm_params(self, trained, tmp_path, capsys, defect):

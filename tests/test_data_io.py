@@ -1,6 +1,8 @@
 import io
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +16,9 @@ from ran_topo import synth
 from ran_topo.config import DROP_ROW, FILL_COLUMN_MEAN, SynthConfig
 from ran_topo.data_io import (
     NormParams,
+    decode_json,
     fill_column_means,
+    finite_vector,
     parse_cells_csv,
     parse_edges_csv,
     parse_new_cell,
@@ -298,6 +302,53 @@ class TestZScore:
         assert back.columns == params.columns
         assert np.array_equal(back.mean, params.mean)
         assert np.array_equal(back.std, params.std)
+
+
+class TestJsonRules:
+    def test_decode_json_names_what_it_decodes(self):
+        assert decode_json('{"a": [1, 2.5]}', "params file") == {"a": [1, 2.5]}
+        with pytest.raises(ValidationError, match=r"^norm params file is not valid JSON: Expecting"):
+            decode_json("{", "norm params file")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (["x", 1.0], "is not a list of numbers"),
+            ([[1.0, 2.0], 3.0], "is not a list of numbers"),
+            ({"a": 1}, "is not a list of numbers"),
+            ([[1.0, 2.0]], "must be a flat list"),
+            (5.0, "must be a flat list"),
+            (None, "must be a flat list"),
+            ([1.0, math.nan], "has non-finite values"),
+            ([math.inf], "has non-finite values"),
+            ([1e308, -1e309], "has non-finite values"),
+        ],
+    )
+    def test_finite_vector_refuses(self, value, message):
+        with pytest.raises(ValidationError, match=rf"^norm params 'mean' {message}$"):
+            finite_vector(value, "norm params 'mean'")
+
+    def test_finite_vector_keeps_the_values(self):
+        vec = finite_vector([0.1, -2, 3e-300], "data")
+        assert vec.dtype == np.float64 and vec.shape == (3,)
+        assert vec.tolist() == [0.1, -2.0, 3e-300]
+        assert finite_vector([], "data").shape == (0,)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda obj: "[", "norm params file is not valid JSON"),
+            (lambda obj: obj.update(mean=[0.0, "x"]), "norm params 'mean' is not a list of numbers"),
+            (lambda obj: obj.update(std=[[1.0, 1.0]]), "norm params 'std' must be a flat list"),
+            (lambda obj: obj.update(std=[1.0, math.inf]), "norm params 'std' has non-finite values"),
+            (lambda obj: obj.update(mean=[0.0]), "norm params 'mean' needs 2 values, one per column"),
+        ],
+    )
+    def test_norm_params_refusals(self, change, message):
+        obj = {"columns": ["lat", "lon"], "mean": [0.0, 1.0], "std": [1.0, 2.0]}
+        text = change(obj)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            NormParams.from_json(json.dumps(obj) if text is None else text)
 
 
 class TestRoundTrip:

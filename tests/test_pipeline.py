@@ -249,6 +249,19 @@ class TestEvaluate:
         rep = evaluate(lambda p: np.zeros(len(p)), complete, ["n0"], "all_pairs")
         assert (rep.pairs, rep.tp + rep.fn) == (2, 2) and rep.auc is None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_is_refused(self, bad):
+        # a diverged model's NaN reached the reports and the params file as "NaN"
+        g = make_graph(6, [(0, 1), (1, 2)])
+
+        def scorer(pairs):
+            scores = np.full(len(pairs), 0.7)
+            scores[-1] = bad
+            return scores
+
+        with pytest.raises(ValidationError, match="balanced scores are not finite"):
+            evaluate(scorer, g, ["n1"], "balanced", seed=0)
+
     def test_metrics_consistent_with_counts(self):
         rng = np.random.default_rng(4)
         for trial in range(200):
